@@ -316,7 +316,10 @@ pub fn write_bench_json(
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(path, serde_json::to_string_pretty(&doc)? + "\n")
+    nidc_obs::write_atomic(
+        path,
+        (serde_json::to_string_pretty(&doc)? + "\n").as_bytes(),
+    )
 }
 
 #[cfg(test)]

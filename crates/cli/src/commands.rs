@@ -493,7 +493,11 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         s.finish(out)?;
     }
     if let Some(p) = &state_path {
-        pipeline.save_json(File::create(p)?)?;
+        // serialize first, then swap the file in whole: a kill mid-save must
+        // not truncate the only checkpoint
+        let mut checkpoint = Vec::new();
+        pipeline.save_json(&mut checkpoint)?;
+        nidc_obs::write_atomic(p, &checkpoint)?;
         writeln!(out, "checkpoint written to {p}")?;
     }
     Ok(())

@@ -34,9 +34,9 @@ static OUTLIER_DOCS: LazyCounter = LazyCounter::new("nidc_kmeans_outlier_docs_to
 /// dense-equivalent `K·rows` work bound. Compare against
 /// `nidc_index_postings_touched_total` for the inverted-index saving.
 static STEP1_CANDIDATES: LazyCounter = LazyCounter::new("nidc_kmeans_step1_candidates_total");
-/// Wall time of one step-1 assignment sweep (parallel preview + sequential
-/// apply), per repetition. Fine buckets: a converged warm-start sweep over a
-/// small window sits well under a millisecond.
+/// Wall time of one step-1 assignment sweep, per repetition. Fine buckets: a
+/// converged warm-start sweep over a small window sits well under a
+/// millisecond.
 static STEP1_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_kmeans_step1_seconds", buckets::FINE_SECONDS);
 /// Wall time of one full repetition (sweep + representative rebuild +
@@ -106,8 +106,8 @@ pub fn cluster_batch(vecs: &DocVectors, config: &ClusteringConfig) -> Result<Clu
 /// already-computed dot product `c⃗ · φ_d`: the change of the cluster's
 /// criterion value if `d` joined (`is_current = false`), or `d`'s present
 /// contribution — `score(C) − score(C \ {d})` (`is_current = true`). One
-/// function so the parallel preview, the inverted-index sweep, and the
-/// sequential apply all compute bit-identical values.
+/// function so the inverted-index sweep and the dense sweep compute
+/// bit-identical values.
 fn assignment_delta_from_dot(
     criterion: crate::Criterion,
     rep: &ClusterRep,
@@ -134,27 +134,15 @@ fn assignment_delta_from_dot(
     }
 }
 
-/// [`assignment_delta_from_dot`] with the dot product computed against one
-/// representative directly. Used whenever a cluster's previewed score is
-/// stale (the `dirty` path) and by the dense backend's sweep.
-fn assignment_delta(
-    criterion: crate::Criterion,
-    rep: &ClusterRep,
-    phi: &nidc_textproc::SparseVector,
-    is_current: bool,
-) -> f64 {
-    assignment_delta_from_dot(criterion, rep, rep.dot_doc(phi), phi.norm_sq(), is_current)
-}
-
 /// Fills `row[q]` with the step-1 assignment delta of `phi` against every
 /// cluster `q < reps.len()`.
 ///
-/// With an inverted [`ClusterIndex`] this is the tentpole fast path: one
-/// [`ClusterIndex::dot_all`] pass over φ's terms produces all K dot products
-/// at once — O(Σ_t |postings(t)|) instead of O(K·nnz(φ)) — and each dot is
-/// bit-identical to `reps[q].dot_doc(phi)` (the index mirrors the sparse
-/// representatives entry for entry), so the deltas, and therefore the argmax
-/// winner, match the dense backend exactly.
+/// With an inverted [`ClusterIndex`] one [`ClusterIndex::dot_all`] pass over
+/// φ's terms produces all K dot products at once — O(Σ_t |postings(t)|)
+/// instead of O(K·nnz(φ)) — and each dot is bit-identical to
+/// `reps[q].dot_doc(phi)` (the index mirrors the sparse representatives entry
+/// for entry), so the deltas, and therefore the argmax winner, match the
+/// dense sweep exactly.
 fn score_row_into(
     criterion: crate::Criterion,
     reps: &[ClusterRep],
@@ -165,19 +153,16 @@ fn score_row_into(
 ) {
     STEP1_CANDIDATES.add(reps.len() as u64);
     match index {
-        Some(ix) => {
-            ix.dot_all(phi, row);
-            let norm_sq = phi.norm_sq();
-            for (q, rep) in reps.iter().enumerate() {
-                row[q] =
-                    assignment_delta_from_dot(criterion, rep, row[q], norm_sq, current == Some(q));
-            }
-        }
+        Some(ix) => ix.dot_all(phi, row),
         None => {
-            for (q, rep) in reps.iter().enumerate() {
-                row[q] = assignment_delta(criterion, rep, phi, current == Some(q));
+            for (dot, rep) in row.iter_mut().zip(reps) {
+                *dot = rep.dot_doc(phi);
             }
         }
+    }
+    let norm_sq = phi.norm_sq();
+    for (q, rep) in reps.iter().enumerate() {
+        row[q] = assignment_delta_from_dot(criterion, rep, row[q], norm_sq, current == Some(q));
     }
 }
 
@@ -267,7 +252,6 @@ pub fn cluster_with_initial(
     let mut g_old: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
     // --- Repetition process ----------------------------------------------
-    let threads = nidc_parallel::resolve_threads(config.threads);
     let mut outliers: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
     let mut scratch = vec![0.0; k];
@@ -282,43 +266,12 @@ pub fn cluster_with_initial(
         // the sweep itself never touches an atomic.
         let mut moved = 0u64;
         let mut demoted = 0u64;
-        // Parallel preview of step 1(a): score every (document, cluster)
-        // pair against the representatives as they stand at the top of the
-        // iteration. The sequential apply below uses a previewed score only
-        // while the cluster's representative is untouched this iteration
-        // (`dirty` check) and recomputes it live otherwise, so the sweep is
-        // bit-identical to the fully sequential one for any thread count.
-        // A document's own assignment only changes at its own turn, so the
-        // `current == Some(q)` branch previewed here is the one the apply
-        // loop takes. On converged iterations nothing moves and every score
-        // comes from the preview — the common case for warm restarts (§5.2).
+        // Step 1 is sequential by definition (§4.4): each document is scored
+        // against the representatives every earlier move of this sweep has
+        // already updated, so there is nothing to fan out.
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
-        let preview: Option<Vec<Vec<f64>>> = nidc_parallel::should_fan_out(ids.len(), threads)
-            .then(|| {
-                let assign = &assign;
-                let reps = &reps;
-                let index = index.as_ref();
-                nidc_parallel::par_chunks(ids.len(), threads, |range| {
-                    // one scratch row per chunk, cloned per document
-                    let mut row = vec![0.0; k];
-                    range
-                        .map(|di| {
-                            let d = ids[di];
-                            let phi = vecs.phi(d).expect("id comes from vecs");
-                            let current = assign.get(&d).copied();
-                            score_row_into(config.criterion, reps, index, phi, current, &mut row);
-                            row.clone()
-                        })
-                        .collect::<Vec<Vec<f64>>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            });
-        let mut dirty = vec![false; k];
-        let mut any_dirty = false;
-        for (di, &d) in ids.iter().enumerate() {
+        for &d in &ids {
             let phi = vecs.phi(d).expect("id comes from vecs");
             let current = assign.get(&d).copied();
             if let Some(p) = current {
@@ -335,41 +288,17 @@ pub fn cluster_with_initial(
             // actually moves — this keeps converged iterations cheap, which
             // is what makes warm restarts (§5.2) fast.
             let mut best: Option<(usize, f64)> = None;
-            match &preview {
-                // nothing has moved yet: every previewed row is still exact
-                Some(rows) if !any_dirty => {
-                    for (q, &delta) in rows[di].iter().enumerate() {
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
-                }
-                Some(rows) => {
-                    for (q, rep) in reps.iter().enumerate() {
-                        let delta = if dirty[q] {
-                            assignment_delta(config.criterion, rep, phi, current == Some(q))
-                        } else {
-                            rows[di][q]
-                        };
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
-                }
-                None => {
-                    score_row_into(
-                        config.criterion,
-                        &reps,
-                        index.as_ref(),
-                        phi,
-                        current,
-                        &mut scratch,
-                    );
-                    for (q, &delta) in scratch[..k].iter().enumerate() {
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
+            score_row_into(
+                config.criterion,
+                &reps,
+                index.as_ref(),
+                phi,
+                current,
+                &mut scratch,
+            );
+            for (q, &delta) in scratch.iter().enumerate() {
+                if best.is_none_or(|(_, bd)| delta > bd) {
+                    best = Some((q, delta));
                 }
             }
             // step 1(b): largest strictly-positive increase wins, else outlier
@@ -382,15 +311,12 @@ pub fn cluster_with_initial(
                                 ix.remove(p, phi);
                             }
                             sizes[p] -= 1;
-                            dirty[p] = true;
                         }
                         reps[q].add(phi);
                         if let Some(ix) = index.as_mut() {
                             ix.add(q, phi);
                         }
                         sizes[q] += 1;
-                        dirty[q] = true;
-                        any_dirty = true;
                         assign.insert(d, q);
                         moved += 1;
                     }
@@ -402,8 +328,6 @@ pub fn cluster_with_initial(
                             ix.remove(p, phi);
                         }
                         sizes[p] -= 1;
-                        dirty[p] = true;
-                        any_dirty = true;
                         assign.remove(&d);
                         demoted += 1;
                     }
@@ -427,7 +351,7 @@ pub fn cluster_with_initial(
                     .map(|d| vecs.phi(*d).expect("member has a vector")),
             );
         }
-        if any_dirty {
+        if moved + demoted > 0 {
             // re-mirror the recomputed representatives (incremental updates
             // above tracked them exactly, but recompute_exact may shed
             // floating-point drift the postings still carry)

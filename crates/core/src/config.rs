@@ -44,10 +44,12 @@ pub struct ClusteringConfig {
     pub keep_last_member: bool,
     /// The assignment criterion (see [`Criterion`]).
     pub criterion: Criterion,
-    /// Worker threads for the parallel hot paths (φ-vector build and the
-    /// step-1 scoring sweep): `0` = all hardware threads, `1` = sequential.
-    /// The clustering, its statistics, and the iteration count are
-    /// bit-identical for any value — see `nidc-parallel` for the contract.
+    /// Worker threads for the parallel hot paths (φ-vector build, the
+    /// from-scratch statistics rebuild and the shard fan-out): `0` = all
+    /// hardware threads, `1` = sequential. The extended K-means step 1 is
+    /// sequential by the paper's definition and ignores it. The clustering,
+    /// its statistics, and the iteration count are bit-identical for any
+    /// value — see `nidc-parallel` for the contract.
     pub threads: usize,
     /// How cluster representatives are stored ([`RepBackend`]). `Sparse`
     /// (the default) also routes the step-1 scoring sweep through the

@@ -1,5 +1,6 @@
 //! File exporters for per-window metric snapshots.
 
+use std::ffi::OsString;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, LineWriter, Write};
@@ -136,7 +137,9 @@ impl MetricsExporter {
                 crate::reset();
             }
             MetricsFormat::Prom => {
-                fs::write(&self.path, snap.to_prometheus())?;
+                // a scraper reading mid-export sees the old file or the new
+                // one, never a half-written exposition
+                write_atomic(&self.path, snap.to_prometheus().as_bytes())?;
             }
         }
         Ok(())
@@ -152,6 +155,48 @@ impl MetricsExporter {
         }
         Ok(())
     }
+}
+
+/// Replaces the file at `path` with `bytes` so that a reader, or a kill at
+/// any moment, sees either the old file whole or the new one whole — never a
+/// truncated mix. The bytes go to a temporary file in the same directory,
+/// which is fsynced and then renamed over `path` (rename within one
+/// filesystem is atomic); the directory is fsynced last so the rename itself
+/// survives a crash. If staging fails the temporary is removed and `path` is
+/// left as it was.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    let path = path.as_ref();
+    let tmp = tmp_path(path)?;
+    let staged = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if staged.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return staged;
+    }
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// The temporary sibling [`write_atomic`] stages `path` in: a hidden name in
+/// the same directory, tagged with the process id.
+fn tmp_path(path: &Path) -> io::Result<PathBuf> {
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} does not name a file", path.display()),
+        )
+    })?;
+    let mut tmp = OsString::from(".");
+    tmp.push(name);
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    Ok(path.with_file_name(tmp))
 }
 
 #[cfg(test)]
@@ -287,6 +332,65 @@ mod tests {
         prom.finish().unwrap();
         crate::set_enabled(false);
         fs::remove_file(&path).ok();
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn write_atomic_creates_the_file_and_leaves_no_temp_behind() {
+        let _guard = global_lock();
+        let dir = tmpdir("atomic_new");
+        let path = dir.join("state.json");
+        write_atomic(&path, b"{\"v\":1}\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"{\"v\":1}\n");
+        assert_eq!(dir_entries(&dir), ["state.json"]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_replaces_an_existing_file_whole() {
+        let _guard = global_lock();
+        let dir = tmpdir("atomic_replace");
+        let path = dir.join("state.json");
+        fs::write(&path, "x".repeat(4096)).unwrap();
+        // shorter than the old content: an in-place rewrite that died before
+        // truncating would leave a tail of x's
+        write_atomic(&path, b"short").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"short");
+        assert_eq!(dir_entries(&dir), ["state.json"]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_write_atomic_leaves_the_old_file_untouched() {
+        let _guard = global_lock();
+        let dir = tmpdir("atomic_fail");
+        let path = dir.join("state.json");
+        fs::write(&path, "old").unwrap();
+
+        // a missing directory: nothing can be staged, nothing changes
+        let missing = dir.join("gone").join("state.json");
+        assert!(write_atomic(&missing, b"new").is_err());
+        assert!(!dir.join("gone").exists());
+
+        // the staging step itself fails (its temp name is taken by a
+        // directory): the target keeps its old content
+        let blocker = tmp_path(&path).unwrap();
+        fs::create_dir(&blocker).unwrap();
+        assert!(write_atomic(&path, b"new").is_err());
+        assert_eq!(fs::read_to_string(&path).unwrap(), "old");
+        fs::remove_dir(&blocker).unwrap();
+
+        assert_eq!(dir_entries(&dir), ["state.json"]);
+        assert!(write_atomic(&dir, b"new").is_err(), "a directory target");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

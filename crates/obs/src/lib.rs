@@ -66,7 +66,7 @@ pub mod trace;
 mod trace_export;
 
 pub use events::{EventSession, EVENTS_SCHEMA_VERSION};
-pub use export::{MetricsExporter, MetricsFormat};
+pub use export::{write_atomic, MetricsExporter, MetricsFormat};
 pub use gauge::{
     btree_map_size_bytes, DeepSize, FloatGauge, Gauge, LazyFloatGauge, LazyGauge,
     BTREE_ENTRY_OVERHEAD,

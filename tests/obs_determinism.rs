@@ -275,7 +275,7 @@ fn alloc_tracking_on_off_results_are_bit_identical() {
 /// fan-out gate (`len >= 2 * threads`) for every thread count under test:
 /// three documents over a three-term vocabulary — `par_chunks` over the
 /// vocabulary dimension (statistics recompute) and over the document count
-/// (step 1, doc-vector build) both see `len == 3 < 4`.
+/// (doc-vector build) both see `len == 3 < 4`.
 fn tiny_stream() -> Vec<(u64, f64, SparseVector)> {
     vec![
         (0, 0.0, tf(&[(0, 3.0), (1, 1.0)])),
@@ -338,6 +338,117 @@ fn alloc_counts_are_thread_count_invariant() {
             THREAD_COUNTS[i]
         );
     }
+}
+
+/// 72 documents over four topics, each ≈ 400 terms wide: far above every
+/// fan-out gate at the thread counts under test, and wide enough that at
+/// K = 4 the sparse backend's step 1 runs through the inverted index rather
+/// than the dense small-K sweep.
+fn wide_repository() -> Repository {
+    let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
+    for i in 0..72u32 {
+        let topic = (i % 4) * 1000;
+        let mut pairs: Vec<(u32, f64)> = (0..300)
+            .map(|j| (topic + j, 1.0 + ((i + j) % 5) as f64))
+            .collect();
+        // shared background vocabulary, so topics overlap a little
+        pairs.extend((0..100).map(|j| (5000 + (j + 7 * i) % 400, 1.0)));
+        repo.insert(
+            DocId(u64::from(i)),
+            Timestamp(0.1 * f64::from(i)),
+            tf(&pairs),
+        )
+        .unwrap();
+    }
+    repo
+}
+
+/// Step 1 of the extended K-means is sequential by the paper's definition
+/// (§4.4): each document is scored against representatives every earlier
+/// move of the sweep has updated. On an input above the fan-out gate, a
+/// K-means run — cold or warm, either backend — never fans out, and its
+/// allocation tallies and result are identical at every thread count.
+#[test]
+fn kmeans_step1_never_fans_out() {
+    let _guard = flag_lock();
+    let repo = wide_repository();
+    let vecs = DocVectors::build(&repo);
+    let fanouts = || {
+        khy2006::obs::snapshot()
+            .counter("nidc_parallel_fanouts_total")
+            .unwrap_or(0)
+    };
+    // a warm start that still has work to do: every third document of a
+    // converged clustering is moved to the next slot
+    let cold = cluster_batch(
+        &vecs,
+        &ClusteringConfig {
+            k: 4,
+            seed: 5,
+            ..ClusteringConfig::default()
+        },
+    )
+    .unwrap();
+    let perturbed: BTreeMap<DocId, usize> = cold
+        .assignment()
+        .into_iter()
+        .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % 4 } else { p }))
+        .collect();
+
+    khy2006::obs::trace::set_trace_enabled(false);
+    khy2006::obs::reset();
+    khy2006::obs::set_enabled(true);
+    khy2006::obs::alloc::set_tracking(true);
+    // the probe is live: building the vectors on two threads does fan out
+    let before = fanouts();
+    let _ = DocVectors::build_parallel(&repo, 2);
+    assert!(
+        fanouts() > before,
+        "nidc_parallel_fanouts_total never moved"
+    );
+
+    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+        for (start, initial) in [
+            ("cold", InitialState::Random),
+            ("warm", InitialState::Assignment(perturbed.clone())),
+        ] {
+            let run = |threads: usize| {
+                let config = ClusteringConfig {
+                    k: 4,
+                    seed: 5,
+                    threads,
+                    rep_backend: backend,
+                    ..ClusteringConfig::default()
+                };
+                let f0 = fanouts();
+                let (a0, b0) = khy2006::obs::alloc::thread_tallies();
+                let c = cluster_with_initial(&vecs, &config, initial.clone()).unwrap();
+                let (a1, b1) = khy2006::obs::alloc::thread_tallies();
+                let f1 = fanouts();
+                let result = (
+                    c.member_lists(),
+                    c.outliers().to_vec(),
+                    c.g(),
+                    c.iterations(),
+                );
+                (result, (a1 - a0, b1 - b0), f1 - f0)
+            };
+            // warm-up: absorb one-time allocations (lazy metric registration)
+            let _ = run(1);
+            let (seq, seq_allocs, _) = run(1);
+            let assigned: usize = seq.0.iter().map(Vec::len).sum();
+            assert_eq!(assigned + seq.1.len(), 72, "every document accounted for");
+            for threads in [1, 2, 4, 7] {
+                let (par, allocs, fanned) = run(threads);
+                let what = format!("{backend:?} {start} start, threads={threads}");
+                assert_eq!(fanned, 0, "step 1 fanned out at {what}");
+                assert_eq!(allocs, seq_allocs, "allocation tallies diverged at {what}");
+                assert_eq!(par, seq, "result diverged at {what}");
+            }
+        }
+    }
+    khy2006::obs::alloc::set_tracking(false);
+    khy2006::obs::set_enabled(false);
 }
 
 /// `par_map_mut` attributes worker-thread allocations back to the caller:

@@ -99,6 +99,44 @@ proptest! {
         }
     }
 
+    /// The warm-start sibling of `cluster_batch_is_thread_count_invariant`:
+    /// the previous assignment comes from a run at a larger K, as the
+    /// pipeline carries it into a window whose effective K shrank, so some
+    /// of its slots are >= k. Passed as is, it is rejected the same way at
+    /// every thread count; with those slots dropped (what the pipeline
+    /// does), their documents re-enter unassigned and reseed the empty
+    /// slots, and the run is bit-identical across thread counts.
+    #[test]
+    fn warm_start_is_thread_count_invariant(docs in doc_stream(), seed in 0u64..500) {
+        let repo = repo_from(&docs);
+        let vecs = DocVectors::build(&repo);
+        let wide = ClusteringConfig { k: 6, seed, threads: 1, ..ClusteringConfig::default() };
+        let prev = cluster_batch(&vecs, &wide).unwrap().assignment();
+        let base = ClusteringConfig { k: 4, ..wide };
+        let k = base.k.min(vecs.len());
+        let mut kept = prev.clone();
+        kept.retain(|_, p| *p < k);
+        let stale = kept.len() < prev.len();
+        let seq = cluster_with_initial(&vecs, &base, InitialState::Assignment(kept.clone())).unwrap();
+        for threads in THREAD_COUNTS {
+            let config = ClusteringConfig { threads, ..base.clone() };
+            if stale {
+                let raw = cluster_with_initial(&vecs, &config, InitialState::Assignment(prev.clone()));
+                let rejected = matches!(raw, Err(khy2006::core::Error::InvalidInitialAssignment { k: ek, .. }) if ek == k);
+                prop_assert!(rejected, "slots >= k not rejected at threads={}", threads);
+            }
+            let par = cluster_with_initial(&vecs, &config, InitialState::Assignment(kept.clone())).unwrap();
+            prop_assert_eq!(par.member_lists(), seq.member_lists(),
+                "membership differs at threads={}", threads);
+            prop_assert!(par.g() == seq.g(), "G differs at threads={}: {} vs {}",
+                threads, par.g(), seq.g());
+            prop_assert_eq!(par.iterations(), seq.iterations(),
+                "iteration count differs at threads={}", threads);
+            prop_assert_eq!(par.outliers(), seq.outliers(),
+                "outliers differ at threads={}", threads);
+        }
+    }
+
     #[test]
     fn recompute_from_scratch_is_thread_count_invariant(docs in doc_stream()) {
         let mut seq = repo_from(&docs);
