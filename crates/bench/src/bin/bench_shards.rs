@@ -150,10 +150,12 @@ fn main() {
 
                 let stitch0 = stitch_seconds_so_far();
                 let t1 = Instant::now();
-                let clustering = pipeline.recluster_incremental().expect("K >= 1");
+                pipeline.recluster_incremental().expect("K >= 1");
                 run.cluster_ms += t1.elapsed().as_secs_f64() * 1e3;
                 run.stitch_ms += (stitch_seconds_so_far() - stitch0) * 1e3;
                 run.rounds += 1;
+
+                let clustering = pipeline.last_merged().expect("just re-clustered");
 
                 let labels: Labeling<u32> = pipeline
                     .shards()

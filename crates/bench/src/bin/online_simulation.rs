@@ -86,8 +86,9 @@ fn main() {
         let stats_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
-        let clustering = pipeline.recluster_incremental().expect("K ≥ 1");
+        pipeline.recluster_incremental().expect("K ≥ 1");
         let cluster_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let clustering = pipeline.last_merged().expect("just re-clustered");
 
         // quality over the live documents, across every shard
         let labels: Labeling<u32> = pipeline

@@ -4,13 +4,11 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 
-use nidc_core::{
-    cluster_batch, Cluster, ClusteringConfig, MergedClustering, RepBackend, ShardedPipeline,
-};
+use nidc_core::{cluster_batch, Cluster, ClusteringConfig, RepBackend, ShardedPipeline};
 use nidc_corpus::{Corpus, Generator, GeneratorConfig, TopicId};
 use nidc_eval::{evaluate, evaluate_sharded, purity, Labeling, MARKING_THRESHOLD};
 use nidc_forgetting::{DecayParams, Repository, Timestamp};
-use nidc_similarity::DocVectors;
+use nidc_similarity::{ClusterRep, DocVectors};
 use nidc_textproc::{DocId, Pipeline, SparseVector, Vocabulary};
 
 use crate::{CliError, ParsedArgs, Result};
@@ -72,7 +70,7 @@ fn rep_backend_from(args: &ParsedArgs) -> Result<RepBackend> {
     }
 }
 
-/// `--stitch on|off [--stitch-threshold T]`: the query-time stitching pass
+/// `--stitch on|off [--stitch-threshold T]`: the per-window stitching pass
 /// over a sharded clustering. `None` means stitching is disabled;
 /// `Some(threshold)` enables it (the default, at
 /// [`nidc_core::DEFAULT_STITCH_THRESHOLD`]). A single shard is never
@@ -218,19 +216,19 @@ fn stats<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
 
 /// Renders one cluster as an overview line.
 fn overview_line(
-    cluster: &Cluster,
+    members: &[DocId],
+    rep: &ClusterRep,
     vocab: &Vocabulary,
     corpus: &Corpus,
     topic_of: &BTreeMap<DocId, TopicId>,
 ) -> String {
-    let keywords: Vec<String> = cluster
-        .rep()
+    let keywords: Vec<String> = rep
         .top_terms(5)
         .into_iter()
         .filter_map(|(t, _)| vocab.term(t).map(str::to_owned))
         .collect();
     let mut counts: BTreeMap<TopicId, usize> = BTreeMap::new();
-    for d in cluster.members() {
+    for d in members {
         if let Some(&t) = topic_of.get(d) {
             *counts.entry(t).or_insert(0) += 1;
         }
@@ -240,13 +238,13 @@ fn overview_line(
         .max_by_key(|(_, &n)| n)
         .map(|(t, &n)| {
             let name = corpus.topic_name(*t).unwrap_or("?");
-            format!("{name} {n}/{}", cluster.len())
+            format!("{name} {n}/{}", members.len())
         })
         .unwrap_or_default();
     format!(
         "{:>4} docs  avg_sim {:.2e}  [{label}]  {}",
-        cluster.len(),
-        cluster.avg_sim(),
+        members.len(),
+        rep.avg_sim(),
         keywords.join(" ")
     )
 }
@@ -344,7 +342,7 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
             out,
             "{:>2}. {}",
             i + 1,
-            overview_line(c, &vocab, &corpus, &topic_of)
+            overview_line(c.members(), c.rep(), &vocab, &corpus, &topic_of)
         )?;
     }
     Ok(())
@@ -398,31 +396,45 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
             .map_err(|e| CliError::Usage(e.to_string()))?,
     };
     // --stitch on|off / --stitch-threshold: applies to fresh and restored
-    // pipelines alike (stitching is a query-time view, not pipeline state).
+    // pipelines alike (stitching shapes each window's view, not pipeline
+    // state).
     pipeline.set_stitch(stitch_from(args)?);
     let resume_day = pipeline.now().days();
     let mut topic_of = BTreeMap::new();
     let mut next_report = (resume_day / every).floor() * every + every;
+    // One line per window from the view the re-clustering left behind.
     let report = |pipeline: &ShardedPipeline,
-                  clustering: &MergedClustering,
                   day: f64,
                   out: &mut W,
                   topic_of: &BTreeMap<DocId, TopicId>|
      -> Result<()> {
-        let mut ranked: Vec<&Cluster> = clustering
-            .shards()
-            .iter()
-            .flat_map(|c| c.clusters())
-            .filter(|c| c.len() >= 2)
-            .collect();
+        let Some(clustering) = pipeline.last_merged() else {
+            return Ok(());
+        };
+        // Rank the stitched clusters when the stitch ran (shards > 1,
+        // --stitch on), so a topic's cross-shard fragments take one slot,
+        // not several; the per-shard clusters otherwise.
+        let mut ranked: Vec<(&[DocId], &ClusterRep)> = match clustering.stitched() {
+            Some(s) => s
+                .clusters()
+                .iter()
+                .map(|c| (c.members(), c.rep()))
+                .collect(),
+            None => clustering
+                .shards()
+                .iter()
+                .flat_map(|c| c.clusters())
+                .map(|c| (c.members(), c.rep()))
+                .collect(),
+        };
+        ranked.retain(|(members, _)| members.len() >= 2);
         ranked.sort_by(|a, b| {
-            b.rep()
-                .g_term()
-                .partial_cmp(&a.rep().g_term())
+            b.1.g_term()
+                .partial_cmp(&a.1.g_term())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        // When the query-time stitch ran (shards > 1, --stitch on), show
-        // how many topics survive after cross-shard fragments are reunited.
+        // When the stitch ran, show how many topics survive after
+        // cross-shard fragments are reunited.
         let stitched_note = clustering
             .stitched()
             .map(|s| {
@@ -441,7 +453,7 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
             ranked
                 .iter()
                 .take(3)
-                .map(|c| overview_line(c, &vocab, &corpus, topic_of))
+                .map(|(members, rep)| overview_line(members, rep, &vocab, &corpus, topic_of))
                 .collect::<Vec<_>>()
                 .join(" || ")
         )?;
@@ -455,10 +467,10 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
             pipeline
                 .advance_to(Timestamp(next_report))
                 .map_err(|e| CliError::Other(e.to_string()))?;
-            let clustering = pipeline
+            pipeline
                 .recluster_incremental()
                 .map_err(|e| CliError::Other(e.to_string()))?;
-            report(&pipeline, &clustering, next_report, out, &topic_of)?;
+            report(&pipeline, next_report, out, &topic_of)?;
             if let Some(m) = exporter.as_mut() {
                 m.record_window(&[("day", next_report), ("docs", pipeline.num_docs() as f64)])?;
             }
@@ -469,16 +481,10 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
             .ingest(DocId(a.id), Timestamp(a.day), tf.clone())
             .map_err(|e| CliError::Other(e.to_string()))?;
     }
-    let clustering = pipeline
+    pipeline
         .recluster_incremental()
         .map_err(|e| CliError::Other(e.to_string()))?;
-    report(
-        &pipeline,
-        &clustering,
-        pipeline.now().days(),
-        out,
-        &topic_of,
-    )?;
+    report(&pipeline, pipeline.now().days(), out, &topic_of)?;
     if let Some(m) = exporter.as_mut() {
         m.record_window(&[
             ("day", pipeline.now().days()),

@@ -83,11 +83,11 @@ COMMANDS:
 --threads N: worker threads for the clustering hot paths (0 = all hardware
 threads, 1 = sequential). Results are identical for any value.
 --shards N (stream, eval): split the stream over N independent pipelines
-behind a deterministic DocId router, clustered in parallel and merged at
-query time. N=1 (default) is the single pipeline, bit for bit; any fixed N
+behind a deterministic DocId router, clustered in parallel and merged once
+per window. N=1 (default) is the single pipeline, bit for bit; any fixed N
 is bit-identical across thread counts. Checkpoints store the topology — on
 resume the checkpoint's shard count wins over --shards.
---stitch on|off (stream, eval): the query-time stitching pass that reunites
+--stitch on|off (stream, eval): the per-window stitching pass that reunites
 cross-shard fragments of one topic (group-average agglomeration over the
 merged representatives at a normalized cr_sim threshold). Default on; a
 single shard has nothing to stitch, so it only takes effect with

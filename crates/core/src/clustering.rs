@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use nidc_obs::DeepSize;
 use nidc_similarity::ClusterRep;
 use nidc_textproc::DocId;
 
@@ -114,6 +115,25 @@ impl Clustering {
             }
         }
         map
+    }
+}
+
+/// Heap bytes of a document-id list (its full buffer capacity).
+pub(crate) fn doc_ids_bytes(ids: &Vec<DocId>) -> u64 {
+    (ids.capacity() * std::mem::size_of::<DocId>()) as u64
+}
+
+impl DeepSize for Cluster {
+    /// The member list's buffer plus the representative's heap.
+    fn deep_size_bytes(&self) -> u64 {
+        doc_ids_bytes(&self.members) + self.rep.deep_size_bytes()
+    }
+}
+
+impl DeepSize for Clustering {
+    /// Every cluster (members and representative) plus the outlier list.
+    fn deep_size_bytes(&self) -> u64 {
+        self.clusters.deep_size_bytes() + doc_ids_bytes(&self.outliers)
     }
 }
 

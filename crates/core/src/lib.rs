@@ -36,8 +36,9 @@
 //! # Sharding
 //!
 //! [`ShardedPipeline`] runs N independent pipelines behind a deterministic
-//! [`ShardRouter`] and merges the per-shard clusterings into one
-//! [`MergedClustering`] at query time (global cluster ids =
+//! [`ShardRouter`] and merges the per-shard clusterings once per window
+//! into one [`MergedClustering`] (stitched across shards, held by the
+//! pipeline and borrowed by readers; global cluster ids =
 //! `(shard, local)` [`GlobalClusterId`]s). `shards = 1` reproduces the
 //! single pipeline bit for bit.
 //!

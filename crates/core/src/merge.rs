@@ -1,13 +1,20 @@
-//! Query-time merge of per-shard clusterings.
+//! The merged view of per-shard clusterings, stitched once per window.
 //!
-//! A [`crate::ShardedPipeline`] clusters every shard independently; nothing
-//! global exists until a caller asks. This module provides that global view:
-//! cluster identity becomes [`GlobalClusterId`] `(shard, local index)`, the
-//! per-shard [`Clustering`]s are held side by side, and global aggregates
-//! (`G`, outliers, assignment, member lists) are derived on demand. Member
-//! sets across shards are disjoint by construction (the router partitions
+//! A [`crate::ShardedPipeline`] clusters every shard independently; this
+//! module provides the global view over those clusterings: cluster identity
+//! becomes [`GlobalClusterId`] `(shard, local index)`, the per-shard
+//! [`Clustering`]s are held side by side, and global aggregates (`G`,
+//! outliers, assignment, member lists) are derived from them. Member sets
+//! across shards are disjoint by construction (the router partitions
 //! `DocId`s), so cross-shard representative merges via
 //! [`ClusterRep::merge_from`] are exact (eq. 21/25).
+//!
+//! The pipeline builds one [`MergedClustering`] per window — stitched when
+//! τ applies — and holds it; readers borrow that view
+//! ([`crate::ShardedPipeline::last_merged`]) instead of re-merging. The
+//! stitch's representative dot matrix is built from term postings, costing
+//! Σ_t |postings(t)|² / 2 multiply-adds rather than N² merge-joins of
+//! O(nnz) each.
 //!
 //! # Id stability
 //!
@@ -16,19 +23,20 @@
 //! verbatim, and a stitching pass deterministically keeps the *lowest*
 //! shard-major source id as the surviving [`StitchedCluster::id`] no
 //! matter the agglomeration order (fragments always fold into the
-//! lower-id slot). Two queries over the same per-shard clusterings
+//! lower-id slot). Two stitches of the same per-shard clusterings
 //! therefore name every cluster identically — the property the
 //! [`crate::LineageTracker`] relies on to match clusters across windows
-//! without reading deaths+births into a mere re-query. Pinned by
+//! without reading deaths+births into a mere re-stitch. Pinned by
 //! `stitched_clusters_keep_the_lowest_shard_major_source_id` in
 //! `tests/shard_determinism.rs`.
 
 use std::collections::BTreeMap;
 
-use nidc_obs::{buckets, LazyCounter, LazyHistogram};
+use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_similarity::{ClusterRep, RepBackend};
 use nidc_textproc::DocId;
 
+use crate::clustering::doc_ids_bytes;
 use crate::{Cluster, Clustering};
 
 /// Stitching passes executed (one per [`MergedClustering::stitch`] call).
@@ -79,7 +87,8 @@ impl std::fmt::Display for GlobalClusterId {
     }
 }
 
-/// The merged, query-time view over per-shard clusterings.
+/// The merged view over per-shard clusterings, optionally carrying the
+/// window's stitched view.
 ///
 /// Holds one [`Clustering`] per shard (shard order is fixed by the
 /// pipeline), and exposes the same aggregate surface as a single
@@ -228,7 +237,13 @@ impl MergedClustering {
     /// Runs the stitching pass and attaches the result, so query paths can
     /// read it back via [`MergedClustering::stitched`].
     pub fn stitch_in_place(&mut self, threshold: f64) {
-        self.stitched = Some(self.stitch(threshold));
+        self.restitch(Some(threshold));
+    }
+
+    /// Replaces the attached stitched view: stitches at `Some(τ)`, detaches
+    /// it at `None`.
+    pub(crate) fn restitch(&mut self, threshold: Option<f64>) {
+        self.stitched = threshold.map(|tau| self.stitch(tau));
     }
 
     /// The attached stitched view, if a stitching pass ran.
@@ -316,10 +331,12 @@ impl StitchedCluster {
 /// With several shards, pairs from the *same* shard may also merge if they
 /// clear τ; the threshold, not the topology, governs.
 ///
-/// Complexity: O(N²) representative dot products up front plus an O(N²)
-/// scan per merge, N = Σ_shards K. Merging `j` into `i` updates the cached
-/// dot row additively (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so no dot
-/// product is ever recomputed. The pass is sequential and therefore
+/// Complexity: the representative dot matrix up front, built from term
+/// postings in Σ_t |postings(t)|² / 2 multiply-adds (the private
+/// `stitch_dot_matrix` kernel), plus an O(N²) scan per merge, N = Σ_shards K.
+/// Merging `j` into `i` updates the cached dot row additively
+/// (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so no dot product is ever
+/// recomputed. The pass is sequential and therefore
 /// trivially thread-count invariant; representatives are folded onto the
 /// sparse backend first, so it is also bit-identical across
 /// [`RepBackend`]s.
@@ -401,6 +418,30 @@ impl StitchedClustering {
     }
 }
 
+impl DeepSize for StitchedCluster {
+    /// The source-id and member lists' buffers plus the merged
+    /// representative's heap.
+    fn deep_size_bytes(&self) -> u64 {
+        (self.sources.capacity() * std::mem::size_of::<GlobalClusterId>()) as u64
+            + doc_ids_bytes(&self.members)
+            + self.rep.deep_size_bytes()
+    }
+}
+
+impl DeepSize for StitchedClustering {
+    /// Every stitched cluster plus the outlier list.
+    fn deep_size_bytes(&self) -> u64 {
+        self.clusters.deep_size_bytes() + doc_ids_bytes(&self.outliers)
+    }
+}
+
+impl DeepSize for MergedClustering {
+    /// The held per-shard clusterings plus the attached stitched view.
+    fn deep_size_bytes(&self) -> u64 {
+        self.shards.deep_size_bytes() + self.stitched.deep_size_bytes()
+    }
+}
+
 /// The stitching pass itself. Kept free so [`MergedClustering::stitch`] can
 /// borrow `self.shards` while the caller holds `&mut self`.
 fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
@@ -435,20 +476,11 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
         let n = clusters.len();
         let mut alive = vec![true; n];
         // full dot matrix up front; empty slots never participate
-        let mut dot = vec![0.0f64; n * n];
-        for i in 0..n {
-            if clusters[i].is_empty() {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if clusters[j].is_empty() {
-                    continue;
-                }
-                let d = clusters[i].rep.dot_rep(&clusters[j].rep);
-                dot[i * n + j] = d;
-                dot[j * n + i] = d;
-            }
-        }
+        let reps: Vec<Option<&ClusterRep>> = clusters
+            .iter()
+            .map(|c| (!c.is_empty()).then_some(&c.rep))
+            .collect();
+        let mut dot = stitch_dot_matrix(&reps);
         loop {
             // best surviving pair, strict `>` in (i, j) scan order so ties
             // resolve to the first pair — the GAC baseline's idiom
@@ -529,6 +561,72 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
     }
 }
 
+/// The stitch's dot matrix: `dot[i·n + j] = c⃗_i·c⃗_j` over `n = reps.len()`
+/// slots, row-major and symmetric with a zero diagonal; `None` (empty)
+/// slots get zero rows and columns.
+///
+/// Built from term postings instead of N² merge-joins. A counting sort
+/// files every stored entry under its term as a `(slot, weight)` posting —
+/// slots visited in ascending order, so each list is slot-sorted — then each
+/// term, in ascending order, adds `w_i·w_j` into `dot[i][j]` for every pair
+/// `i < j` on its list, and the upper triangle is mirrored. Every entry is
+/// thus summed from `0.0` over the shared terms in ascending term order,
+/// exactly as [`nidc_textproc::SparseVector::dot`] sums a merge-join: the
+/// matrix is bit-identical to the pairwise [`ClusterRep::dot_rep`] one, so
+/// no merge decision changes.
+///
+/// Cost: Σ_t |postings(t)|² / 2 multiply-adds plus O(Σ nnz + max term id)
+/// for the sort, against N²/2 merge-joins of O(nnz_i + nnz_j) each. This
+/// is a private kernel, not the K-means [`nidc_similarity::ClusterIndex`],
+/// so it records none of the index's counters.
+fn stitch_dot_matrix(reps: &[Option<&ClusterRep>]) -> Vec<f64> {
+    let n = reps.len();
+    // postings per term, then their offsets into one flat buffer
+    let mut start: Vec<usize> = Vec::new();
+    for rep in reps.iter().flatten() {
+        rep.for_each_entry(|t, _| {
+            if t.index() >= start.len() {
+                start.resize(t.index() + 1, 0);
+            }
+            start[t.index()] += 1;
+        });
+    }
+    let mut total = 0usize;
+    for slot in &mut start {
+        let len = *slot;
+        *slot = total;
+        total += len;
+    }
+    start.push(total);
+    let mut cursor = start.clone();
+    let mut postings = vec![(0usize, 0.0f64); total];
+    for (slot, rep) in reps.iter().enumerate() {
+        if let Some(rep) = rep {
+            rep.for_each_entry(|t, w| {
+                postings[cursor[t.index()]] = (slot, w);
+                cursor[t.index()] += 1;
+            });
+        }
+    }
+
+    let mut dot = vec![0.0f64; n * n];
+    for bounds in start.windows(2) {
+        let list = &postings[bounds[0]..bounds[1]];
+        for (a, &(i, wi)) in list.iter().enumerate() {
+            let row = &mut dot[i * n..(i + 1) * n];
+            for &(j, wj) in &list[a + 1..] {
+                row[j] += wi * wj;
+            }
+        }
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            dot[j * n + i] = dot[i * n + j];
+        }
+    }
+    dot
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +634,7 @@ mod tests {
     use nidc_forgetting::{DecayParams, Repository, Timestamp};
     use nidc_similarity::DocVectors;
     use nidc_textproc::{SparseVector, TermId};
+    use proptest::prelude::*;
 
     fn tf(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -758,6 +857,78 @@ mod tests {
         m.stitch_in_place(0.5);
         let s = m.stitched().expect("attached");
         assert_eq!(s.threshold(), 0.5);
+    }
+
+    #[test]
+    fn restitch_none_detaches_the_view() {
+        let mut m = two_shard_merge();
+        m.stitch_in_place(0.5);
+        m.restitch(None);
+        assert!(m.stitched().is_none());
+        m.restitch(Some(0.0));
+        assert_eq!(
+            m.stitched().map(StitchedClustering::non_empty_clusters),
+            Some(1)
+        );
+    }
+
+    /// The pairwise merge-join matrix the postings kernel replaces.
+    fn pairwise_dot_matrix(reps: &[Option<&ClusterRep>]) -> Vec<f64> {
+        let n = reps.len();
+        let mut dot = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if let (Some(a), Some(b)) = (reps[i], reps[j]) {
+                    dot[i * n + j] = a.dot_rep(b);
+                    dot[j * n + i] = dot[i * n + j];
+                }
+            }
+        }
+        dot
+    }
+
+    /// A term every non-empty slot may be given, so one postings list spans
+    /// all clusters.
+    const SHARED_TERM: u32 = 40;
+
+    /// One stitch input slot: empty, a one-term rep, or a rep summed from a
+    /// few φ vectors over a ten-term vocabulary (long postings lists, and
+    /// sums that round).
+    fn slot_strategy() -> impl Strategy<Value = Option<ClusterRep>> {
+        let phi = prop::collection::vec((0u32..10, 0.01f64..1.0), 1..6);
+        (0u32..4, prop::collection::vec(phi, 1..4)).prop_map(|(kind, members)| match kind {
+            0 => None,
+            1 => Some(ClusterRep::from_members([tf(&members[0][..1])].iter())),
+            _ => {
+                let phis: Vec<SparseVector> = members.iter().map(|m| tf(m)).collect();
+                Some(ClusterRep::from_members(phis.iter()))
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The postings-built matrix equals the pairwise `dot_rep` matrix
+        /// bit for bit, so every stitch merge decision is unchanged.
+        #[test]
+        fn postings_dot_matrix_is_bit_identical_to_pairwise_dot_rep(
+            mut slots in prop::collection::vec(slot_strategy(), 1..16),
+            shared in prop::bool::ANY,
+            shared_weight in 0.01f64..1.0,
+        ) {
+            if shared {
+                for rep in slots.iter_mut().flatten() {
+                    rep.add(&tf(&[(SHARED_TERM, shared_weight)]));
+                }
+            }
+            let reps: Vec<Option<&ClusterRep>> = slots.iter().map(Option::as_ref).collect();
+            let bits = |m: Vec<f64>| m.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(stitch_dot_matrix(&reps)),
+                bits(pairwise_dot_matrix(&reps))
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,10 @@ static RECLUSTERS: LazyCounter = LazyCounter::new("nidc_pipeline_reclusters_tota
 /// pipeline the value is the sum across shards.
 static MEM_REPOSITORY_BYTES: LazyGauge = LazyGauge::new("nidc_mem_repository_bytes");
 /// Heap bytes held by the K cluster representatives of the latest
-/// clustering, sampled once per re-clustering (summed across shards).
+/// clustering, sampled once per re-clustering (summed across shards). A
+/// sharded pipeline adds the window view it holds: its copy of every
+/// shard's clustering (members and representatives) and the stitched
+/// clusters.
 static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
 /// Heap bytes held by the warm-start assignment map carried between
 /// incremental re-clusterings (summed across shards).

@@ -1,12 +1,14 @@
-//! Stream sharding: many independent pipelines, one query-time view.
+//! Stream sharding: many independent pipelines, one view per window.
 //!
-//! PR 1 parallelised *within* one window's hot paths; this module shards
-//! *across* the stream. Each [`StreamShard`] owns a full
+//! The window's hot paths are parallel *within* a pipeline; this module
+//! shards *across* the stream. Each [`StreamShard`] owns a full
 //! [`NoveltyPipeline`] — its own forgetting [`Repository`], warm-start
 //! assignment, and last clustering — and a [`ShardedPipeline`] fans
 //! `ingest_batch` / `advance_to` / `expire` / `recluster_*` out across the
-//! shards via `nidc-parallel`, merging the per-shard results into a
-//! [`MergedClustering`] on demand.
+//! shards via `nidc-parallel`. Each re-clustering merges the per-shard
+//! results into one [`MergedClustering`], stitched once when τ applies,
+//! which the pipeline holds until the next window: every reader borrows it
+//! through [`ShardedPipeline::last_merged`], which does no work.
 //!
 //! Sharding is sound under the paper's model because every forgetting
 //! statistic of §3 (`tdw`, the `S_k` numerators, `Pr(d)`, `Pr(t_k)`) is a
@@ -26,7 +28,7 @@
 //! bit for bit.
 
 use nidc_forgetting::{DecayParams, Repository, RepositoryStats, Timestamp};
-use nidc_obs::{buckets, LazyCounter, LazyHistogram};
+use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_textproc::{DocId, SparseVector, TermId};
 
 use crate::lineage::{LineageState, LineageTracker, ObservedCluster};
@@ -42,7 +44,7 @@ static RECLUSTERS: LazyCounter = LazyCounter::new("nidc_sharded_reclusters_total
 /// Wall-clock seconds per sharded re-clustering (fan-out + per-shard work).
 static RECLUSTER_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_sharded_recluster_seconds", buckets::LATENCY_SECONDS);
-/// Wall-clock seconds assembling the merged query-time view.
+/// Wall-clock seconds assembling (and stitching) the window's merged view.
 static MERGE_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_sharded_merge_seconds", buckets::LATENCY_SECONDS);
 /// Live documents per shard, observed at every re-clustering (a balance
@@ -184,7 +186,8 @@ impl StreamShard {
 
 /// The sharded on-line pipeline: N independent [`StreamShard`]s behind a
 /// deterministic [`ShardRouter`], with every lifecycle operation fanned out
-/// via `nidc-parallel` and clusterings merged at query time.
+/// via `nidc-parallel` and the clusterings merged (and stitched) once per
+/// window into a held view.
 ///
 /// `shards = 1` is today's behaviour — one pipeline, bit-identical to
 /// [`NoveltyPipeline`] driven directly.
@@ -193,10 +196,14 @@ pub struct ShardedPipeline {
     shards: Vec<StreamShard>,
     router: ShardRouter,
     config: ClusteringConfig,
-    /// Stitching threshold τ for the query-time repair pass; `None`
+    /// Stitching threshold τ for the cross-shard repair pass; `None`
     /// disables stitching. Only takes effect with more than one shard —
     /// a single shard has no cross-shard fragments to reunite.
     stitch: Option<f64>,
+    /// The last window's merged view (stitched when τ applies), built by
+    /// `recluster_*` and borrowed by every reader. `None` before the first
+    /// re-clustering, after a failed one, and after a checkpoint restore.
+    merged: Option<MergedClustering>,
     /// Tracks cluster lineage over the *merged* (and, when stitching is on,
     /// *stitched*) cluster ids, so a topic whose fragments get reunited
     /// across shards reads as one continuing lineage instead of per-shard
@@ -243,6 +250,7 @@ impl ShardedPipeline {
             router,
             config,
             stitch: Some(crate::merge::DEFAULT_STITCH_THRESHOLD),
+            merged: None,
             lineage: Some(LineageTracker::new()),
         })
     }
@@ -272,12 +280,22 @@ impl ShardedPipeline {
         self.lineage = Some(LineageTracker::from_state(state));
     }
 
-    /// Sets the stitching threshold τ for the query-time repair pass:
+    /// Sets the stitching threshold τ for the cross-shard repair pass:
     /// `Some(τ)` stitches every merged view at τ, `None` disables
     /// stitching. The default is `Some(DEFAULT_STITCH_THRESHOLD)`; with a
     /// single shard the setting is ignored (nothing to stitch).
+    ///
+    /// A held window view is re-stitched at the new τ (or unstitched), so
+    /// [`ShardedPipeline::last_merged`] never disagrees with the
+    /// configuration. Lineage is not re-observed: it saw the window as it
+    /// was clustered.
     pub fn set_stitch(&mut self, threshold: Option<f64>) {
         self.stitch = threshold;
+        let effective = self.effective_stitch();
+        if let Some(view) = self.merged.as_mut() {
+            view.restitch(effective);
+            self.publish_mem_gauges();
+        }
     }
 
     /// The configured stitching threshold (`None` = disabled).
@@ -446,22 +464,27 @@ impl ShardedPipeline {
 
     /// Incremental re-clustering on every shard (fanned out; each shard
     /// expires, rebuilds its φ vectors, and warm-starts its extended
-    /// K-means), merged into one query-time view.
-    pub fn recluster_incremental(&mut self) -> Result<MergedClustering> {
+    /// K-means), merged into the window's view, which the pipeline holds
+    /// and returns borrowed.
+    pub fn recluster_incremental(&mut self) -> Result<&MergedClustering> {
         self.recluster_with(|p| p.recluster_incremental())
     }
 
     /// Non-incremental re-clustering on every shard (statistics rebuilt
-    /// from scratch, random seeding), merged into one query-time view.
-    pub fn recluster_from_scratch(&mut self) -> Result<MergedClustering> {
+    /// from scratch, random seeding), merged into the window's view, which
+    /// the pipeline holds and returns borrowed.
+    pub fn recluster_from_scratch(&mut self) -> Result<&MergedClustering> {
         self.recluster_with(|p| p.recluster_from_scratch())
     }
 
-    fn recluster_with<F>(&mut self, f: F) -> Result<MergedClustering>
+    fn recluster_with<F>(&mut self, f: F) -> Result<&MergedClustering>
     where
         F: Fn(&mut NoveltyPipeline) -> Result<Clustering> + Sync,
     {
         register_sharded_metrics();
+        // the previous window's view goes first: a failed window leaves no
+        // stale view behind
+        self.merged = None;
         let span = nidc_obs::span!("sharded.recluster");
         label_shard_tracks(self.shards.len());
         let timer = RECLUSTER_SECONDS.start_timer();
@@ -481,9 +504,26 @@ impl ShardedPipeline {
         }
         timer.stop();
         drop(span);
-        // Each shard's recluster published its own sizes (last shard wins);
-        // overwrite with cross-shard sums so the gauges report the whole
-        // stream's footprint.
+        let merged = {
+            let _merge_span = nidc_obs::span!("sharded.merge");
+            let _merge_timer = MERGE_SECONDS.start_timer();
+            let mut merged = MergedClustering::new(clusterings);
+            // inside the merge span, so `sharded.stitch` nests under it
+            merged.restitch(self.effective_stitch());
+            merged
+        };
+        self.observe_lineage(&merged);
+        self.merged = Some(merged);
+        self.publish_mem_gauges();
+        Ok(self.merged.as_ref().expect("just stored"))
+    }
+
+    /// Overwrites the memory gauges with whole-stream figures. Each shard's
+    /// recluster published its own sizes (last shard wins); these are the
+    /// cross-shard sums, and the reps gauge also counts the held window
+    /// view — its copy of every shard's clustering plus the stitched
+    /// clusters — which lives until the next window.
+    fn publish_mem_gauges(&self) {
         let (mut repo, mut reps, mut warm) = (0u64, 0u64, 0u64);
         for s in &self.shards {
             let (r, c, w) = s.pipeline().mem_sample();
@@ -491,19 +531,8 @@ impl ShardedPipeline {
             reps += c;
             warm += w;
         }
+        reps += self.merged.deep_size_bytes();
         crate::pipeline::set_mem_gauges(repo, reps, warm);
-        let merged = {
-            let _merge_span = nidc_obs::span!("sharded.merge");
-            let _merge_timer = MERGE_SECONDS.start_timer();
-            let mut merged = MergedClustering::new(clusterings);
-            if let Some(tau) = self.effective_stitch() {
-                // inside the merge span, so `sharded.stitch` nests under it
-                merged.stitch_in_place(tau);
-            }
-            merged
-        };
-        self.observe_lineage(&merged);
-        Ok(merged)
     }
 
     /// Feeds the window's merged view to the lineage tracker. Stitched ids
@@ -541,19 +570,13 @@ impl ShardedPipeline {
         }
     }
 
-    /// The merged view of every shard's most recent clustering, or `None`
-    /// until all shards have clustered at least once (every `recluster_*`
-    /// call clusters all shards, so after the first one this is `Some`).
-    pub fn last_merged(&self) -> Option<MergedClustering> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            shards.push(s.last()?.clone());
-        }
-        let mut merged = MergedClustering::new(shards);
-        if let Some(tau) = self.effective_stitch() {
-            merged.stitch_in_place(tau);
-        }
-        Some(merged)
+    /// The last window's merged view — stitched when τ applies — exactly
+    /// as the last `recluster_*` returned it (re-stitched if
+    /// [`ShardedPipeline::set_stitch`] changed τ since). A borrow: it does
+    /// no work. `None` before the first re-clustering, after a failed one,
+    /// and after a checkpoint restore.
+    pub fn last_merged(&self) -> Option<&MergedClustering> {
+        self.merged.as_ref()
     }
 }
 
@@ -690,15 +713,39 @@ mod tests {
     fn recluster_merges_every_document_or_outlier() {
         let mut p = ShardedPipeline::new(decay(), config(), 2).unwrap();
         seed_two_topics(&mut p, 0.0, 0);
-        let m = p.recluster_incremental().unwrap();
+        let returned: *const MergedClustering = p.recluster_incremental().unwrap();
+        // the window's view is held: last_merged borrows the very same one
+        let m = p.last_merged().unwrap();
+        assert!(std::ptr::eq(returned, m));
         assert_eq!(m.shard_count(), 2);
         let assigned = m.assignment().len();
         let outliers = m.outliers().len();
         assert_eq!(assigned + outliers, 8);
-        // the merged view is also available as last_merged
-        let again = p.last_merged().unwrap();
-        assert_eq!(again.member_lists(), m.member_lists());
-        assert_eq!(again.g(), m.g());
+    }
+
+    #[test]
+    fn set_stitch_after_a_recluster_changes_what_last_merged_reports() {
+        let mut p = ShardedPipeline::new(decay(), config(), 2).unwrap();
+        seed_two_topics(&mut p, 0.0, 0);
+        p.recluster_incremental().unwrap();
+        let stitched = |p: &ShardedPipeline| p.last_merged().unwrap().stitched().cloned();
+        let default = stitched(&p).expect("stitching defaults on for 2 shards");
+        assert_eq!(default.threshold(), crate::merge::DEFAULT_STITCH_THRESHOLD);
+
+        p.set_stitch(None);
+        assert!(stitched(&p).is_none(), "stitching off unstitches the view");
+
+        // φ weights are nonnegative, so τ = 0 folds everything into one
+        p.set_stitch(Some(0.0));
+        let all = stitched(&p).expect("re-stitched at the new τ");
+        assert_eq!(all.threshold(), 0.0);
+        assert_eq!(all.non_empty_clusters(), 1);
+
+        // back to the default: the same view the window produced
+        p.set_stitch(Some(crate::merge::DEFAULT_STITCH_THRESHOLD));
+        let again = stitched(&p).unwrap();
+        assert_eq!(again.member_lists(), default.member_lists());
+        assert_eq!(again.g().to_bits(), default.g().to_bits());
     }
 
     #[test]

@@ -578,21 +578,25 @@ impl ClusterRep {
         }
     }
 
-    /// The `n` heaviest terms of the representative, descending — a cheap
-    /// cluster label for display ("hot topic" keywords).
+    /// The `n` heaviest positive-weight terms of the representative,
+    /// heaviest first with ties in ascending term order — a cheap cluster
+    /// label for display ("hot topic" keywords).
     ///
-    /// Cost is O(nnz log nnz): only the stored non-zero entries are
-    /// collected and sorted, never a vocabulary-sized buffer.
+    /// A bounded selection holds only the best `n` seen so far: O(nnz) when
+    /// most entries lose to the current `n`-th, O(nnz·min(n, nnz)) at worst.
+    /// Only stored entries are visited, never a vocabulary-sized buffer.
     pub fn top_terms(&self, n: usize) -> Vec<(TermId, f64)> {
-        let mut terms: Vec<(TermId, f64)> = Vec::with_capacity(self.nnz().min(1024));
+        let mut best: Vec<(TermId, f64)> = Vec::with_capacity(n.min(self.nnz()) + 1);
         self.for_each_entry(|t, w| {
-            if w > 0.0 {
-                terms.push((t, w));
+            // entries arrive in ascending term order, so a tie with a kept
+            // term loses: it ranks after every equal weight already held
+            if w > 0.0 && (best.len() < n || best.last().is_some_and(|&(_, last)| w > last)) {
+                let at = best.partition_point(|&(_, b)| b >= w);
+                best.insert(at, (t, w));
+                best.truncate(n);
             }
         });
-        terms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        terms.truncate(n);
-        terms
+        best
     }
 }
 

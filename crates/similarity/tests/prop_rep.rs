@@ -157,4 +157,37 @@ proptest! {
             prop_assert!(dense.avg_sim_if_removed(d) == sparse.avg_sim_if_removed(d));
         }
     }
+
+    /// `top_terms(n)` keeps exactly what a full stable sort of the positive
+    /// entries by descending weight keeps — heaviest first, ties in
+    /// ascending term order — on both backends. Weights come from a
+    /// five-value palette (with a negative and a zero that must be
+    /// skipped), so ties are the common case.
+    #[test]
+    fn top_terms_matches_a_full_stable_sort(
+        picks in prop::collection::vec((0u32..3, 0usize..5), 0..40),
+        n in 0usize..12,
+    ) {
+        const PALETTE: [f64; 5] = [-1.0, 0.0, 0.25, 0.5, 2.0];
+        let mut term = 0u32;
+        let entries: Vec<(TermId, f64)> = picks
+            .iter()
+            .map(|&(gap, w)| {
+                term += 1 + gap;
+                (TermId(term), PALETTE[w])
+            })
+            .collect();
+        let sparse = ClusterRep::from_parts(entries, 1, 0.0, 0.0);
+        let mut reference: Vec<(TermId, f64)> = Vec::new();
+        sparse.for_each_entry(|t, w| {
+            if w > 0.0 {
+                reference.push((t, w));
+            }
+        });
+        reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        reference.truncate(n);
+        for rep in [sparse.to_backend(RepBackend::Dense), sparse] {
+            prop_assert_eq!(rep.top_terms(n), reference.clone());
+        }
+    }
 }

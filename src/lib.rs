@@ -18,7 +18,7 @@
 //! * [`core`] — the extended K-means with clustering index `G`, outlier
 //!   handling, the incremental [`core::NoveltyPipeline`], and the
 //!   multi-stream [`core::ShardedPipeline`] (deterministic DocId routing,
-//!   query-time merge);
+//!   one merged, stitched view per window);
 //! * [`baselines`] — cosine K-means, single-pass INCR, bucketed GAC;
 //! * [`f2icm`] — F²ICM, the paper's predecessor method (ECDL 2001), with
 //!   C²ICM cover-coefficient seed selection and K estimation;

@@ -480,6 +480,113 @@ fn par_map_mut_folds_worker_allocations_into_the_caller() {
     khy2006::obs::alloc::set_tracking(false);
 }
 
+/// A sharded window is stitched once: `recluster_*` builds and stitches the
+/// view, and every `last_merged()` after it borrows that same view, so
+/// repeated overview reads never stitch again. The stitch's dot matrix comes
+/// from a private postings kernel, not the K-means cluster index, so a
+/// stitch moves none of the `nidc_index_*` counters.
+#[test]
+fn last_merged_borrows_the_window_view_without_restitching() {
+    let _guard = flag_lock();
+    let config = ClusteringConfig {
+        k: 3,
+        seed: 7,
+        ..ClusteringConfig::default()
+    };
+    let mut pipeline =
+        ShardedPipeline::new(DecayParams::from_spans(4.0, 8.0).unwrap(), config, 3).unwrap();
+    for (id, day, tf) in stream() {
+        pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+    }
+    khy2006::obs::reset();
+    khy2006::obs::set_enabled(true);
+    let counter = |name: &str| khy2006::obs::snapshot().counter(name).unwrap_or(0);
+
+    let window: *const MergedClustering = pipeline.recluster_incremental().unwrap();
+    assert_eq!(
+        counter("nidc_stitch_runs_total"),
+        1,
+        "the window stitches once"
+    );
+    for _ in 0..3 {
+        let view = pipeline.last_merged().expect("a window ran");
+        assert!(
+            std::ptr::eq(view, window),
+            "a read returns the window's view"
+        );
+        assert!(
+            view.stitched().is_some(),
+            "stitching defaults on for 3 shards"
+        );
+    }
+    assert_eq!(
+        counter("nidc_stitch_runs_total"),
+        1,
+        "reads must not re-stitch"
+    );
+
+    let index_counters = || {
+        [
+            "nidc_index_postings_touched_total",
+            "nidc_index_rebuilds_total",
+        ]
+        .map(counter)
+    };
+    let before = index_counters();
+    let restitched = pipeline.last_merged().unwrap().stitch(0.0);
+    assert_eq!(restitched.non_empty_clusters(), 1);
+    assert_eq!(counter("nidc_stitch_runs_total"), 2);
+    assert_eq!(
+        index_counters(),
+        before,
+        "the stitch touched the cluster index"
+    );
+    khy2006::obs::set_enabled(false);
+}
+
+/// The window view a sharded pipeline holds between windows is resident
+/// memory: `nidc_mem_reps_bytes` counts it on top of the shards' own
+/// representatives, and follows it when `set_stitch` drops the stitched
+/// clusters.
+#[test]
+fn held_window_view_is_counted_in_the_reps_gauge() {
+    use khy2006::obs::DeepSize;
+    let _guard = flag_lock();
+    let config = ClusteringConfig {
+        k: 3,
+        seed: 7,
+        ..ClusteringConfig::default()
+    };
+    let mut pipeline =
+        ShardedPipeline::new(DecayParams::from_spans(4.0, 8.0).unwrap(), config, 3).unwrap();
+    for (id, day, tf) in stream() {
+        pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+    }
+    khy2006::obs::reset();
+    khy2006::obs::set_enabled(true);
+    let gauge = || {
+        khy2006::obs::snapshot()
+            .gauge("nidc_mem_reps_bytes")
+            .unwrap_or(0)
+    };
+    let shard_reps = |p: &ShardedPipeline| -> u64 {
+        p.shards().iter().map(|s| s.pipeline().mem_sample().1).sum()
+    };
+
+    pipeline.recluster_incremental().unwrap();
+    let view = pipeline.last_merged().unwrap();
+    assert!(view.stitched().is_some());
+    let held = view.deep_size_bytes();
+    assert!(held > 0);
+    assert_eq!(gauge(), shard_reps(&pipeline) + held);
+
+    pipeline.set_stitch(None);
+    let unstitched = pipeline.last_merged().unwrap().deep_size_bytes();
+    assert!(unstitched < held, "the stitched clusters were counted");
+    assert_eq!(gauge(), shard_reps(&pipeline) + unstitched);
+    khy2006::obs::set_enabled(false);
+}
+
 /// Warm-start bookkeeping survives the recorder: running the same
 /// assignment twice through `cluster_with_initial` with metrics on yields
 /// the same clustering as with metrics off.

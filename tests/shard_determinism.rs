@@ -63,14 +63,13 @@ struct Outcome {
 /// Replays `docs` through a sharded pipeline, re-clustering every 5 days,
 /// and returns the final merged result.
 fn drive_sharded(pipeline: &mut ShardedPipeline, docs: &[(DocId, f64, SparseVector)]) -> Outcome {
-    let mut merged = None;
     for (id, day, tf) in docs {
         pipeline.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
         if id.0 % 15 == 14 {
-            merged = Some(pipeline.recluster_incremental().unwrap());
+            pipeline.recluster_incremental().unwrap();
         }
     }
-    let merged = merged.expect("at least one window ran");
+    let merged = pipeline.last_merged().expect("at least one window ran");
     Outcome {
         members: merged.member_lists(),
         outliers: merged.outliers(),
@@ -131,16 +130,15 @@ fn one_shard_stitch_is_a_no_op_bit_identical_to_unsharded() {
         let last = last.unwrap();
 
         let mut sharded = ShardedPipeline::new(decay(), config(0, rep), 1).unwrap();
-        let mut merged = None;
         for (id, day, tf) in &docs {
             sharded.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
             if id.0 % 15 == 14 {
-                merged = Some(sharded.recluster_incremental().unwrap());
+                sharded.recluster_incremental().unwrap();
             }
         }
         // force the pass explicitly (the pipeline skips it for one shard)
         // at the most aggressive threshold: still the identity
-        let stitched = merged.unwrap().stitch(0.0);
+        let stitched = sharded.last_merged().unwrap().stitch(0.0);
         assert_eq!(stitched.merges(), 0, "rep={rep:?}");
         assert_eq!(stitched.member_lists(), last.member_lists(), "rep={rep:?}");
         let mut plain_outliers = last.outliers().to_vec();
