@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 
-use nidc_core::{cluster_batch, Cluster, ClusteringConfig, RepBackend, ShardedPipeline};
+use nidc_core::{cluster_batch, Cluster, ClusteringConfig, ShardedPipeline};
 use nidc_corpus::{Corpus, Generator, GeneratorConfig, TopicId};
 use nidc_eval::{evaluate, evaluate_sharded, purity, Labeling, MARKING_THRESHOLD};
 use nidc_forgetting::{DecayParams, Repository, Timestamp};
@@ -59,15 +59,6 @@ pub fn run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         )?;
     }
     result
-}
-
-/// `--rep dense|sparse`: the representative backend (perf knob; results
-/// are bit-identical either way, so it defaults like `--threads` does).
-fn rep_backend_from(args: &ParsedArgs) -> Result<RepBackend> {
-    match args.get("rep") {
-        None => Ok(RepBackend::default()),
-        Some(s) => s.parse().map_err(CliError::Usage),
-    }
 }
 
 /// `--stitch on|off [--stitch-threshold T]`: the per-window stitching pass
@@ -259,7 +250,6 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 24)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let top = args.get_usize("top", 10)?;
@@ -359,7 +349,6 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 16)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let mut exporter = metrics_exporter(args)?;
@@ -525,7 +514,6 @@ fn eval<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 24)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let mut exporter = metrics_exporter(args)?;
@@ -1065,66 +1053,6 @@ mod tests {
         let text = String::from_utf8(out2).unwrap();
         assert!(text.contains("across 2 shard(s)"), "{text}");
         assert!(text.contains("overrides --shards 5"), "{text}");
-    }
-
-    /// One sequential test for the whole `--events`/`inspect` surface: the
-    /// event sink is process-global, so two parallel tests opening sessions
-    /// would steal each other's stream.
-    #[test]
-    fn events_export_and_inspect() {
-        let path = generate_corpus("g16.jsonl");
-        let events = temp_path("g16.events.jsonl");
-        let events_s = events.to_string_lossy().into_owned();
-
-        // stream writes a header plus lifecycle events
-        let args = ParsedArgs::parse([
-            "stream", "--input", &path, "--every", "30", "--k", "8", "--events", &events_s,
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        run(&args, &mut out).unwrap();
-        let text = std::fs::read_to_string(&events).unwrap();
-        assert!(
-            text.lines()
-                .next()
-                .unwrap()
-                .contains("\"schema\":\"nidc-events\""),
-            "{text}"
-        );
-        assert!(text.contains("\"kind\":\"birth\""), "{text}");
-
-        // inspect renders per-lineage timelines from it
-        let args = ParsedArgs::parse(["inspect", "--events", &events_s]).unwrap();
-        let mut out = Vec::new();
-        run(&args, &mut out).unwrap();
-        let rendered = String::from_utf8(out).unwrap();
-        assert!(rendered.contains("lineages"), "{rendered}");
-        assert!(rendered.contains("#0"), "{rendered}");
-        assert!(
-            rendered.contains('▁') || rendered.contains('█'),
-            "no sparkline: {rendered}"
-        );
-
-        // a one-shot `cluster --events` is a single window of births
-        let once = temp_path("g16.cluster.events.jsonl");
-        let once_s = once.to_string_lossy().into_owned();
-        let args = ParsedArgs::parse([
-            "cluster", "--input", &path, "--k", "8", "--to", "30", "--events", &once_s,
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        run(&args, &mut out).unwrap();
-        let text = std::fs::read_to_string(&once).unwrap();
-        assert!(text.contains("\"kind\":\"birth\""), "{text}");
-        assert!(!text.contains("\"kind\":\"continuation\""), "{text}");
-
-        // inspect refuses a stream without the schema header
-        let bad = temp_path("g16.bad.jsonl");
-        std::fs::write(&bad, "{\"kind\":\"birth\"}\n").unwrap();
-        let bad_s = bad.to_string_lossy().into_owned();
-        let args = ParsedArgs::parse(["inspect", "--events", &bad_s]).unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(run(&args, &mut out), Err(CliError::Other(_))));
     }
 
     #[test]

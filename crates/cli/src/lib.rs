@@ -63,20 +63,18 @@ COMMANDS:
     cluster    cluster a time range and print the hot-topic overview
                --input FILE [--k N=24] [--beta DAYS=7] [--gamma DAYS=30]
                [--from DAY=0] [--to DAY=end] [--top N=10] [--json]
-               [--threads N=0] [--rep sparse|dense] [--metrics FILE]
-               [--events FILE]
+               [--threads N=0] [--metrics FILE] [--events FILE]
     stream     replay the corpus incrementally, printing overviews
                --input FILE [--k N=16] [--beta DAYS=7] [--gamma DAYS=21]
                [--every DAYS=5] [--state FILE] [--shards N=1]
                [--stitch on|off] [--stitch-threshold T]
-               [--threads N=0] [--rep sparse|dense] [--metrics FILE]
-               [--events FILE]
+               [--threads N=0] [--metrics FILE] [--events FILE]
                (--state: resume from / checkpoint to a pipeline state file)
     eval       cluster a window and score it against the labels
                --input FILE --window N(1-6) [--k N=24] [--beta DAYS=7]
                [--gamma DAYS=30] [--seed N] [--threads N=0]
                [--shards N=1] [--stitch on|off] [--stitch-threshold T]
-               [--rep sparse|dense] [--metrics FILE]
+               [--metrics FILE]
     inspect    render per-lineage timelines from an event stream
                --events FILE [--top N=24]
 
@@ -93,9 +91,6 @@ merged representatives at a normalized cr_sim threshold). Default on; a
 single shard has nothing to stitch, so it only takes effect with
 --shards > 1. --stitch-threshold T sets the threshold (default 0.2;
 higher = merge less).
---rep sparse|dense: cluster-representative storage. `sparse` (default) also
-routes the step-1 scoring sweep through a term→cluster inverted index;
-`dense` keeps the original O(K·|V|) arrays. Results are bit-identical.
 --metrics FILE: record pipeline/K-means/index instrumentation and export
 snapshots to FILE — per window for `stream`, once at the end for `cluster`
 and `eval`. --metrics-format jsonl|prom picks the layout (default jsonl:

@@ -10,7 +10,7 @@ use nidc_obs::{buckets, LazyCounter, LazyHistogram};
 use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors};
 use nidc_textproc::DocId;
 
-use crate::{Cluster, Clustering, ClusteringConfig, Error, RepBackend, Result};
+use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
 
 /// Extended K-means runs (one per `cluster_with_initial` call on non-empty
 /// input).
@@ -49,38 +49,25 @@ static ITERATION_SECONDS: LazyHistogram =
 /// pay for its maintenance (a rebuild per iteration plus postings churn on
 /// every move) and the step-1 sweep runs on dense representatives instead.
 ///
-/// Calibrated on the standard benchmark corpus (`results/BENCH_step1.json`),
-/// where avg nnz(φ) ≈ 83 puts the work units at ≈ 670 / 1340 / 2000 for
-/// K = 8 / 16 / 24 and the measured sparse-vs-dense crossover sits between
-/// K = 16 and K = 32: the cutoff flips K ≤ 16 to the dense sweep and keeps
-/// K = 24 (the sharding bench) and up on the index.
+/// On the `bench_e2e` workloads the cutoff sends `firehose` (short windows,
+/// small K·nnz) to the dense sweep and keeps `daily` and `rebuild` on the
+/// index. Running the index on `firehose` too costs ≈ 30% of its
+/// `window_ms_p50`.
 const INDEX_MIN_SWEEP_WORK: f64 = 1500.0;
 
-/// Which backend the in-run sweep should use. The sparse backend's inverted
-/// index wins only when the dense sweep would do enough work per document;
-/// for small `K · avg nnz(φ)` the run uses dense representatives internally
-/// — legal because the two backends are bit-identical by contract (see
-/// [`RepBackend`]) — and converts the final representatives back to the
-/// configured backend on exit.
-fn sweep_backend(
-    config: &ClusteringConfig,
-    vecs: &DocVectors,
-    ids: &[DocId],
-    k: usize,
-) -> RepBackend {
-    if config.rep_backend == RepBackend::Dense {
-        return RepBackend::Dense;
-    }
+/// Whether a run's step-1 sweep should go through the term→cluster inverted
+/// index. The index wins only when the dense sweep would do enough work per
+/// document; for small `K · avg nnz(φ)` the run keeps dense representatives
+/// as private scratch ([`ClusterRep::new_dense`]) — bit-identical to the
+/// sparse storage — and converts them with [`ClusterRep::into_sparse`] on
+/// exit.
+fn sweep_uses_index(vecs: &DocVectors, ids: &[DocId], k: usize) -> bool {
     let total_nnz: usize = ids
         .iter()
         .map(|&d| vecs.phi(d).map_or(0, |phi| phi.nnz()))
         .sum();
     let avg_nnz = total_nnz as f64 / ids.len() as f64;
-    if (k as f64) * avg_nnz < INDEX_MIN_SWEEP_WORK {
-        RepBackend::Dense
-    } else {
-        RepBackend::Sparse
-    }
+    (k as f64) * avg_nnz >= INDEX_MIN_SWEEP_WORK
 }
 
 /// How the repetition process is initialised.
@@ -182,10 +169,29 @@ pub fn cluster_with_initial(
     let k = config.k.min(ids.len());
     RUNS.inc();
     let _run_span = nidc_obs::span!("kmeans.run");
+    let use_index = sweep_uses_index(vecs, &ids, k);
+    run(vecs, config, initial, &ids, k, use_index)
+}
 
+/// One extended K-means run over the non-empty `ids` with `k ≤ ids.len()`
+/// clusters; `use_index` picks the step-1 sweep (the inverted index over
+/// sparse representatives, or dense scratch representatives). Both sweeps
+/// produce bit-identical results.
+fn run(
+    vecs: &DocVectors,
+    config: &ClusteringConfig,
+    initial: InitialState,
+    ids: &[DocId],
+    k: usize,
+    use_index: bool,
+) -> Result<Clustering> {
     // --- Initial process -------------------------------------------------
-    let run_backend = sweep_backend(config, vecs, &ids, k);
-    let mut reps: Vec<ClusterRep> = (0..k).map(|_| ClusterRep::new_with(run_backend)).collect();
+    let new_rep = if use_index {
+        ClusterRep::new
+    } else {
+        ClusterRep::new_dense
+    };
+    let mut reps: Vec<ClusterRep> = (0..k).map(|_| new_rep()).collect();
     let mut assign: BTreeMap<DocId, usize> = BTreeMap::new();
     let mut sizes = vec![0usize; k];
 
@@ -194,7 +200,7 @@ pub fn cluster_with_initial(
             COLD_STARTS.inc();
             WARM_STARTS.add(0); // register the sibling so snapshots list both
             let mut rng = StdRng::seed_from_u64(config.seed);
-            let mut pool = ids.clone();
+            let mut pool = ids.to_vec();
             pool.shuffle(&mut rng);
             for (p, &seed_doc) in pool.iter().take(k).enumerate() {
                 assign.insert(seed_doc, p);
@@ -239,13 +245,13 @@ pub fn cluster_with_initial(
     // The sparse sweep routes step 1 through a term→cluster inverted index
     // mirroring the representatives; the dense sweep keeps per-cluster dot
     // products (no index to maintain).
-    let mut index: Option<ClusterIndex> = (run_backend == RepBackend::Sparse).then(|| {
+    let mut index: Option<ClusterIndex> = use_index.then(|| {
         let mut ix = ClusterIndex::new(k);
         ix.rebuild(&reps);
         ix
     });
-    if index.is_none() && config.rep_backend == RepBackend::Sparse {
-        // the heuristic skipped the index: keep the metric schema stable
+    if index.is_none() {
+        // keep the metric schema stable when the index is skipped
         ClusterIndex::register_metrics();
     }
 
@@ -271,7 +277,7 @@ pub fn cluster_with_initial(
         // already updated, so there is nothing to fan out.
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
-        for &d in &ids {
+        for &d in ids {
             let phi = vecs.phi(d).expect("id comes from vecs");
             let current = assign.get(&d).copied();
             if let Some(p) = current {
@@ -391,16 +397,7 @@ pub fn cluster_with_initial(
             let clusters = members
                 .into_iter()
                 .zip(reps)
-                .map(|(m, rep)| {
-                    // re-home heuristic-chosen sweep backends onto the
-                    // configured one; a bit-exact copy (see to_backend)
-                    let rep = if rep.backend() == config.rep_backend {
-                        rep
-                    } else {
-                        rep.to_backend(config.rep_backend)
-                    };
-                    Cluster::new(m, rep)
-                })
+                .map(|(m, rep)| Cluster::new(m, rep.into_sparse()))
                 .collect();
             return Ok(Clustering::new(clusters, outliers, g_new, iterations));
         }
@@ -412,6 +409,7 @@ mod tests {
     use super::*;
     use nidc_forgetting::{DecayParams, Repository, Timestamp};
     use nidc_textproc::{SparseVector, TermId};
+    use proptest::prelude::*;
 
     fn tf(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -622,5 +620,85 @@ mod tests {
             .sum();
         assert!(clustering.g() >= 0.0);
         assert!((clustering.g() - g_direct).abs() < 1e-12);
+    }
+
+    /// Two-topic collections: each document carries its topic's three core
+    /// terms plus random noise terms, so every scored document shares terms
+    /// with the seeds of its topic and the index sweep visits postings.
+    fn topic_docs() -> impl Strategy<Value = DocVectors> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(1.0f64..4.0, 3..4),
+                proptest::collection::vec((20u32..40, 1.0f64..3.0), 0..5),
+            ),
+            8..30,
+        )
+        .prop_map(|docs| {
+            let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
+            for (i, (core, noise)) in docs.into_iter().enumerate() {
+                let topic = (i % 2) as u32 * 10;
+                let mut pairs: Vec<(TermId, f64)> = (0..3)
+                    .map(|j| (TermId(topic + j), core[j as usize]))
+                    .collect();
+                pairs.extend(noise.into_iter().map(|(t, w)| (TermId(t), w)));
+                pairs.sort_by_key(|&(t, _)| t);
+                pairs.dedup_by_key(|&mut (t, _)| t);
+                let t = Timestamp(0.2 * i as f64);
+                repo.insert(DocId(i as u64), t, SparseVector::from_entries(pairs))
+                    .unwrap();
+            }
+            DocVectors::build(&repo)
+        })
+    }
+
+    fn postings_touched() -> u64 {
+        nidc_obs::global()
+            .counter("nidc_index_postings_touched_total")
+            .get()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The two step-1 sweeps — the term→cluster index over sparse
+        /// representatives, and dense scratch representatives — give the
+        /// same clustering bit for bit, cold and warm, under both criteria,
+        /// whichever side `sweep_uses_index` would have picked. Only the
+        /// index side visits postings.
+        #[test]
+        fn index_and_dense_sweeps_are_bit_identical(
+            vecs in topic_docs(),
+            k in 2usize..6,
+            seed in 0u64..100,
+        ) {
+            nidc_obs::set_enabled(true);
+            let ids = vecs.ids();
+            for criterion in [crate::Criterion::GTerm, crate::Criterion::AvgSim] {
+                let config = ClusteringConfig { k, seed, criterion, ..ClusteringConfig::default() };
+                let cold = cluster_batch(&vecs, &config).unwrap();
+                // a warm start with work left: every third document moves on
+                let perturbed = cold
+                    .assignment()
+                    .into_iter()
+                    .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % k } else { p }))
+                    .collect();
+                for initial in [InitialState::Random, InitialState::Assignment(perturbed)] {
+                    let sweep = |use_index: bool| {
+                        let before = postings_touched();
+                        let c = run(&vecs, &config, initial.clone(), &ids, k, use_index).unwrap();
+                        (c, postings_touched() - before)
+                    };
+                    let (dense, dense_touched) = sweep(false);
+                    let (index, index_touched) = sweep(true);
+                    prop_assert_eq!(index.member_lists(), dense.member_lists());
+                    prop_assert_eq!(index.outliers(), dense.outliers());
+                    prop_assert_eq!(index.iterations(), dense.iterations());
+                    prop_assert_eq!(index.g().to_bits(), dense.g().to_bits());
+                    prop_assert_eq!(dense_touched, 0);
+                    prop_assert!(index_touched > 0, "the index sweep touched no postings");
+                }
+            }
+            nidc_obs::set_enabled(false);
+        }
     }
 }

@@ -1,7 +1,5 @@
 //! Algorithm configuration.
 
-pub use nidc_similarity::RepBackend;
-
 /// How a document's candidate assignment is scored (paper §4.3 step 1).
 ///
 /// The paper says a document is "assigned to the cluster of which the
@@ -51,12 +49,6 @@ pub struct ClusteringConfig {
     /// its statistics, and the iteration count are bit-identical for any
     /// value — see `nidc-parallel` for the contract.
     pub threads: usize,
-    /// How cluster representatives are stored ([`RepBackend`]). `Sparse`
-    /// (the default) also routes the step-1 scoring sweep through the
-    /// term→cluster inverted index (`ClusterIndex`); `Dense` keeps the
-    /// original O(K·|V|) storage for A/B verification. Like `threads`, this
-    /// is a performance knob: results are bit-identical for either value.
-    pub rep_backend: RepBackend,
 }
 
 impl Default for ClusteringConfig {
@@ -69,7 +61,6 @@ impl Default for ClusteringConfig {
             keep_last_member: true,
             criterion: Criterion::GTerm,
             threads: 0,
-            rep_backend: RepBackend::default(),
         }
     }
 }

@@ -80,7 +80,7 @@ mod shard;
 
 pub use algorithm::{cluster_batch, cluster_with_initial, InitialState};
 pub use clustering::{Cluster, Clustering};
-pub use config::{ClusteringConfig, Criterion, RepBackend};
+pub use config::{ClusteringConfig, Criterion};
 pub use error::Error;
 pub use lineage::{
     DeathCause, LifecycleEvent, LineageSlotState, LineageState, LineageTracker, ObservedCluster,

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterRep, RepBackend};
+use nidc_similarity::ClusterRep;
 use nidc_textproc::DocId;
 
 use crate::clustering::doc_ids_bytes;
@@ -214,12 +214,12 @@ impl MergedClustering {
     }
 
     /// Merges the representatives of the given clusters into one
-    /// [`ClusterRep`] on the sparse backend (the cross-shard merge of
+    /// [`ClusterRep`] (the cross-shard merge of
     /// eq. 21/25 via [`ClusterRep::merge_from`]). The router guarantees the
     /// member sets are disjoint, which is exactly the precondition
     /// `merge_from` needs. Unknown ids are skipped.
     pub fn merged_rep(&self, ids: &[GlobalClusterId]) -> ClusterRep {
-        let mut rep = ClusterRep::new_with(RepBackend::Sparse);
+        let mut rep = ClusterRep::new();
         for &id in ids {
             if let Some(cluster) = self.cluster(id) {
                 rep.merge_from(cluster.rep());
@@ -281,8 +281,7 @@ impl StitchedCluster {
     }
 
     /// The merged representative over the union of the fragments' members —
-    /// exact, via [`ClusterRep::merge_from`] (eq. 21/25), and always on the
-    /// sparse backend.
+    /// exact, via [`ClusterRep::merge_from`] (eq. 21/25).
     pub fn rep(&self) -> &ClusterRep {
         &self.rep
     }
@@ -337,9 +336,7 @@ impl StitchedCluster {
 /// Merging `j` into `i` updates the cached dot row additively
 /// (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so no dot product is ever
 /// recomputed. The pass is sequential and therefore
-/// trivially thread-count invariant; representatives are folded onto the
-/// sparse backend first, so it is also bit-identical across
-/// [`RepBackend`]s.
+/// trivially thread-count invariant.
 #[derive(Debug, Clone)]
 pub struct StitchedClustering {
     clusters: Vec<StitchedCluster>,
@@ -452,20 +449,15 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
     let _timer = STITCH_SECONDS.start_timer();
     STITCH_RUNS.inc();
 
-    // Fold every input slot onto a fresh sparse rep: `merge_from` into an
-    // empty rep copies size/cr_self/ss bitwise, and all later dot products
-    // are sparse merge-joins regardless of the shards' configured backend.
     let mut clusters: Vec<StitchedCluster> = Vec::new();
     for (s, clustering) in shards.iter().enumerate() {
         for (local, cl) in clustering.clusters().iter().enumerate() {
             let id = GlobalClusterId { shard: s, local };
-            let mut rep = ClusterRep::new_with(RepBackend::Sparse);
-            rep.merge_from(cl.rep());
             clusters.push(StitchedCluster {
                 id,
                 sources: vec![id],
                 members: cl.members().to_vec(),
-                rep,
+                rep: cl.rep().clone(),
             });
         }
     }
@@ -745,7 +737,6 @@ mod tests {
             .map(|&id| m.cluster(id).unwrap().rep().ss())
             .sum();
         assert!((merged.ss() - ss_sum).abs() < 1e-12);
-        assert_eq!(merged.backend(), RepBackend::Sparse);
         // unknown ids are skipped
         let same = m.merged_rep(&[ids[0], GlobalClusterId { shard: 9, local: 9 }]);
         assert_eq!(same.size(), m.cluster(ids[0]).unwrap().rep().size());

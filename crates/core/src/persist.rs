@@ -66,12 +66,10 @@ impl From<&ConfigState> for ClusteringConfig {
             } else {
                 Criterion::GTerm
             },
-            // threads and rep_backend are properties of the host, not of
-            // the clustering (results are bit-identical for any value of
-            // either), so they are not persisted; restored pipelines use
-            // the defaults.
+            // threads is a property of the host, not of the clustering
+            // (results are bit-identical for any value), so it is not
+            // persisted; restored pipelines use the default.
             threads: ClusteringConfig::default().threads,
-            rep_backend: ClusteringConfig::default().rep_backend,
         }
     }
 }
@@ -277,7 +275,6 @@ impl ShardedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RepBackend;
     use nidc_forgetting::{DecayParams, Timestamp};
     use nidc_textproc::{SparseVector, TermId};
 
@@ -346,7 +343,6 @@ mod tests {
                 keep_last_member: false,
                 criterion,
                 threads: 3,
-                rep_backend: RepBackend::Dense,
             };
             let back = ClusteringConfig::from(&ConfigState::from(&config));
             assert_eq!(back.k, 5);
@@ -355,10 +351,8 @@ mod tests {
             assert_eq!(back.seed, 77);
             assert!(!back.keep_last_member);
             assert_eq!(back.criterion, criterion);
-            // threads and rep_backend are host properties, deliberately
-            // not persisted
+            // threads is a host property, deliberately not persisted
             assert_eq!(back.threads, ClusteringConfig::default().threads);
-            assert_eq!(back.rep_backend, ClusteringConfig::default().rep_backend);
         }
     }
 

@@ -55,7 +55,7 @@ static POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes
 /// [`ClusterIndex::dot_all`] loop is a single array access (a `BTreeMap`
 /// spine was measured ~5× slower there; the log-depth pointer chase
 /// swamped the postings savings). Spine memory is O(max term id), like one
-/// dense representative — the K multiplier the sparse backend removes.
+/// dense representative — the K multiplier sparse representatives remove.
 ///
 /// Postings lists are kept sorted by cluster id; weights mirror the
 /// representatives' stored entries bit-exactly (entries that cancel to
@@ -69,7 +69,7 @@ pub struct ClusterIndex {
 impl ClusterIndex {
     /// Registers the index metric family at its current value (zero on
     /// first call), so runs that never build a `ClusterIndex` — e.g. when
-    /// the small-K sweep heuristic picks the dense path — still export the
+    /// the small-K sweep selection picks the dense path — still export the
     /// full schema. `remove_ops` is deliberately excluded, mirroring the
     /// metrics manifest (it is not guaranteed even on index-backed runs).
     pub fn register_metrics() {
@@ -198,7 +198,11 @@ impl ClusterIndex {
                 self.postings[idx].push((q as u32, w));
             });
         }
-        POSTINGS_BYTES.set(self.deep_size_bytes());
+        // the size is an O(max term id) walk of the spine: pay for it only
+        // when someone records it
+        if nidc_obs::enabled() {
+            POSTINGS_BYTES.set(self.deep_size_bytes());
+        }
     }
 
     /// Scores `φ` against **all** K clusters in one pass over its terms:

@@ -62,7 +62,7 @@ mod rep;
 
 pub use docvec::DocVectors;
 pub use index::ClusterIndex;
-pub use rep::{ClusterRep, RepBackend};
+pub use rep::ClusterRep;
 
 use nidc_forgetting::Repository;
 use nidc_textproc::DocId;

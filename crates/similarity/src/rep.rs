@@ -12,57 +12,16 @@ static FP_RESIDUE_CLAMPS: LazyCounter = LazyCounter::new("nidc_fp_residue_clamps
 
 /// How a [`ClusterRep`] stores its vector `c⃗_p`.
 ///
-/// Both backends produce **bit-identical** statistics and clusterings: every
-/// weight is accumulated by the same scalar operations in the same order,
-/// only the storage (and therefore the asymptotics) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepBackend {
-    /// `Vec<f64>` over the full term space: O(|V|) memory per cluster,
-    /// O(1) per-term lookup. The original implementation, kept for A/B
-    /// verification against the sparse path.
-    Dense,
-    /// Sorted `Vec<(TermId, f64)>` (the [`SparseVector`] idiom): O(nnz)
-    /// memory, O(log nnz) lookup, and merge-join rep↔rep products. The
-    /// default, and the backend the term→cluster inverted index
-    /// ([`crate::ClusterIndex`]) mirrors.
-    #[default]
-    Sparse,
-}
-
-impl std::str::FromStr for RepBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(RepBackend::Dense),
-            "sparse" => Ok(RepBackend::Sparse),
-            other => Err(format!("unknown rep backend '{other}' (dense|sparse)")),
-        }
-    }
-}
-
-impl std::fmt::Display for RepBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RepBackend::Dense => "dense",
-            RepBackend::Sparse => "sparse",
-        })
-    }
-}
-
+/// Sparse everywhere except inside one extended K-means run whose step-1
+/// sweep is too small for the term→cluster index to pay off: that run keeps
+/// its representatives dense as private scratch ([`ClusterRep::new_dense`])
+/// and converts them back with [`ClusterRep::into_sparse`] before they
+/// leave it. Both storages accumulate every weight by the same scalar
+/// operations in the same order, so their statistics are bit-identical.
 #[derive(Debug, Clone)]
 enum Storage {
     Dense(Vec<f64>),
     Sparse(SparseVector),
-}
-
-impl Storage {
-    fn weight(&self, t: TermId) -> f64 {
-        match self {
-            Storage::Dense(v) => v.get(t.index()).copied().unwrap_or(0.0),
-            Storage::Sparse(s) => s.get(t),
-        }
-    }
 }
 
 /// A cluster representative `c⃗_p = Σ_{d∈C_p} φ_d` (eq. 19–20) together with
@@ -76,12 +35,12 @@ impl Storage {
 /// "what if d is appended" (eq. 26) and "what if d is removed" queries
 /// O(|φ_d|) — the efficiency trick that makes the extended K-means viable.
 ///
-/// The representative vector is stored per [`RepBackend`]: sparse (sorted
-/// `Vec<(TermId, f64)>`, the default) or dense (`Vec<f64>` over the term
-/// space, for A/B verification). A document-representative dot product
-/// costs O(nnz(φ_d)) dense and O(nnz(φ_d)·log nnz(c⃗_p)) sparse; both
-/// accumulate term contributions in φ's term order, so every derived
-/// statistic is bit-identical across backends.
+/// The representative vector is a sorted `Vec<(TermId, f64)>` (the
+/// [`SparseVector`] idiom): O(nnz) memory, O(log nnz) lookup, merge-join
+/// rep↔rep products, mirrored entry for entry by the term→cluster
+/// [`crate::ClusterIndex`]. A small K-means run may instead hold it dense
+/// (`Vec<f64>` over the term space, O(1) lookup) as scratch; see
+/// [`ClusterRep::new_dense`].
 #[derive(Debug, Clone)]
 pub struct ClusterRep {
     storage: Storage,
@@ -97,39 +56,42 @@ impl Default for ClusterRep {
 }
 
 impl ClusterRep {
-    /// An empty cluster on the default (sparse) backend.
+    /// An empty cluster.
     pub fn new() -> Self {
-        Self::new_with(RepBackend::default())
+        Self::with_storage(Storage::Sparse(SparseVector::new()))
     }
 
-    /// An empty cluster on an explicit backend.
-    pub fn new_with(backend: RepBackend) -> Self {
+    /// An empty cluster stored densely (`Vec<f64>` over the term space):
+    /// the extended K-means step-1 sweep's scratch when `K · avg nnz(φ)` is
+    /// too small for the term→cluster index to pay off. A document dot
+    /// product is then O(nnz(φ_d)) instead of O(nnz(φ_d)·log nnz(c⃗_p)).
+    ///
+    /// Dense representatives never leave that run: it hands them out through
+    /// [`ClusterRep::into_sparse`]. They support what the sweep needs —
+    /// membership updates, [`ClusterRep::dot_doc`] and every statistic,
+    /// bit-identical to the sparse storage. The methods that read stored
+    /// entries ([`ClusterRep::nnz`], [`ClusterRep::weight`],
+    /// [`ClusterRep::for_each_entry`], [`ClusterRep::top_terms`],
+    /// [`ClusterRep::dot_rep`], [`ClusterRep::merge_from`]) panic on them.
+    pub fn new_dense() -> Self {
+        Self::with_storage(Storage::Dense(Vec::new()))
+    }
+
+    fn with_storage(storage: Storage) -> Self {
         Self {
-            storage: match backend {
-                RepBackend::Dense => Storage::Dense(Vec::new()),
-                RepBackend::Sparse => Storage::Sparse(SparseVector::new()),
-            },
+            storage,
             size: 0,
             cr_self: 0.0,
             ss: 0.0,
         }
     }
 
-    /// Builds a representative from a set of member φ vectors (sparse
-    /// backend).
+    /// Builds a representative from a set of member φ vectors.
     pub fn from_members<'a, I>(members: I) -> Self
     where
         I: IntoIterator<Item = &'a SparseVector>,
     {
-        Self::from_members_with(RepBackend::default(), members)
-    }
-
-    /// Builds a representative from member φ vectors on an explicit backend.
-    pub fn from_members_with<'a, I>(backend: RepBackend, members: I) -> Self
-    where
-        I: IntoIterator<Item = &'a SparseVector>,
-    {
-        let mut rep = Self::new_with(backend);
+        let mut rep = Self::new();
         for phi in members {
             rep.add(phi);
         }
@@ -144,8 +106,7 @@ impl ClusterRep {
     /// taken as given rather than recomputed, so a restored representative
     /// produces bit-identical similarity scores to the one that was saved
     /// (recomputing `Σw²` could differ in the last bit from the
-    /// incrementally-maintained value). Always sparse-backed; use
-    /// [`ClusterRep::to_backend`] afterwards if a dense copy is needed.
+    /// incrementally-maintained value).
     pub fn from_parts(entries: Vec<(TermId, f64)>, size: usize, cr_self: f64, ss: f64) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Self {
@@ -153,14 +114,6 @@ impl ClusterRep {
             size,
             cr_self,
             ss,
-        }
-    }
-
-    /// Which backend stores this representative.
-    pub fn backend(&self) -> RepBackend {
-        match self.storage {
-            Storage::Dense(_) => RepBackend::Dense,
-            Storage::Sparse(_) => RepBackend::Sparse,
         }
     }
 
@@ -186,33 +139,28 @@ impl ClusterRep {
 
     /// Number of stored non-zero terms of `c⃗_p`.
     pub fn nnz(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(v) => v.iter().filter(|&&w| w != 0.0).count(),
-            Storage::Sparse(s) => s.nnz(),
-        }
+        self.sparse().nnz()
     }
 
     /// The weight of term `t` in `c⃗_p` (0.0 if absent).
     pub fn weight(&self, t: TermId) -> f64 {
-        self.storage.weight(t)
+        self.sparse().get(t)
     }
 
     /// Calls `f` for every stored non-zero `(term, weight)` entry of `c⃗_p`,
     /// in ascending term order.
     pub fn for_each_entry(&self, mut f: impl FnMut(TermId, f64)) {
+        for (t, w) in self.sparse().iter() {
+            f(t, w);
+        }
+    }
+
+    /// The stored entries; dense K-means scratch has none to read (see
+    /// [`ClusterRep::new_dense`]).
+    fn sparse(&self) -> &SparseVector {
         match &self.storage {
-            Storage::Dense(v) => {
-                for (i, &w) in v.iter().enumerate() {
-                    if w != 0.0 {
-                        f(TermId(i as u32), w);
-                    }
-                }
-            }
-            Storage::Sparse(s) => {
-                for (t, w) in s.iter() {
-                    f(t, w);
-                }
-            }
+            Storage::Sparse(s) => s,
+            Storage::Dense(_) => panic!("dense K-means scratch has no stored entries to read"),
         }
     }
 
@@ -220,9 +168,9 @@ impl ClusterRep {
     /// computed fresh per (cluster, document) pair (see the discussion
     /// following eq. 26).
     ///
-    /// Both backends accumulate `rep[t]·φ[t]` over φ's terms in term order
+    /// Both storages accumulate `rep[t]·φ[t]` over φ's terms in term order
     /// (absent terms contribute an exact ±0.0), so the result is
-    /// bit-identical across backends — and to the per-cluster rows of
+    /// bit-identical across them — and to the per-cluster rows of
     /// [`crate::ClusterIndex::dot_all`].
     pub fn dot_doc(&self, phi: &SparseVector) -> f64 {
         match &self.storage {
@@ -245,29 +193,14 @@ impl ClusterRep {
         }
     }
 
-    /// `cr_sim(C_p, C_q)` between two representatives (eq. 21).
-    ///
-    /// Sparse×sparse is a merge-join over the stored entries —
-    /// O(nnz_p + nnz_q) instead of the dense backend's O(|V|) zip.
+    /// `cr_sim(C_p, C_q)` between two representatives (eq. 21): a
+    /// merge-join over the stored entries, O(nnz_p + nnz_q).
     pub fn dot_rep(&self, other: &ClusterRep) -> f64 {
-        match (&self.storage, &other.storage) {
-            (Storage::Dense(a), Storage::Dense(b)) => {
-                a.iter().zip(b.iter()).map(|(a, b)| a * b).sum()
-            }
-            (Storage::Sparse(a), Storage::Sparse(b)) => a.dot(b),
-            (Storage::Sparse(a), Storage::Dense(b)) => a
-                .iter()
-                .map(|(t, w)| b.get(t.index()).copied().unwrap_or(0.0) * w)
-                .sum(),
-            (Storage::Dense(a), Storage::Sparse(b)) => b
-                .iter()
-                .map(|(t, w)| a.get(t.index()).copied().unwrap_or(0.0) * w)
-                .sum(),
-        }
+        self.sparse().dot(other.sparse())
     }
 
     /// Adds document `φ` to the cluster, maintaining all cached quantities in
-    /// O(nnz(φ)) (dense) / O(nnz(φ) + nnz(c⃗_p)) worst case (sparse merge).
+    /// O(nnz(φ) + nnz(c⃗_p)) worst case (sparse merge; O(nnz(φ)) dense).
     pub fn add(&mut self, phi: &SparseVector) {
         let dot = self.dot_doc(phi);
         let norm_sq = phi.norm_sq();
@@ -359,10 +292,7 @@ impl ClusterRep {
     /// ```
     ///
     /// (the eq. 21/25 identity validated by the `merge_formula_eq25` test).
-    /// Cost: one rep↔rep dot plus one vector add — O(nnz_p + nnz_q) sparse,
-    /// O(|V|) dense. The merged rep keeps `self`'s backend; merging across
-    /// backends accumulates `other`'s stored entries in ascending term order,
-    /// so the result is bit-identical to a same-backend merge.
+    /// Cost: one rep↔rep dot plus one vector add, O(nnz_p + nnz_q).
     ///
     /// The caller must ensure the two clusters share no member; overlapping
     /// sets double-count the shared documents in every statistic.
@@ -371,74 +301,30 @@ impl ClusterRep {
         self.cr_self += 2.0 * dot + other.cr_self;
         self.ss += other.ss;
         self.size += other.size;
-        match (&mut self.storage, &other.storage) {
-            (Storage::Dense(a), Storage::Dense(b)) => {
-                if b.len() > a.len() {
-                    a.resize(b.len(), 0.0);
-                }
-                for (slot, w) in a.iter_mut().zip(b.iter()) {
-                    *slot += w;
-                }
-            }
-            (Storage::Sparse(a), Storage::Sparse(b)) => a.axpy_in_place(b, 1.0),
-            (Storage::Sparse(a), Storage::Dense(b)) => {
-                let entries: Vec<(TermId, f64)> = b
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| w != 0.0)
-                    .map(|(i, &w)| (TermId(i as u32), w))
-                    .collect();
-                a.axpy_in_place(&SparseVector::from_sorted(entries), 1.0);
-            }
-            (Storage::Dense(a), Storage::Sparse(b)) => {
-                for (t, w) in b.iter() {
-                    let idx = t.index();
-                    if idx >= a.len() {
-                        a.resize(idx + 1, 0.0);
-                    }
-                    a[idx] += w;
-                }
-            }
+        match &mut self.storage {
+            Storage::Sparse(s) => s.axpy_in_place(other.sparse(), 1.0),
+            Storage::Dense(_) => unreachable!("dot_rep rejects dense scratch"),
         }
     }
 
-    /// Re-homes the representative onto `backend`, copying the stored
-    /// entries and every cached statistic verbatim.
-    ///
-    /// Because the two backends are exact bit-level mirrors of each other
-    /// (see [`RepBackend`]), the converted representative produces
-    /// bit-identical dot products and statistics — only the storage (and
-    /// its asymptotics) changes. Cost: O(nnz) sparse target, O(max term id)
-    /// dense target.
-    pub fn to_backend(&self, backend: RepBackend) -> ClusterRep {
-        if self.backend() == backend {
-            return self.clone();
-        }
-        let storage = match backend {
-            RepBackend::Dense => {
-                let mut v = Vec::new();
-                self.for_each_entry(|t, w| {
-                    let idx = t.index();
-                    if idx >= v.len() {
-                        v.resize(idx + 1, 0.0);
-                    }
-                    v[idx] = w;
-                });
-                Storage::Dense(v)
-            }
-            RepBackend::Sparse => {
-                let mut entries: Vec<(TermId, f64)> = Vec::with_capacity(self.nnz());
-                // for_each_entry yields ascending term order, so the entry
-                // list is sorted by construction
-                self.for_each_entry(|t, w| entries.push((t, w)));
-                Storage::Sparse(SparseVector::from_sorted(entries))
-            }
+    /// The same representative in sparse storage: dense K-means scratch is
+    /// converted, copying the non-zero entries and every cached statistic
+    /// verbatim, so dot products and statistics stay bit-identical. O(max
+    /// term id) for dense scratch; a sparse representative is returned as is.
+    pub fn into_sparse(self) -> ClusterRep {
+        let Storage::Dense(v) = &self.storage else {
+            return self;
         };
+        // one exact-size allocation: a filtered collect would regrow
+        let mut entries = Vec::with_capacity(v.iter().filter(|&&w| w != 0.0).count());
+        for (i, &w) in v.iter().enumerate() {
+            if w != 0.0 {
+                entries.push((TermId(i as u32), w));
+            }
+        }
         ClusterRep {
-            storage,
-            size: self.size,
-            cr_self: self.cr_self,
-            ss: self.ss,
+            storage: Storage::Sparse(SparseVector::from_sorted(entries)),
+            ..self
         }
     }
 
@@ -555,7 +441,7 @@ impl ClusterRep {
             }
             Storage::Sparse(s) => {
                 // Accumulate per term in member order — the same scalar-op
-                // sequence the dense backend's slot accumulation performs —
+                // sequence the dense storage's slot accumulation performs —
                 // into a hash map, then sort once. An axpy per member would
                 // rewrite the whole entry list each time (O(|C|·nnz(c⃗))).
                 // Map iteration order is never observed: entries are sorted
@@ -601,8 +487,8 @@ impl ClusterRep {
 }
 
 impl nidc_obs::DeepSize for ClusterRep {
-    /// Heap footprint of the stored vector (full buffer capacity on both
-    /// backends); the cached scalar statistics are inline and excluded.
+    /// Heap footprint of the stored vector (full buffer capacity); the
+    /// cached scalar statistics are inline and excluded.
     fn deep_size_bytes(&self) -> u64 {
         match &self.storage {
             Storage::Dense(v) => (v.capacity() * std::mem::size_of::<f64>()) as u64,
@@ -614,8 +500,6 @@ impl nidc_obs::DeepSize for ClusterRep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const BACKENDS: [RepBackend; 2] = [RepBackend::Dense, RepBackend::Sparse];
 
     fn phi(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -649,273 +533,181 @@ mod tests {
 
     #[test]
     fn eq22_identity_cr_self_decomposition() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let rep = ClusterRep::from_members_with(backend, members.iter());
-            let n = members.len() as f64;
-            // eq. 22: cr_sim(C,C) = n(n−1)·avg_sim + ss
-            let lhs = rep.cr_self();
-            let rhs = n * (n - 1.0) * brute_avg_sim(&members) + rep.ss();
-            assert!((lhs - rhs).abs() < 1e-12, "{backend}");
-        }
+        let members = sample_members();
+        let rep = ClusterRep::from_members(members.iter());
+        let n = members.len() as f64;
+        // eq. 22: cr_sim(C,C) = n(n−1)·avg_sim + ss
+        let lhs = rep.cr_self();
+        let rhs = n * (n - 1.0) * brute_avg_sim(&members) + rep.ss();
+        assert!((lhs - rhs).abs() < 1e-12);
     }
 
     #[test]
     fn eq24_avg_sim_matches_brute_force() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let rep = ClusterRep::from_members_with(backend, members.iter());
-            assert!(
-                (rep.avg_sim() - brute_avg_sim(&members)).abs() < 1e-12,
-                "{backend}"
-            );
-        }
+        let members = sample_members();
+        let rep = ClusterRep::from_members(members.iter());
+        assert!((rep.avg_sim() - brute_avg_sim(&members)).abs() < 1e-12);
     }
 
     #[test]
     fn eq26_append_preview_matches_actual_append() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let newcomer = phi(&[(1, 0.3), (2, 0.3)]);
-            let mut rep = ClusterRep::from_members_with(backend, members.iter());
-            let predicted = rep.avg_sim_if_added(&newcomer);
-            rep.add(&newcomer);
-            assert!((predicted - rep.avg_sim()).abs() < 1e-12, "{backend}");
-            // and against brute force
-            let mut all = members;
-            all.push(newcomer);
-            assert!(
-                (rep.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12,
-                "{backend}"
-            );
-        }
+        let members = sample_members();
+        let newcomer = phi(&[(1, 0.3), (2, 0.3)]);
+        let mut rep = ClusterRep::from_members(members.iter());
+        let predicted = rep.avg_sim_if_added(&newcomer);
+        rep.add(&newcomer);
+        assert!((predicted - rep.avg_sim()).abs() < 1e-12);
+        // and against brute force
+        let mut all = members;
+        all.push(newcomer);
+        assert!((rep.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12);
     }
 
     #[test]
     fn removal_preview_matches_actual_removal() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let mut rep = ClusterRep::from_members_with(backend, members.iter());
-            let predicted = rep.avg_sim_if_removed(&members[1]);
-            rep.remove(&members[1]);
-            assert!((predicted - rep.avg_sim()).abs() < 1e-12, "{backend}");
-            let remaining: Vec<_> = members
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != 1)
-                .map(|(_, m)| m.clone())
-                .collect();
-            assert!(
-                (rep.avg_sim() - brute_avg_sim(&remaining)).abs() < 1e-12,
-                "{backend}"
-            );
-        }
+        let members = sample_members();
+        let mut rep = ClusterRep::from_members(members.iter());
+        let predicted = rep.avg_sim_if_removed(&members[1]);
+        rep.remove(&members[1]);
+        assert!((predicted - rep.avg_sim()).abs() < 1e-12);
+        let remaining: Vec<_> = members
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 1)
+            .map(|(_, m)| m.clone())
+            .collect();
+        assert!((rep.avg_sim() - brute_avg_sim(&remaining)).abs() < 1e-12);
     }
 
     #[test]
     fn add_then_remove_is_identity() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let mut rep = ClusterRep::from_members_with(backend, members.iter());
-            let before = (rep.size(), rep.cr_self(), rep.ss(), rep.avg_sim());
-            let d = phi(&[(0, 0.9), (3, 0.1)]);
-            rep.add(&d);
-            rep.remove(&d);
-            assert_eq!(rep.size(), before.0);
-            assert!((rep.cr_self() - before.1).abs() < 1e-12);
-            assert!((rep.ss() - before.2).abs() < 1e-12);
-            assert!((rep.avg_sim() - before.3).abs() < 1e-12);
-        }
+        let members = sample_members();
+        let mut rep = ClusterRep::from_members(members.iter());
+        let before = (rep.size(), rep.cr_self(), rep.ss(), rep.avg_sim());
+        let d = phi(&[(0, 0.9), (3, 0.1)]);
+        rep.add(&d);
+        rep.remove(&d);
+        assert_eq!(rep.size(), before.0);
+        assert!((rep.cr_self() - before.1).abs() < 1e-12);
+        assert!((rep.ss() - before.2).abs() < 1e-12);
+        assert!((rep.avg_sim() - before.3).abs() < 1e-12);
     }
 
     #[test]
     fn merge_formula_eq25() {
         // avg_sim(C_p ∪ C_q) from representative quantities, two disjoint sets.
-        for backend in BACKENDS {
-            let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
-            let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
-            let p = ClusterRep::from_members_with(backend, p_members.iter());
-            let q = ClusterRep::from_members_with(backend, q_members.iter());
-            let np = p.size() as f64;
-            let nq = q.size() as f64;
-            let merged_avg = (p.cr_self() + 2.0 * p.dot_rep(&q) + q.cr_self() - p.ss() - q.ss())
-                / ((np + nq) * (np + nq - 1.0));
-            let mut all = p_members;
-            all.extend(q_members);
-            assert!(
-                (merged_avg - brute_avg_sim(&all)).abs() < 1e-12,
-                "{backend}"
-            );
-        }
+        let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
+        let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
+        let p = ClusterRep::from_members(p_members.iter());
+        let q = ClusterRep::from_members(q_members.iter());
+        let np = p.size() as f64;
+        let nq = q.size() as f64;
+        let merged_avg = (p.cr_self() + 2.0 * p.dot_rep(&q) + q.cr_self() - p.ss() - q.ss())
+            / ((np + nq) * (np + nq - 1.0));
+        let mut all = p_members;
+        all.extend(q_members);
+        assert!((merged_avg - brute_avg_sim(&all)).abs() < 1e-12);
     }
 
     #[test]
-    fn merge_from_matches_from_members_on_both_backends() {
-        for backend in BACKENDS {
-            let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
-            let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
-            let mut merged = ClusterRep::from_members_with(backend, p_members.iter());
-            let q = ClusterRep::from_members_with(backend, q_members.iter());
-            merged.merge_from(&q);
-            let mut all = p_members;
-            all.extend(q_members);
-            let reference = ClusterRep::from_members_with(backend, all.iter());
-            assert_eq!(merged.size(), reference.size(), "{backend}");
-            assert!(
-                (merged.cr_self() - reference.cr_self()).abs() < 1e-12,
-                "{backend}"
-            );
-            assert_eq!(merged.ss(), reference.ss(), "{backend}");
-            assert!(
-                (merged.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12,
-                "{backend}"
-            );
-            // the merged vector itself matches term by term
-            let probe = phi(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
-            assert!((merged.dot_doc(&probe) - reference.dot_doc(&probe)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn merge_from_across_backends_matches_same_backend() {
-        let p_members = sample_members();
-        let q_members = [phi(&[(1, 0.3), (5, 0.2)]), phi(&[(2, 0.6)])];
-        for self_backend in BACKENDS {
-            let reference = {
-                let mut r = ClusterRep::from_members_with(self_backend, p_members.iter());
-                r.merge_from(&ClusterRep::from_members_with(
-                    self_backend,
-                    q_members.iter(),
-                ));
-                r
-            };
-            for other_backend in BACKENDS {
-                let mut merged = ClusterRep::from_members_with(self_backend, p_members.iter());
-                merged.merge_from(&ClusterRep::from_members_with(
-                    other_backend,
-                    q_members.iter(),
-                ));
-                assert_eq!(merged.backend(), self_backend, "keeps self's backend");
-                assert_eq!(merged.size(), reference.size());
-                assert_eq!(merged.cr_self(), reference.cr_self());
-                assert_eq!(merged.ss(), reference.ss());
-                let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (5, 0.9)]);
-                assert_eq!(merged.dot_doc(&probe), reference.dot_doc(&probe));
-            }
-        }
+    fn merge_from_matches_from_members() {
+        let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
+        let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
+        let mut merged = ClusterRep::from_members(p_members.iter());
+        let q = ClusterRep::from_members(q_members.iter());
+        merged.merge_from(&q);
+        let mut all = p_members;
+        all.extend(q_members);
+        let reference = ClusterRep::from_members(all.iter());
+        assert_eq!(merged.size(), reference.size());
+        assert!((merged.cr_self() - reference.cr_self()).abs() < 1e-12);
+        assert_eq!(merged.ss(), reference.ss());
+        assert!((merged.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12);
+        // the merged vector itself matches term by term
+        let probe = phi(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
+        assert!((merged.dot_doc(&probe) - reference.dot_doc(&probe)).abs() < 1e-12);
     }
 
     #[test]
     fn merge_from_empty_is_identity_and_into_empty_is_copy() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let rep = ClusterRep::from_members_with(backend, members.iter());
-            let mut with_empty = rep.clone();
-            with_empty.merge_from(&ClusterRep::new_with(backend));
-            assert_eq!(with_empty.size(), rep.size());
-            assert_eq!(with_empty.cr_self(), rep.cr_self());
-            assert_eq!(with_empty.ss(), rep.ss());
+        let members = sample_members();
+        let rep = ClusterRep::from_members(members.iter());
+        let mut with_empty = rep.clone();
+        with_empty.merge_from(&ClusterRep::new());
+        assert_eq!(with_empty.size(), rep.size());
+        assert_eq!(with_empty.cr_self(), rep.cr_self());
+        assert_eq!(with_empty.ss(), rep.ss());
 
-            let mut from_empty = ClusterRep::new_with(backend);
-            from_empty.merge_from(&rep);
-            assert_eq!(from_empty.size(), rep.size());
-            assert_eq!(from_empty.cr_self(), rep.cr_self());
-            assert_eq!(from_empty.ss(), rep.ss());
-        }
-    }
-
-    #[test]
-    fn dot_rep_mixed_backends_agree() {
-        let p_members = sample_members();
-        let q_members = [phi(&[(1, 0.3), (2, 0.2)]), phi(&[(3, 0.6)])];
-        let pd = ClusterRep::from_members_with(RepBackend::Dense, p_members.iter());
-        let ps = ClusterRep::from_members_with(RepBackend::Sparse, p_members.iter());
-        let qd = ClusterRep::from_members_with(RepBackend::Dense, q_members.iter());
-        let qs = ClusterRep::from_members_with(RepBackend::Sparse, q_members.iter());
-        let reference = pd.dot_rep(&qd);
-        for (a, b) in [(&ps, &qs), (&ps, &qd), (&pd, &qs)] {
-            assert!((a.dot_rep(b) - reference).abs() < 1e-15);
-        }
+        let mut from_empty = ClusterRep::new();
+        from_empty.merge_from(&rep);
+        assert_eq!(from_empty.size(), rep.size());
+        assert_eq!(from_empty.cr_self(), rep.cr_self());
+        assert_eq!(from_empty.ss(), rep.ss());
     }
 
     #[test]
     fn empty_and_singleton_clusters() {
-        for backend in BACKENDS {
-            let mut rep = ClusterRep::new_with(backend);
-            assert_eq!(rep.avg_sim(), 0.0);
-            assert_eq!(rep.g_term(), 0.0);
-            assert_eq!(rep.avg_sim_if_added(&phi(&[(0, 1.0)])), 0.0);
-            rep.add(&phi(&[(0, 1.0)]));
-            assert_eq!(rep.size(), 1);
-            assert_eq!(rep.avg_sim(), 0.0); // singleton: no pairs
-        }
+        let mut rep = ClusterRep::new();
+        assert_eq!(rep.avg_sim(), 0.0);
+        assert_eq!(rep.g_term(), 0.0);
+        assert_eq!(rep.avg_sim_if_added(&phi(&[(0, 1.0)])), 0.0);
+        rep.add(&phi(&[(0, 1.0)]));
+        assert_eq!(rep.size(), 1);
+        assert_eq!(rep.avg_sim(), 0.0); // singleton: no pairs
     }
 
     #[test]
     fn removing_last_member_restores_exact_emptiness() {
-        for backend in BACKENDS {
-            let d = phi(&[(0, 0.3), (2, 0.7)]);
-            let mut rep = ClusterRep::new_with(backend);
-            rep.add(&d);
-            rep.remove(&d);
-            assert!(rep.is_empty(), "{backend}");
-            assert_eq!(rep.cr_self(), 0.0);
-            assert_eq!(rep.ss(), 0.0);
-            assert_eq!(rep.nnz(), 0, "{backend}: stored weights must be zeroed");
-            let mut seen = 0;
-            rep.for_each_entry(|_, _| seen += 1);
-            assert_eq!(seen, 0);
-        }
+        let d = phi(&[(0, 0.3), (2, 0.7)]);
+        let mut rep = ClusterRep::new();
+        rep.add(&d);
+        rep.remove(&d);
+        assert!(rep.is_empty());
+        assert_eq!(rep.cr_self(), 0.0);
+        assert_eq!(rep.ss(), 0.0);
+        assert_eq!(rep.nnz(), 0, "stored weights must be zeroed");
+        let mut seen = 0;
+        rep.for_each_entry(|_, _| seen += 1);
+        assert_eq!(seen, 0);
     }
 
     #[test]
     fn dot_doc_handles_terms_beyond_stored_range() {
-        for backend in BACKENDS {
-            let rep = ClusterRep::from_members_with(backend, [phi(&[(0, 1.0)])].iter());
-            // φ mentions term 5, beyond the rep's support: contributes 0.
-            assert_eq!(rep.dot_doc(&phi(&[(0, 2.0), (5, 3.0)])), 2.0);
-        }
+        let rep = ClusterRep::from_members([phi(&[(0, 1.0)])].iter());
+        // φ mentions term 5, beyond the rep's support: contributes 0.
+        assert_eq!(rep.dot_doc(&phi(&[(0, 2.0), (5, 3.0)])), 2.0);
     }
 
     #[test]
     fn add_grows_support_on_demand() {
-        for backend in BACKENDS {
-            let mut rep = ClusterRep::new_with(backend);
-            rep.add(&phi(&[(4, 1.5)]));
-            assert_eq!(rep.nnz(), 1);
-            assert_eq!(rep.weight(TermId(4)), 1.5);
-            assert_eq!(rep.weight(TermId(3)), 0.0);
-        }
+        let mut rep = ClusterRep::new();
+        rep.add(&phi(&[(4, 1.5)]));
+        assert_eq!(rep.nnz(), 1);
+        assert_eq!(rep.weight(TermId(4)), 1.5);
+        assert_eq!(rep.weight(TermId(3)), 0.0);
     }
 
     #[test]
     fn recompute_exact_matches_incremental() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let mut rep = ClusterRep::new_with(backend);
-            for m in &members {
-                rep.add(m);
-            }
-            let mut exact = rep.clone();
-            exact.recompute_exact(members.iter());
-            assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-12);
-            assert!((rep.ss() - exact.ss()).abs() < 1e-12);
-            assert_eq!(rep.size(), exact.size());
+        let members = sample_members();
+        let mut rep = ClusterRep::new();
+        for m in &members {
+            rep.add(m);
         }
+        let mut exact = rep.clone();
+        exact.recompute_exact(members.iter());
+        assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-12);
+        assert!((rep.ss() - exact.ss()).abs() < 1e-12);
+        assert_eq!(rep.size(), exact.size());
     }
 
     #[test]
     fn top_terms_are_sorted_descending() {
-        for backend in BACKENDS {
-            let rep = ClusterRep::from_members_with(
-                backend,
-                [phi(&[(0, 0.1), (1, 0.9), (2, 0.5)])].iter(),
-            );
-            let top = rep.top_terms(2);
-            assert_eq!(top.len(), 2);
-            assert_eq!(top[0].0, TermId(1));
-            assert_eq!(top[1].0, TermId(2));
-        }
+        let rep = ClusterRep::from_members([phi(&[(0, 0.1), (1, 0.9), (2, 0.5)])].iter());
+        let top = rep.top_terms(2);
+        assert_eq!(top.len(), 2);
+        assert_eq!(top[0].0, TermId(1));
+        assert_eq!(top[1].0, TermId(2));
     }
 
     #[test]
@@ -934,14 +726,12 @@ mod tests {
 
     #[test]
     fn g_term_if_added_preview_matches_actual() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let newcomer = phi(&[(0, 0.2), (2, 0.4)]);
-            let mut rep = ClusterRep::from_members_with(backend, members.iter());
-            let preview = rep.g_term_if_added(&newcomer);
-            rep.add(&newcomer);
-            assert!((preview - rep.g_term()).abs() < 1e-12);
-        }
+        let members = sample_members();
+        let newcomer = phi(&[(0, 0.2), (2, 0.4)]);
+        let mut rep = ClusterRep::from_members(members.iter());
+        let preview = rep.g_term_if_added(&newcomer);
+        rep.add(&newcomer);
+        assert!((preview - rep.g_term()).abs() < 1e-12);
     }
 
     #[test]
@@ -952,29 +742,26 @@ mod tests {
 
     #[test]
     fn g_term_if_added_to_singleton_is_twice_sim() {
-        for backend in BACKENDS {
-            let seed = phi(&[(0, 0.6), (1, 0.2)]);
-            let rep = ClusterRep::from_members_with(backend, [seed.clone()].iter());
-            let d = phi(&[(0, 0.5), (1, 0.5)]);
-            assert!((rep.g_term_if_added(&d) - 2.0 * seed.dot(&d)).abs() < 1e-12);
-        }
+        let seed = phi(&[(0, 0.6), (1, 0.2)]);
+        let rep = ClusterRep::from_members([seed.clone()].iter());
+        let d = phi(&[(0, 0.5), (1, 0.5)]);
+        assert!((rep.g_term_if_added(&d) - 2.0 * seed.dot(&d)).abs() < 1e-12);
     }
 
     #[test]
     fn g_term_is_size_times_avg_sim() {
-        for backend in BACKENDS {
-            let members = sample_members();
-            let rep = ClusterRep::from_members_with(backend, members.iter());
-            assert!((rep.g_term() - 4.0 * rep.avg_sim()).abs() < 1e-12);
-        }
+        let members = sample_members();
+        let rep = ClusterRep::from_members(members.iter());
+        assert!((rep.g_term() - 4.0 * rep.avg_sim()).abs() < 1e-12);
     }
 
     #[test]
     fn backends_are_bit_identical_through_churn() {
+        // the dense K-means scratch against the sparse storage
         let members = sample_members();
         let churn = [phi(&[(0, 0.9), (3, 0.1)]), phi(&[(2, 0.5)])];
-        let mut dense = ClusterRep::new_with(RepBackend::Dense);
-        let mut sparse = ClusterRep::new_with(RepBackend::Sparse);
+        let mut dense = ClusterRep::new_dense();
+        let mut sparse = ClusterRep::new();
         for m in &members {
             dense.add(m);
             sparse.add(m);
@@ -1000,48 +787,86 @@ mod tests {
             dense.avg_sim_if_added(&probe),
             sparse.avg_sim_if_added(&probe)
         );
+        // draining the scratch restores exact emptiness, as on sparse
+        for m in &members {
+            dense.remove(m);
+        }
+        assert!(dense.is_empty());
+        assert_eq!((dense.cr_self(), dense.ss()), (0.0, 0.0));
+        assert_eq!(
+            dense.into_sparse().nnz(),
+            0,
+            "stored weights must be zeroed"
+        );
     }
 
     #[test]
-    fn to_backend_is_bit_identical_in_every_direction() {
+    fn into_sparse_copies_dense_scratch_bit_for_bit() {
         let members = sample_members();
-        let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (3, 0.9)]);
-        for src in BACKENDS {
-            for dst in BACKENDS {
-                let rep = ClusterRep::from_members_with(src, members.iter());
-                let conv = rep.to_backend(dst);
-                assert_eq!(conv.backend(), dst, "{src}→{dst}");
-                assert_eq!(conv.size(), rep.size());
-                assert_eq!(conv.cr_self(), rep.cr_self(), "{src}→{dst}");
-                assert_eq!(conv.ss(), rep.ss());
-                assert_eq!(conv.nnz(), rep.nnz());
-                assert_eq!(conv.dot_doc(&probe), rep.dot_doc(&probe), "{src}→{dst}");
-            }
+        let mut dense = ClusterRep::new_dense();
+        for m in &members {
+            dense.add(m);
         }
+        // a term beyond every member's support: its slot holds an exact 0
+        dense.add(&phi(&[(9, 0.5)]));
+        dense.remove(&phi(&[(9, 0.5)]));
+        let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (3, 0.9), (9, 1.0)]);
+        let (cr_self, ss, dot) = (dense.cr_self(), dense.ss(), dense.dot_doc(&probe));
+        let sparse = dense.into_sparse();
+        let reference = ClusterRep::from_members(members.iter());
+        assert_eq!(sparse.size(), reference.size());
+        assert_eq!(sparse.cr_self().to_bits(), cr_self.to_bits());
+        assert_eq!(sparse.ss().to_bits(), ss.to_bits());
+        assert_eq!(sparse.dot_doc(&probe).to_bits(), dot.to_bits());
+        let entries = |r: &ClusterRep| {
+            let mut e = Vec::new();
+            r.for_each_entry(|t, w| e.push((t, w.to_bits())));
+            e
+        };
+        assert_eq!(
+            entries(&sparse),
+            entries(&reference),
+            "zero slots are dropped"
+        );
+        // converted scratch supports the rep↔rep operations
+        assert_eq!(sparse.dot_rep(&reference), reference.dot_rep(&reference));
+        assert_eq!(
+            reference.clone().into_sparse().cr_self(),
+            reference.cr_self()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dense K-means scratch has no stored entries")]
+    fn dense_scratch_rejects_rep_to_rep_operations() {
+        let members = sample_members();
+        let mut dense = ClusterRep::new_dense();
+        dense.add(&members[0]);
+        ClusterRep::from_members(members.iter()).merge_from(&dense);
     }
 
     #[test]
     fn from_parts_round_trips_entries_and_stats_verbatim() {
-        for backend in BACKENDS {
-            let rep = ClusterRep::from_members_with(backend, sample_members().iter());
-            let mut entries = Vec::new();
-            rep.for_each_entry(|t, w| entries.push((t, w)));
-            let restored = ClusterRep::from_parts(entries, rep.size(), rep.cr_self(), rep.ss());
-            assert_eq!(restored.backend(), RepBackend::Sparse);
-            assert_eq!(restored.size(), rep.size());
-            assert_eq!(restored.cr_self().to_bits(), rep.cr_self().to_bits());
-            assert_eq!(restored.ss().to_bits(), rep.ss().to_bits());
-            let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (3, 0.9)]);
-            assert!((restored.dot_doc(&probe) - rep.dot_doc(&probe)).abs() < 1e-15);
-        }
+        let rep = ClusterRep::from_members(sample_members().iter());
+        let mut entries = Vec::new();
+        rep.for_each_entry(|t, w| entries.push((t, w)));
+        let restored = ClusterRep::from_parts(entries, rep.size(), rep.cr_self(), rep.ss());
+        assert_eq!(restored.size(), rep.size());
+        assert_eq!(restored.cr_self().to_bits(), rep.cr_self().to_bits());
+        assert_eq!(restored.ss().to_bits(), rep.ss().to_bits());
+        let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (3, 0.9)]);
+        assert!((restored.dot_doc(&probe) - rep.dot_doc(&probe)).abs() < 1e-15);
     }
 
     #[test]
-    fn deep_size_reflects_backend_storage() {
+    fn deep_size_reflects_storage() {
         use nidc_obs::DeepSize;
         let members = sample_members();
-        let dense = ClusterRep::from_members_with(RepBackend::Dense, members.iter());
-        let sparse = ClusterRep::from_members_with(RepBackend::Sparse, members.iter());
+        let mut dense = ClusterRep::new_dense();
+        for m in &members {
+            dense.add(m);
+        }
+        let sparse = ClusterRep::from_members(members.iter());
         // dense: 4 term slots × 8 bytes minimum; sparse: 4 nnz × 16 bytes.
         assert!(
             dense.deep_size_bytes() >= 4 * 8,
@@ -1050,14 +875,5 @@ mod tests {
         );
         assert!(sparse.deep_size_bytes() >= 4 * 16);
         assert_eq!(ClusterRep::new().deep_size_bytes(), 0);
-    }
-
-    #[test]
-    fn backend_parsing_and_display() {
-        assert_eq!("dense".parse::<RepBackend>().unwrap(), RepBackend::Dense);
-        assert_eq!("sparse".parse::<RepBackend>().unwrap(), RepBackend::Sparse);
-        assert!("fancy".parse::<RepBackend>().is_err());
-        assert_eq!(RepBackend::default(), RepBackend::Sparse);
-        assert_eq!(RepBackend::Dense.to_string(), "dense");
     }
 }

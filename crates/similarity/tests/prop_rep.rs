@@ -2,7 +2,7 @@
 //! incremental formulas must agree with brute-force pairwise computation for
 //! arbitrary clusters and arbitrary add/remove sequences.
 
-use nidc_similarity::{ClusterRep, RepBackend};
+use nidc_similarity::ClusterRep;
 use nidc_textproc::{SparseVector, TermId};
 use proptest::prelude::*;
 
@@ -116,18 +116,21 @@ proptest! {
         prop_assert!((rep.g_term() - rep.size() as f64 * rep.avg_sim()).abs() < 1e-12);
     }
 
-    /// The dense and sparse backends are **bit-identical** (not merely
-    /// close) through arbitrary interleaved add/remove churn — the property
-    /// that lets the sparse backend be the default without touching the
-    /// workspace's determinism contract.
+    /// The dense K-means scratch and the sparse storage are
+    /// **bit-identical** (not merely close) through arbitrary interleaved
+    /// add/remove churn — the property that lets a K-means run pick its
+    /// sweep storage without touching the workspace's determinism contract.
     #[test]
     fn backends_bit_identical_under_churn(
         initial in prop::collection::vec(phi_strategy(), 0..8),
         churn in prop::collection::vec((phi_strategy(), prop::bool::ANY), 0..24),
         probe in phi_strategy(),
     ) {
-        let mut dense = ClusterRep::from_members_with(RepBackend::Dense, initial.iter());
-        let mut sparse = ClusterRep::from_members_with(RepBackend::Sparse, initial.iter());
+        let mut dense = ClusterRep::new_dense();
+        for d in &initial {
+            dense.add(d);
+        }
+        let mut sparse = ClusterRep::from_members(initial.iter());
         // replay the same add/remove sequence through both; removals only
         // target documents currently in the cluster (mirrors the algorithm)
         let mut present: Vec<&SparseVector> = initial.iter().collect();
@@ -156,11 +159,18 @@ proptest! {
             let d = present[0];
             prop_assert!(dense.avg_sim_if_removed(d) == sparse.avg_sim_if_removed(d));
         }
+        // the scratch hands out exactly the sparse storage's entries
+        let entries = |r: &ClusterRep| {
+            let mut e = Vec::new();
+            r.for_each_entry(|t, w| e.push((t, w.to_bits())));
+            e
+        };
+        prop_assert_eq!(entries(&dense.into_sparse()), entries(&sparse));
     }
 
     /// `top_terms(n)` keeps exactly what a full stable sort of the positive
     /// entries by descending weight keeps — heaviest first, ties in
-    /// ascending term order — on both backends. Weights come from a
+    /// ascending term order. Weights come from a
     /// five-value palette (with a negative and a zero that must be
     /// skipped), so ties are the common case.
     #[test]
@@ -186,8 +196,6 @@ proptest! {
         });
         reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         reference.truncate(n);
-        for rep in [sparse.to_backend(RepBackend::Dense), sparse] {
-            prop_assert_eq!(rep.top_terms(n), reference.clone());
-        }
+        prop_assert_eq!(sparse.top_terms(n), reference);
     }
 }

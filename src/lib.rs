@@ -79,7 +79,7 @@ pub use nidc_textproc as textproc;
 pub mod prelude {
     pub use nidc_core::{
         cluster_batch, cluster_with_initial, Cluster, Clustering, ClusteringConfig, Criterion,
-        GlobalClusterId, InitialState, MergedClustering, NoveltyPipeline, RepBackend, ShardRouter,
+        GlobalClusterId, InitialState, MergedClustering, NoveltyPipeline, ShardRouter,
         ShardedPipeline, StitchedCluster, StitchedClustering, StreamShard,
         DEFAULT_STITCH_THRESHOLD,
     };

@@ -2,8 +2,8 @@
 //! change a single bit of any clustering result. The instrumentation is a
 //! pure observer — it never branches the algorithm, never reorders float
 //! accumulation, never feeds a value back — and this suite pins that
-//! contract across the same backend × thread matrix the determinism suite
-//! uses, through a full multi-window pipeline run.
+//! contract across both step-1 sweeps (dense scratch and the term→cluster
+//! index) and every thread count, through full multi-window pipeline runs.
 
 use std::collections::BTreeMap;
 
@@ -23,9 +23,12 @@ fn tf(pairs: &[(u32, f64)]) -> SparseVector {
     SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
 }
 
+/// Documents as `(id, day, tf)`, in arrival order.
+type Stream = Vec<(u64, f64, SparseVector)>;
+
 /// A three-topic stream over 12 days with enough churn to exercise moves,
 /// outliers, expiration, and warm restarts.
-fn stream() -> Vec<(u64, f64, SparseVector)> {
+fn stream() -> Stream {
     let mut docs = Vec::new();
     for i in 0..36u64 {
         let day = i as f64 * 0.33;
@@ -46,25 +49,56 @@ fn stream() -> Vec<(u64, f64, SparseVector)> {
     docs
 }
 
+/// The same shape at index scale: 96 documents over four topics, each 80
+/// terms wide (60 topic terms plus 20 of a shared background). At K = 24,
+/// `K · avg nnz(φ)` clears the 1500 cutoff, so its K-means runs take the
+/// term→cluster index sweep that `daily` and `rebuild` run.
+fn wide_stream() -> Stream {
+    (0..96u32)
+        .map(|i| {
+            let topic = (i % 4) * 100;
+            let mut pairs: Vec<(u32, f64)> = (0..60)
+                .map(|j| (topic + j, 1.0 + ((i + j) % 4) as f64))
+                .collect();
+            pairs.extend((0..20).map(|j| (1000 + (j + 3 * i) % 80, 1.0)));
+            (u64::from(i), f64::from(i) / 8.0, tf(&pairs))
+        })
+        .collect()
+}
+
+/// The streams every on/off test replays, with their K: the small one's
+/// K-means runs take the dense step-1 sweep, the wide one's the index.
+fn inputs() -> [(&'static str, usize, Stream); 2] {
+    [
+        ("dense sweep", 3, stream()),
+        ("index sweep", 24, wide_stream()),
+    ]
+}
+
+fn postings_touched() -> u64 {
+    khy2006::obs::snapshot()
+        .counter("nidc_index_postings_touched_total")
+        .unwrap_or(0)
+}
+
 /// Everything observable about one window's clustering: member lists,
 /// outliers, the clustering index G (bitwise), iteration count.
 type WindowResult = (Vec<Vec<DocId>>, Vec<DocId>, f64, usize);
 
-/// Runs the full pipeline (ingest → advance → expire → recluster, four
-/// windows) and returns everything observable about the results.
-fn run_pipeline(backend: RepBackend, threads: usize) -> Vec<WindowResult> {
+/// Runs the full pipeline (ingest → advance → expire → recluster every
+/// three days) and returns everything observable about the results.
+fn run_pipeline(k: usize, stream: &Stream, threads: usize) -> Vec<WindowResult> {
     let decay = DecayParams::from_spans(4.0, 8.0).unwrap();
     let config = ClusteringConfig {
-        k: 3,
+        k,
         seed: 7,
         threads,
-        rep_backend: backend,
         ..ClusteringConfig::default()
     };
     let mut pipeline = NoveltyPipeline::new(decay, config);
     let mut windows = Vec::new();
     let mut next = 3.0f64;
-    for (id, day, tf) in stream() {
+    for (id, day, tf) in stream.iter().cloned() {
         while day >= next {
             pipeline.advance_to(Timestamp(next)).unwrap();
             let c = pipeline.recluster_incremental().unwrap();
@@ -90,24 +124,30 @@ fn run_pipeline(backend: RepBackend, threads: usize) -> Vec<WindowResult> {
 
 /// The core guarantee: with metric recording AND debug logging enabled, the
 /// clusterings (members, outliers, bitwise G, iteration counts) are
-/// identical to the recorder-off run, per window, across both representative
-/// backends and all thread counts.
+/// identical to the recorder-off run, per window, on both step-1 sweeps and
+/// at all thread counts. The postings counter shows which sweep ran.
 #[test]
 fn recorder_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+    for (sweep, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::set_enabled(false);
-            let off = run_pipeline(backend, threads);
+            let off = run_pipeline(k, &stream, threads);
 
             khy2006::obs::reset();
             khy2006::obs::set_enabled(true);
-            let on = run_pipeline(backend, threads);
+            let on = run_pipeline(k, &stream, threads);
+            let touched = postings_touched();
             khy2006::obs::set_enabled(false);
 
             assert_eq!(
                 off, on,
-                "recorder flipped the result at backend {backend:?}, threads {threads}"
+                "recorder flipped the result on the {sweep}, threads {threads}"
+            );
+            assert_eq!(
+                touched > 0,
+                sweep == "index sweep",
+                "{sweep} touched {touched} postings"
             );
         }
     }
@@ -121,7 +161,7 @@ fn enabled_run_covers_all_instrumented_layers() {
     khy2006::obs::reset();
     khy2006::obs::set_enabled(true);
     // threads=2 so the parallel layer records fan-out decisions too
-    let _ = run_pipeline(RepBackend::Sparse, 2);
+    let _ = run_pipeline(3, &stream(), 2);
     let snap = khy2006::obs::snapshot();
     khy2006::obs::set_enabled(false);
 
@@ -180,8 +220,8 @@ fn enabled_run_covers_all_instrumented_layers() {
 /// The lifecycle event stream is held to the same pure-observer contract:
 /// running with an active `--events` sink (which also makes the
 /// `LineageTracker` serialise every event) must not change a single bit of
-/// any clustering result, across both representative backends and all
-/// thread counts — and the stream left behind must be non-trivial.
+/// any clustering result, on both step-1 sweeps and at all thread counts —
+/// and the stream left behind must be non-trivial.
 #[test]
 fn events_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
@@ -189,17 +229,17 @@ fn events_on_off_results_are_bit_identical() {
         "nidc_obs_determinism_events_{}.jsonl",
         std::process::id()
     ));
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+    for (sweep, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
-            let off = run_pipeline(backend, threads);
+            let off = run_pipeline(k, &stream, threads);
 
             let session = khy2006::obs::EventSession::create(&path).unwrap();
-            let on = run_pipeline(backend, threads);
+            let on = run_pipeline(k, &stream, threads);
             session.finish().unwrap();
 
             assert_eq!(
                 off, on,
-                "the event stream flipped the result at backend {backend:?}, threads {threads}"
+                "the event stream flipped the result on the {sweep}, threads {threads}"
             );
             let text = std::fs::read_to_string(&path).unwrap();
             let mut lines = text.lines();
@@ -225,14 +265,14 @@ fn events_on_off_results_are_bit_identical() {
 #[test]
 fn tracing_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+    for (sweep, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::trace::set_trace_enabled(false);
             khy2006::obs::trace::clear();
-            let off = run_pipeline(backend, threads);
+            let off = run_pipeline(k, &stream, threads);
 
             khy2006::obs::trace::set_trace_enabled(true);
-            let on = run_pipeline(backend, threads);
+            let on = run_pipeline(k, &stream, threads);
             khy2006::obs::trace::set_trace_enabled(false);
             let events = khy2006::obs::trace::drain();
 
@@ -241,7 +281,7 @@ fn tracing_on_off_results_are_bit_identical() {
             assert!(stats.spans > 0, "the traced run recorded spans");
             assert_eq!(
                 off, on,
-                "tracing flipped the result at backend {backend:?}, threads {threads}"
+                "tracing flipped the result on the {sweep}, threads {threads}"
             );
         }
     }
@@ -249,23 +289,22 @@ fn tracing_on_off_results_are_bit_identical() {
 
 /// The counting allocator is held to the same pure-observer contract:
 /// tracking every heap allocation must not change a single bit of any
-/// clustering result, across both representative backends and all thread
-/// counts.
+/// clustering result, on both step-1 sweeps and at all thread counts.
 #[test]
 fn alloc_tracking_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+    for (sweep, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::alloc::set_tracking(false);
-            let off = run_pipeline(backend, threads);
+            let off = run_pipeline(k, &stream, threads);
 
             khy2006::obs::alloc::set_tracking(true);
-            let on = run_pipeline(backend, threads);
+            let on = run_pipeline(k, &stream, threads);
             khy2006::obs::alloc::set_tracking(false);
 
             assert_eq!(
                 off, on,
-                "alloc tracking flipped the result at backend {backend:?}, threads {threads}"
+                "alloc tracking flipped the result on the {sweep}, threads {threads}"
             );
         }
     }
@@ -276,7 +315,7 @@ fn alloc_tracking_on_off_results_are_bit_identical() {
 /// three documents over a three-term vocabulary — `par_chunks` over the
 /// vocabulary dimension (statistics recompute) and over the document count
 /// (doc-vector build) both see `len == 3 < 4`.
-fn tiny_stream() -> Vec<(u64, f64, SparseVector)> {
+fn tiny_stream() -> Stream {
     vec![
         (0, 0.0, tf(&[(0, 3.0), (1, 1.0)])),
         (1, 0.4, tf(&[(1, 2.0), (2, 1.0)])),
@@ -342,8 +381,8 @@ fn alloc_counts_are_thread_count_invariant() {
 
 /// 72 documents over four topics, each ≈ 400 terms wide: far above every
 /// fan-out gate at the thread counts under test, and wide enough that at
-/// K = 4 the sparse backend's step 1 runs through the inverted index rather
-/// than the dense small-K sweep.
+/// K = 4 step 1 runs through the inverted index rather than the dense
+/// small-K sweep.
 fn wide_repository() -> Repository {
     let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
     for i in 0..72u32 {
@@ -366,7 +405,7 @@ fn wide_repository() -> Repository {
 /// Step 1 of the extended K-means is sequential by the paper's definition
 /// (§4.4): each document is scored against representatives every earlier
 /// move of the sweep has updated. On an input above the fan-out gate, a
-/// K-means run — cold or warm, either backend — never fans out, and its
+/// K-means run — cold or warm — never fans out, and its
 /// allocation tallies and result are identical at every thread count.
 #[test]
 fn kmeans_step1_never_fans_out() {
@@ -378,23 +417,6 @@ fn kmeans_step1_never_fans_out() {
             .counter("nidc_parallel_fanouts_total")
             .unwrap_or(0)
     };
-    // a warm start that still has work to do: every third document of a
-    // converged clustering is moved to the next slot
-    let cold = cluster_batch(
-        &vecs,
-        &ClusteringConfig {
-            k: 4,
-            seed: 5,
-            ..ClusteringConfig::default()
-        },
-    )
-    .unwrap();
-    let perturbed: BTreeMap<DocId, usize> = cold
-        .assignment()
-        .into_iter()
-        .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % 4 } else { p }))
-        .collect();
-
     khy2006::obs::trace::set_trace_enabled(false);
     khy2006::obs::reset();
     khy2006::obs::set_enabled(true);
@@ -407,18 +429,30 @@ fn kmeans_step1_never_fans_out() {
         "nidc_parallel_fanouts_total never moved"
     );
 
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
+    // K = 4 sweeps through the index, K = 3 (1200 < 1500) on dense scratch
+    for k in [4, 3] {
+        // a warm start that still has work to do: every third document of
+        // a converged clustering is moved to the next slot
+        let config = ClusteringConfig {
+            k,
+            seed: 5,
+            ..ClusteringConfig::default()
+        };
+        let perturbed: BTreeMap<DocId, usize> = cluster_batch(&vecs, &config)
+            .unwrap()
+            .assignment()
+            .into_iter()
+            .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % k } else { p }))
+            .collect();
+        let touched = postings_touched();
         for (start, initial) in [
             ("cold", InitialState::Random),
             ("warm", InitialState::Assignment(perturbed.clone())),
         ] {
             let run = |threads: usize| {
                 let config = ClusteringConfig {
-                    k: 4,
-                    seed: 5,
                     threads,
-                    rep_backend: backend,
-                    ..ClusteringConfig::default()
+                    ..config.clone()
                 };
                 let f0 = fanouts();
                 let (a0, b0) = khy2006::obs::alloc::thread_tallies();
@@ -440,12 +474,17 @@ fn kmeans_step1_never_fans_out() {
             assert_eq!(assigned + seq.1.len(), 72, "every document accounted for");
             for threads in [1, 2, 4, 7] {
                 let (par, allocs, fanned) = run(threads);
-                let what = format!("{backend:?} {start} start, threads={threads}");
+                let what = format!("k={k} {start} start, threads={threads}");
                 assert_eq!(fanned, 0, "step 1 fanned out at {what}");
                 assert_eq!(allocs, seq_allocs, "allocation tallies diverged at {what}");
                 assert_eq!(par, seq, "result diverged at {what}");
             }
         }
+        assert_eq!(
+            postings_touched() > touched,
+            k == 4,
+            "k={k} took the wrong sweep"
+        );
     }
     khy2006::obs::alloc::set_tracking(false);
     khy2006::obs::set_enabled(false);

@@ -208,40 +208,63 @@ fn expire_during_threaded_window_run_keeps_statistics_exact() {
 }
 
 /// The same clustering through the full pipeline for every thread count —
-/// the end-to-end version of the per-path invariance tests above.
+/// the end-to-end version of the per-path invariance tests above — on a
+/// narrow stream whose K-means runs take the dense step-1 sweep (K = 3, two
+/// terms per document) and a wide one whose runs take the term→cluster
+/// index (K = 24, 80 terms per document: 60 topic terms plus 20 of a shared
+/// background).
 #[test]
 fn pipeline_window_runs_are_thread_count_invariant() {
-    let mut reference: Option<Vec<Vec<DocId>>> = None;
-    for threads in THREAD_COUNTS {
-        let mut pipeline = NoveltyPipeline::new(
-            DecayParams::from_spans(7.0, 21.0).unwrap(),
-            ClusteringConfig {
-                k: 3,
-                seed: 5,
-                threads,
-                ..ClusteringConfig::default()
-            },
-        );
-        let mut last = None;
-        for day in 0..20 {
-            let t = Timestamp(day as f64);
-            for j in 0..3u32 {
-                pipeline
-                    .ingest(
-                        DocId((day * 3 + j as i64) as u64),
-                        t,
-                        tf(&[(j * 4, 3.0), (j * 4 + 1 + (day % 2) as u32, 1.0)]),
-                    )
-                    .unwrap();
+    let doc = |wide: bool, day: u32, j: u32| {
+        if !wide {
+            return tf(&[(j * 4, 3.0), (j * 4 + 1 + day % 2, 1.0)]);
+        }
+        let topic = (j % 3) * 100;
+        let mut pairs: Vec<(u32, f64)> = (0..60)
+            .map(|t| (topic + t, 1.0 + ((day + j + t) % 4) as f64))
+            .collect();
+        pairs.extend((0..20).map(|t| (1000 + (t + 3 * (day * 6 + j)) % 80, 1.0)));
+        tf(&pairs)
+    };
+    for (wide, k, per_day) in [(false, 3, 3u32), (true, 24, 6)] {
+        khy2006::obs::set_enabled(true);
+        let touched = || {
+            khy2006::obs::snapshot()
+                .counter("nidc_index_postings_touched_total")
+                .unwrap_or(0)
+        };
+        let before = touched();
+        let mut reference: Option<Vec<Vec<DocId>>> = None;
+        for threads in THREAD_COUNTS {
+            let mut pipeline = NoveltyPipeline::new(
+                DecayParams::from_spans(7.0, 21.0).unwrap(),
+                ClusteringConfig {
+                    k,
+                    seed: 5,
+                    threads,
+                    ..ClusteringConfig::default()
+                },
+            );
+            let mut last = None;
+            for day in 0..20u32 {
+                let t = Timestamp(f64::from(day));
+                for j in 0..per_day {
+                    let id = DocId(u64::from(day * per_day + j));
+                    pipeline.ingest(id, t, doc(wide, day, j)).unwrap();
+                }
+                if day % 4 == 3 {
+                    last = Some(pipeline.recluster_incremental().unwrap().member_lists());
+                }
             }
-            if day % 4 == 3 {
-                last = Some(pipeline.recluster_incremental().unwrap().member_lists());
+            let last = last.expect("at least one window ran");
+            match &reference {
+                None => reference = Some(last),
+                Some(r) => assert_eq!(&last, r, "k={k} threads={threads} diverged"),
             }
         }
-        let last = last.expect("at least one window ran");
-        match &reference {
-            None => reference = Some(last),
-            Some(r) => assert_eq!(&last, r, "threads={threads} diverged"),
+        if wide {
+            assert!(touched() > before, "the wide stream never used the index");
         }
+        khy2006::obs::set_enabled(false);
     }
 }

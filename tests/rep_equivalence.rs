@@ -1,16 +1,14 @@
-//! Dense ↔ sparse representative equivalence: the two backends of
-//! [`ClusterRep`] (and the term→cluster [`ClusterIndex`] the sparse backend
-//! routes the step-1 sweep through) must produce **bit-identical** results —
-//! not merely close ones — through arbitrary add/remove/expire churn and for
-//! every thread count. This is the contract that lets `RepBackend::Sparse`
-//! be the default without weakening the workspace's determinism guarantees.
+//! Step-1 sweep equivalence: the extended K-means scores documents either
+//! through the term→cluster [`ClusterIndex`] over sparse [`ClusterRep`]s or,
+//! when `K · avg nnz(φ)` is small, against dense scratch representatives.
+//! The two must agree **bitwise**, not merely closely, so which one a run
+//! picks never shows in its result. Whole runs on both sides are compared
+//! by the sweep proptest in `nidc-core`'s `algorithm.rs`.
 
 use std::collections::BTreeMap;
 
 use khy2006::prelude::*;
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 5] = [0, 1, 2, 4, 7];
 
 fn tf(pairs: &[(u32, f64)]) -> SparseVector {
     SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -40,37 +38,6 @@ fn repo_from(docs: &[Vec<(u32, f64)>]) -> Repository {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The full extended K-means: same clustering, same G (bitwise), same
-    /// iteration count and outliers, for both backends and every thread
-    /// count — the matrix the determinism suite pins for `threads` alone.
-    #[test]
-    fn cluster_batch_is_backend_invariant(docs in doc_stream(), seed in 0u64..500) {
-        let repo = repo_from(&docs);
-        let vecs = DocVectors::build(&repo);
-        let reference = cluster_batch(&vecs, &ClusteringConfig {
-            k: 4, seed, threads: 1, rep_backend: RepBackend::Dense,
-            ..ClusteringConfig::default()
-        }).unwrap();
-        for backend in [RepBackend::Dense, RepBackend::Sparse] {
-            for threads in THREAD_COUNTS {
-                let config = ClusteringConfig {
-                    k: 4, seed, threads, rep_backend: backend,
-                    ..ClusteringConfig::default()
-                };
-                let got = cluster_batch(&vecs, &config).unwrap();
-                prop_assert_eq!(got.member_lists(), reference.member_lists(),
-                    "membership differs at backend={} threads={}", backend, threads);
-                prop_assert!(got.g() == reference.g(),
-                    "G differs at backend={} threads={}: {} vs {}",
-                    backend, threads, got.g(), reference.g());
-                prop_assert_eq!(got.iterations(), reference.iterations(),
-                    "iteration count differs at backend={} threads={}", backend, threads);
-                prop_assert_eq!(got.outliers(), reference.outliers(),
-                    "outliers differ at backend={} threads={}", backend, threads);
-            }
-        }
-    }
-
     /// The step-1 scoring sweep in isolation: for every document, the
     /// inverted-index row (`ClusterIndex::dot_all`) and the per-cluster
     /// dense dots agree bitwise, so the argmax winner is the same document
@@ -81,8 +48,8 @@ proptest! {
         let vecs = DocVectors::build(&repo);
         let ids = vecs.ids();
         // deal documents round-robin into k clusters, mirrored three ways
-        let mut dense = vec![ClusterRep::new_with(RepBackend::Dense); k];
-        let mut sparse = vec![ClusterRep::new_with(RepBackend::Sparse); k];
+        let mut dense = vec![ClusterRep::new_dense(); k];
+        let mut sparse = vec![ClusterRep::new(); k];
         let mut index = ClusterIndex::new(k);
         for (i, &d) in ids.iter().enumerate() {
             let phi = vecs.phi(d).unwrap();
@@ -107,76 +74,39 @@ proptest! {
             prop_assert_eq!(winner_dense, winner_index);
         }
     }
-
-    /// The full pipeline with decay and expiration: ingest/expire churn
-    /// feeds the same removals through both backends; every window's
-    /// clustering must match bitwise.
-    #[test]
-    fn pipeline_with_expiry_is_backend_invariant(
-        docs in doc_stream(),
-        seed in 0u64..100,
-    ) {
-        let mut per_backend: Vec<Vec<Vec<Vec<DocId>>>> = Vec::new();
-        for backend in [RepBackend::Dense, RepBackend::Sparse] {
-            let mut pipeline = NoveltyPipeline::new(
-                DecayParams::from_spans(3.0, 6.0).unwrap(),
-                ClusteringConfig {
-                    k: 3, seed, rep_backend: backend,
-                    ..ClusteringConfig::default()
-                },
-            );
-            let mut windows = Vec::new();
-            for (i, d) in docs.iter().enumerate() {
-                // a fast clock (one day per doc) so expiration actually
-                // fires mid-stream with γ = 6
-                pipeline.ingest(DocId(i as u64), Timestamp(i as f64), tf(d)).unwrap();
-                if i % 5 == 4 {
-                    windows.push(pipeline.recluster_incremental().unwrap().member_lists());
-                }
-            }
-            windows.push(pipeline.recluster_incremental().unwrap().member_lists());
-            per_backend.push(windows);
-        }
-        prop_assert_eq!(&per_backend[0], &per_backend[1],
-            "windows diverged between dense and sparse backends");
-    }
 }
 
 /// The expire → warm-start path: expired documents are pruned from the
 /// previous assignment in the same pass (`Repository::expire_with`), so the
-/// K-means initial state never carries dead keys — and the result is the
-/// same for both backends.
+/// K-means initial state never carries dead keys.
 #[test]
 fn expired_documents_leave_the_warm_start_assignment() {
-    for backend in [RepBackend::Dense, RepBackend::Sparse] {
-        let mut pipeline = NoveltyPipeline::new(
-            DecayParams::from_spans(3.0, 6.0).unwrap(),
-            ClusteringConfig {
-                k: 2,
-                seed: 7,
-                rep_backend: backend,
-                ..ClusteringConfig::default()
-            },
-        );
-        for i in 0..8u64 {
-            pipeline
-                .ingest(
-                    DocId(i),
-                    Timestamp(0.1 * i as f64),
-                    tf(&[(i as u32 % 2 * 8, 3.0), (1 + i as u32 % 2 * 8, 1.0)]),
-                )
-                .unwrap();
-        }
-        pipeline.recluster_incremental().unwrap();
-        let before: BTreeMap<DocId, usize> = pipeline.previous_assignment().unwrap().clone();
-        assert!(!before.is_empty());
-        // jump past γ: everything expires
-        pipeline.advance_to(Timestamp(20.0)).unwrap();
-        let dead = pipeline.expire();
-        assert_eq!(dead.len(), 8, "backend={backend}: all docs must expire");
-        assert!(
-            pipeline.previous_assignment().unwrap().is_empty(),
-            "backend={backend}: warm-start assignment still holds expired keys"
-        );
+    let mut pipeline = NoveltyPipeline::new(
+        DecayParams::from_spans(3.0, 6.0).unwrap(),
+        ClusteringConfig {
+            k: 2,
+            seed: 7,
+            ..ClusteringConfig::default()
+        },
+    );
+    for i in 0..8u64 {
+        pipeline
+            .ingest(
+                DocId(i),
+                Timestamp(0.1 * i as f64),
+                tf(&[(i as u32 % 2 * 8, 3.0), (1 + i as u32 % 2 * 8, 1.0)]),
+            )
+            .unwrap();
     }
+    pipeline.recluster_incremental().unwrap();
+    let before: BTreeMap<DocId, usize> = pipeline.previous_assignment().unwrap().clone();
+    assert!(!before.is_empty());
+    // jump past γ: everything expires
+    pipeline.advance_to(Timestamp(20.0)).unwrap();
+    let dead = pipeline.expire();
+    assert_eq!(dead.len(), 8, "all docs must expire");
+    assert!(
+        pipeline.previous_assignment().unwrap().is_empty(),
+        "warm-start assignment still holds expired keys"
+    );
 }

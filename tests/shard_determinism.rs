@@ -1,12 +1,11 @@
 //! The determinism contract of the sharded pipeline (`ShardedPipeline`):
 //!
 //! * **1 shard is the pipeline** — with `shards = 1` the sharded pipeline is
-//!   bit-identical to a plain `NoveltyPipeline` driven with the same stream,
-//!   for both cluster-representative backends;
+//!   bit-identical to a plain `NoveltyPipeline` driven with the same stream;
 //! * **thread-count invariance** — for any fixed shard count the merged
 //!   result is bit-identical across inner thread counts (the shard fan-out
 //!   and each pipeline's internal parallelism may only change wall-clock,
-//!   never bits);
+//!   never bits), on both K-means step-1 sweeps;
 //! * **checkpoint transparency** — saving mid-stream, loading, and
 //!   continuing produces exactly the run that never stopped.
 
@@ -38,12 +37,29 @@ fn stream() -> Vec<(DocId, f64, SparseVector)> {
     docs
 }
 
-fn config(threads: usize, rep_backend: RepBackend) -> ClusteringConfig {
+/// The same re-clustering cadence at index scale: 20 days × 6 docs/day over
+/// three topics, each document 80 terms wide (60 topic terms plus 20 of a
+/// shared background). At K = 24 a 3-shard window holds enough live
+/// documents for `K · avg nnz(φ)` to clear the 1500 cutoff, so its K-means
+/// runs take the term→cluster index sweep.
+fn wide_stream() -> Vec<(DocId, f64, SparseVector)> {
+    (0..120u32)
+        .map(|i| {
+            let topic = (i % 3) * 100;
+            let mut pairs: Vec<(u32, f64)> = (0..60)
+                .map(|j| (topic + j, 1.0 + ((i + j) % 4) as f64))
+                .collect();
+            pairs.extend((0..20).map(|j| (1000 + (j + 3 * i) % 80, 1.0)));
+            (DocId(u64::from(i)), f64::from(i / 6), tf(&pairs))
+        })
+        .collect()
+}
+
+fn config(threads: usize) -> ClusteringConfig {
     ClusteringConfig {
         k: 4,
         seed: 7,
         threads,
-        rep_backend,
         ..ClusteringConfig::default()
     }
 }
@@ -86,85 +102,90 @@ fn decay() -> DecayParams {
 
 #[test]
 fn one_shard_is_bit_identical_to_the_unsharded_pipeline() {
-    for rep in [RepBackend::Sparse, RepBackend::Dense] {
-        let docs = stream();
+    let docs = stream();
 
-        let mut plain = NoveltyPipeline::new(decay(), config(0, rep));
-        let mut last = None;
-        for (id, day, tf) in &docs {
-            plain.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
-            if id.0 % 15 == 14 {
-                last = Some(plain.recluster_incremental().unwrap());
-            }
+    let mut plain = NoveltyPipeline::new(decay(), config(0));
+    let mut last = None;
+    for (id, day, tf) in &docs {
+        plain.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
+        if id.0 % 15 == 14 {
+            last = Some(plain.recluster_incremental().unwrap());
         }
-        let last = last.unwrap();
-
-        let mut sharded = ShardedPipeline::new(decay(), config(0, rep), 1).unwrap();
-        let outcome = drive_sharded(&mut sharded, &docs);
-
-        assert_eq!(outcome.members, last.member_lists(), "rep={rep:?}");
-        // the merged view canonicalises outliers into sorted order
-        let mut plain_outliers = last.outliers().to_vec();
-        plain_outliers.sort_unstable();
-        assert_eq!(outcome.outliers, plain_outliers, "rep={rep:?}");
-        assert_eq!(outcome.g_bits, last.g().to_bits(), "rep={rep:?}");
-        assert_eq!(outcome.num_docs, plain.repository().len(), "rep={rep:?}");
-        // one shard has nothing to stitch: the pipeline skips the pass
-        assert_eq!(outcome.stitched_members, None, "rep={rep:?}");
     }
+    let last = last.unwrap();
+
+    let mut sharded = ShardedPipeline::new(decay(), config(0), 1).unwrap();
+    let outcome = drive_sharded(&mut sharded, &docs);
+
+    assert_eq!(outcome.members, last.member_lists());
+    // the merged view canonicalises outliers into sorted order
+    let mut plain_outliers = last.outliers().to_vec();
+    plain_outliers.sort_unstable();
+    assert_eq!(outcome.outliers, plain_outliers);
+    assert_eq!(outcome.g_bits, last.g().to_bits());
+    assert_eq!(outcome.num_docs, plain.repository().len());
+    // one shard has nothing to stitch: the pipeline skips the pass
+    assert_eq!(outcome.stitched_members, None);
 }
 
 #[test]
 fn one_shard_stitch_is_a_no_op_bit_identical_to_unsharded() {
-    for rep in [RepBackend::Sparse, RepBackend::Dense] {
-        let docs = stream();
+    let docs = stream();
 
-        let mut plain = NoveltyPipeline::new(decay(), config(0, rep));
-        let mut last = None;
-        for (id, day, tf) in &docs {
-            plain.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
-            if id.0 % 15 == 14 {
-                last = Some(plain.recluster_incremental().unwrap());
-            }
+    let mut plain = NoveltyPipeline::new(decay(), config(0));
+    let mut last = None;
+    for (id, day, tf) in &docs {
+        plain.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
+        if id.0 % 15 == 14 {
+            last = Some(plain.recluster_incremental().unwrap());
         }
-        let last = last.unwrap();
-
-        let mut sharded = ShardedPipeline::new(decay(), config(0, rep), 1).unwrap();
-        for (id, day, tf) in &docs {
-            sharded.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
-            if id.0 % 15 == 14 {
-                sharded.recluster_incremental().unwrap();
-            }
-        }
-        // force the pass explicitly (the pipeline skips it for one shard)
-        // at the most aggressive threshold: still the identity
-        let stitched = sharded.last_merged().unwrap().stitch(0.0);
-        assert_eq!(stitched.merges(), 0, "rep={rep:?}");
-        assert_eq!(stitched.member_lists(), last.member_lists(), "rep={rep:?}");
-        let mut plain_outliers = last.outliers().to_vec();
-        plain_outliers.sort_unstable();
-        assert_eq!(stitched.outliers(), plain_outliers, "rep={rep:?}");
-        assert_eq!(
-            stitched.g().to_bits(),
-            last.g().to_bits(),
-            "rep={rep:?}: single-shard stitched G must be bit-identical"
-        );
     }
+    let last = last.unwrap();
+
+    let mut sharded = ShardedPipeline::new(decay(), config(0), 1).unwrap();
+    for (id, day, tf) in &docs {
+        sharded.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
+        if id.0 % 15 == 14 {
+            sharded.recluster_incremental().unwrap();
+        }
+    }
+    // force the pass explicitly (the pipeline skips it for one shard)
+    // at the most aggressive threshold: still the identity
+    let stitched = sharded.last_merged().unwrap().stitch(0.0);
+    assert_eq!(stitched.merges(), 0);
+    assert_eq!(stitched.member_lists(), last.member_lists());
+    let mut plain_outliers = last.outliers().to_vec();
+    plain_outliers.sort_unstable();
+    assert_eq!(stitched.outliers(), plain_outliers);
+    assert_eq!(
+        stitched.g().to_bits(),
+        last.g().to_bits(),
+        "single-shard stitched G must be bit-identical"
+    );
 }
 
 #[test]
-fn fixed_shard_count_is_thread_and_backend_invariant() {
+fn fixed_shard_count_is_thread_invariant() {
     // The merged AND stitched outcomes must be bit-identical across every
-    // inner thread count and both representative backends: stitching is
-    // sequential (thread counts cannot reorder it) and folds every rep onto
-    // the sparse backend first (backends cannot change its bits).
-    for shards in [2usize, 3] {
-        let docs = stream();
-        let mut reference: Option<Outcome> = None;
-        for rep in [RepBackend::Sparse, RepBackend::Dense] {
+    // inner thread count (stitching is sequential, so thread counts cannot
+    // reorder it), on the small stream's dense step-1 sweep and on the wide
+    // stream's index sweep alike.
+    for (k, docs) in [(4, stream()), (24, wide_stream())] {
+        for shards in [2usize, 3] {
+            khy2006::obs::set_enabled(true);
+            let touched = || {
+                khy2006::obs::snapshot()
+                    .counter("nidc_index_postings_touched_total")
+                    .unwrap_or(0)
+            };
+            let before = touched();
+            let mut reference: Option<Outcome> = None;
             for threads in THREAD_COUNTS {
-                let mut pipeline =
-                    ShardedPipeline::new(decay(), config(threads, rep), shards).unwrap();
+                let config = ClusteringConfig {
+                    k,
+                    ..config(threads)
+                };
+                let mut pipeline = ShardedPipeline::new(decay(), config, shards).unwrap();
                 let outcome = drive_sharded(&mut pipeline, &docs);
                 assert!(
                     outcome.stitched_members.is_some(),
@@ -174,10 +195,17 @@ fn fixed_shard_count_is_thread_and_backend_invariant() {
                     None => reference = Some(outcome),
                     Some(r) => assert_eq!(
                         &outcome, r,
-                        "shards={shards} threads={threads} rep={rep:?} diverged"
+                        "k={k} shards={shards} threads={threads} diverged"
                     ),
                 }
             }
+            if k == 24 {
+                assert!(
+                    touched() > before,
+                    "k={k} shards={shards} never used the index"
+                );
+            }
+            khy2006::obs::set_enabled(false);
         }
     }
 }
@@ -188,7 +216,7 @@ fn checkpoint_save_load_continue_matches_the_uninterrupted_run() {
     let (first, second) = docs.split_at(docs.len() / 2);
 
     // the run that never stops
-    let mut straight = ShardedPipeline::new(decay(), config(0, RepBackend::Sparse), 3).unwrap();
+    let mut straight = ShardedPipeline::new(decay(), config(0), 3).unwrap();
     for (id, day, tf) in first {
         straight.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
     }
@@ -230,7 +258,7 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
     let docs = stream();
     let (first, second) = docs.split_at(docs.len() / 2);
 
-    let mut straight = ShardedPipeline::new(decay(), config(0, RepBackend::Sparse), 3).unwrap();
+    let mut straight = ShardedPipeline::new(decay(), config(0), 3).unwrap();
     for (id, day, tf) in first {
         straight.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
     }
@@ -277,7 +305,7 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
 #[test]
 fn stitched_clusters_keep_the_lowest_shard_major_source_id() {
     let docs = stream();
-    let mut pipeline = ShardedPipeline::new(decay(), config(0, RepBackend::Sparse), 3).unwrap();
+    let mut pipeline = ShardedPipeline::new(decay(), config(0), 3).unwrap();
     let outcome = drive_sharded(&mut pipeline, &docs);
     assert!(outcome.stitched_members.is_some());
 
