@@ -23,35 +23,38 @@
 //!
 //! # The incremental pipeline (§5.2)
 //!
-//! [`NoveltyPipeline`] wires the algorithm to the forgetting-model
-//! repository: new documents are ingested (incremental statistics update,
-//! §5.1), expired documents (`dw < ε`) are dropped, and re-clustering starts
-//! from the **previous clustering's assignment** instead of fresh random
-//! seeds — the paper's representative-reuse acceleration. (The paper reuses
+//! [`NoveltyPipeline`] is the per-shard engine that wires the algorithm to
+//! the forgetting-model repository: new documents are ingested (incremental
+//! statistics update, §5.1), expired documents (`dw < ε`) are dropped, and
+//! re-clustering starts from the **previous clustering's assignment**
+//! instead of fresh random seeds — the paper's representative-reuse
+//! acceleration. (The paper reuses
 //! the representative *vectors*; since representatives are exact sums of
 //! member φ vectors and the φ scaling changes with every statistics update,
 //! we reuse the *membership* and rebuild the representatives under the new
 //! statistics, which is the same warm start expressed soundly.)
 //!
-//! # Sharding
+//! # The on-line pipeline and sharding
 //!
-//! [`ShardedPipeline`] runs N independent pipelines behind a deterministic
-//! [`ShardRouter`] and merges the per-shard clusterings once per window
-//! into one [`MergedClustering`] (stitched across shards, held by the
-//! pipeline and borrowed by readers; global cluster ids =
-//! `(shard, local)` [`GlobalClusterId`]s). `shards = 1` reproduces the
-//! single pipeline bit for bit.
+//! [`ShardedPipeline`] is the on-line pipeline. It runs N independent
+//! engines behind a deterministic [`ShardRouter`] and merges the per-shard
+//! clusterings once per window into one [`MergedClustering`] (stitched
+//! across shards, held by the pipeline and borrowed by readers; global
+//! cluster ids = `(shard, local)` [`GlobalClusterId`]s). `shards = 1`
+//! reproduces the single engine bit for bit. It is also the one owner of
+//! the stream-level concerns: the [`LineageTracker`], JSON checkpoints
+//! ([`ShardedPipelineState`]) and the `nidc_mem_*` gauges.
 //!
 //! # Example
 //!
 //! ```
-//! use nidc_core::{ClusteringConfig, NoveltyPipeline};
+//! use nidc_core::{ClusteringConfig, ShardedPipeline};
 //! use nidc_forgetting::{DecayParams, Timestamp};
 //! use nidc_textproc::{DocId, SparseVector, TermId};
 //!
 //! let decay = DecayParams::from_spans(7.0, 14.0).unwrap();
 //! let config = ClusteringConfig { k: 2, seed: 1, ..ClusteringConfig::default() };
-//! let mut pipeline = NoveltyPipeline::new(decay, config);
+//! let mut pipeline = ShardedPipeline::new(decay, config, 1).unwrap();
 //!
 //! let tf = |p: &[(u32, f64)]| SparseVector::from_entries(
 //!     p.iter().map(|&(i, w)| (TermId(i), w)).collect());
@@ -63,6 +66,7 @@
 //!
 //! let clustering = pipeline.recluster_incremental().unwrap();
 //! assert!(clustering.non_empty_clusters() >= 1);
+//! assert_eq!(pipeline.lineage().windows_observed(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,11 @@
-//! Pipeline persistence: snapshot and restore a running [`NoveltyPipeline`]
-//! — repository, configuration, and the previous clustering's assignment
-//! (the warm-start state of §5.2) — so an on-line clustering service can
-//! survive restarts without replaying its history.
+//! Pipeline persistence: snapshot and restore a running [`ShardedPipeline`]
+//! — every shard's repository and previous clustering's assignment (the
+//! warm-start state of §5.2), the shared configuration, and the lineage
+//! tracker — so an on-line clustering service can survive restarts without
+//! replaying its history.
+//!
+//! [`ShardedPipelineState`] is the one format written. The older
+//! single-pipeline [`PipelineState`] is still read: it loads as one shard.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +15,7 @@ use nidc_forgetting::RepositoryState;
 use nidc_textproc::DocId;
 
 use crate::config::Criterion;
-use crate::lineage::LineageState;
+use crate::lineage::{LineageState, LineageTracker};
 use crate::{ClusteringConfig, Error, NoveltyPipeline, Result, ShardedPipeline};
 
 /// The sharded checkpoint format version this build reads and writes.
@@ -74,7 +78,9 @@ impl From<&ConfigState> for ClusteringConfig {
     }
 }
 
-/// The complete serialisable state of a [`NoveltyPipeline`].
+/// The legacy single-pipeline checkpoint format, written before sharding
+/// existed. Read-only: [`ShardedPipeline::load_json`] converts it into a
+/// one-shard [`ShardedPipelineState`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineState {
     /// The repository (documents, clock, decay parameters).
@@ -123,58 +129,28 @@ pub struct ShardedPipelineState {
     pub lineage: Option<LineageState>,
 }
 
-impl NoveltyPipeline {
-    /// Captures the pipeline's full state (repository + config + warm-start
-    /// assignment). The last clustering *result* object is not persisted —
-    /// re-clustering after a restore reproduces it.
-    pub fn to_state(&self) -> PipelineState {
-        PipelineState {
-            repository: self.repository().to_state(),
-            config: ConfigState::from(self.config()),
-            previous_assignment: self
-                .previous_assignment()
-                .map(|m| m.iter().map(|(&d, &p)| (d.0, p)).collect()),
-            lineage: self.lineage_state(),
+impl From<PipelineState> for ShardedPipelineState {
+    /// A single pipeline is shard 0 of a one-shard pipeline, and its
+    /// lineage keys are already shard-0 global ids, so the migrated
+    /// pipeline continues the same clustering and the same lineages.
+    fn from(legacy: PipelineState) -> Self {
+        ShardedPipelineState {
+            version: SHARDED_STATE_VERSION,
+            shards: 1,
+            config: legacy.config,
+            shard_states: vec![ShardState {
+                repository: legacy.repository,
+                previous_assignment: legacy.previous_assignment,
+            }],
+            lineage: legacy.lineage,
         }
-    }
-
-    /// Restores a pipeline from a captured state.
-    ///
-    /// # Errors
-    /// Propagates repository-restore failures (invalid parameters,
-    /// duplicate documents, …).
-    pub fn from_state(state: &PipelineState) -> Result<NoveltyPipeline> {
-        let repo = nidc_forgetting::Repository::from_state(&state.repository)?;
-        let config = ClusteringConfig::from(&state.config);
-        let previous: Option<BTreeMap<DocId, usize>> = state
-            .previous_assignment
-            .as_ref()
-            .map(|v| v.iter().map(|&(d, p)| (DocId(d), p)).collect());
-        let mut pipeline = NoveltyPipeline::from_parts(repo, config, previous);
-        if let Some(lineage) = &state.lineage {
-            pipeline.restore_lineage_state(lineage);
-        }
-        Ok(pipeline)
-    }
-
-    /// Serialises the pipeline state as JSON.
-    pub fn save_json<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
-        serde_json::to_writer(writer, &self.to_state()).map_err(std::io::Error::from)
-    }
-
-    /// Restores a pipeline from JSON written by
-    /// [`NoveltyPipeline::save_json`].
-    pub fn load_json<R: std::io::Read>(reader: R) -> std::io::Result<NoveltyPipeline> {
-        let state: PipelineState = serde_json::from_reader(reader)?;
-        NoveltyPipeline::from_state(&state)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 
 impl ShardedPipeline {
     /// Captures the sharded pipeline's full state: topology (shard count),
-    /// shared configuration, and every shard's repository + warm-start
-    /// assignment.
+    /// shared configuration, every shard's repository + warm-start
+    /// assignment, and the lineage tracker once it has observed a window.
     pub fn to_state(&self) -> ShardedPipelineState {
         ShardedPipelineState {
             version: SHARDED_STATE_VERSION,
@@ -191,7 +167,7 @@ impl ShardedPipeline {
                         .map(|m| m.iter().map(|(&d, &p)| (d.0, p)).collect()),
                 })
                 .collect(),
-            lineage: self.lineage_state(),
+            lineage: (self.lineage().windows_observed() > 0).then(|| self.lineage().to_state()),
         }
     }
 
@@ -228,11 +204,11 @@ impl ShardedPipeline {
                 Ok(NoveltyPipeline::from_parts(repo, config.clone(), previous))
             })
             .collect::<Result<Vec<_>>>()?;
-        let mut sharded = ShardedPipeline::from_shard_pipelines(pipelines, config)?;
-        if let Some(lineage) = &state.lineage {
-            sharded.restore_lineage_state(lineage);
-        }
-        Ok(sharded)
+        let lineage = state
+            .lineage
+            .as_ref()
+            .map_or_else(LineageTracker::new, LineageTracker::from_state);
+        ShardedPipeline::from_parts(pipelines, config, lineage)
     }
 
     /// Serialises the sharded pipeline state as JSON.
@@ -243,32 +219,18 @@ impl ShardedPipeline {
     /// Restores a sharded pipeline from JSON.
     ///
     /// Accepts both the sharded format (written by
-    /// [`ShardedPipeline::save_json`]) and the legacy single-pipeline format
-    /// (written by [`NoveltyPipeline::save_json`]), which loads as a
-    /// one-shard pipeline — the migration path for checkpoints that predate
-    /// sharding.
+    /// [`ShardedPipeline::save_json`]) and the legacy single-pipeline
+    /// [`PipelineState`], which loads as a one-shard pipeline — the
+    /// migration path for checkpoints that predate sharding.
     pub fn load_json<R: std::io::Read>(reader: R) -> std::io::Result<ShardedPipeline> {
         let value: serde_json::Value = serde_json::from_reader(reader)?;
-        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        if value.get("shard_states").is_some() {
-            let state: ShardedPipelineState =
-                serde_json::from_value(value).map_err(std::io::Error::from)?;
-            ShardedPipeline::from_state(&state).map_err(|e| invalid(e.to_string()))
+        let state: ShardedPipelineState = if value.get("shard_states").is_some() {
+            serde_json::from_value(value)?
         } else {
-            let state: PipelineState =
-                serde_json::from_value(value).map_err(std::io::Error::from)?;
-            let pipeline =
-                NoveltyPipeline::from_state(&state).map_err(|e| invalid(e.to_string()))?;
-            let config = pipeline.config().clone();
-            let mut sharded = ShardedPipeline::from_shard_pipelines(vec![pipeline], config)
-                .map_err(|e| invalid(e.to_string()))?;
-            // A single pipeline's lineage keys are already shard-0 global
-            // ids, so the one-shard migration continues the same lineages.
-            if let Some(lineage) = &state.lineage {
-                sharded.restore_lineage_state(lineage);
-            }
-            Ok(sharded)
-        }
+            serde_json::from_value::<PipelineState>(value)?.into()
+        };
+        ShardedPipeline::from_state(&state)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 
@@ -280,56 +242,6 @@ mod tests {
 
     fn tf(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
-    }
-
-    fn running_pipeline() -> NoveltyPipeline {
-        let decay = DecayParams::from_spans(7.0, 21.0).unwrap();
-        let config = ClusteringConfig {
-            k: 2,
-            seed: 1,
-            ..ClusteringConfig::default()
-        };
-        let mut p = NoveltyPipeline::new(decay, config);
-        for i in 0..4u64 {
-            p.ingest(
-                DocId(i),
-                Timestamp(0.1 * i as f64),
-                tf(&[(0, 3.0), (1, 1.0 + i as f64 * 0.1)]),
-            )
-            .unwrap();
-        }
-        for i in 4..8u64 {
-            p.ingest(
-                DocId(i),
-                Timestamp(0.1 * i as f64),
-                tf(&[(7, 3.0), (8, 1.0 + i as f64 * 0.1)]),
-            )
-            .unwrap();
-        }
-        p.recluster_incremental().unwrap();
-        p
-    }
-
-    #[test]
-    fn pipeline_roundtrip_preserves_clustering_behaviour() {
-        let mut original = running_pipeline();
-        let mut buf = Vec::new();
-        original.save_json(&mut buf).unwrap();
-        let mut restored = NoveltyPipeline::load_json(buf.as_slice()).unwrap();
-
-        assert_eq!(restored.repository().len(), original.repository().len());
-        assert_eq!(restored.config().k, original.config().k);
-
-        // both continue identically: same ingest, same re-clustering
-        for p in [&mut original, &mut restored] {
-            p.ingest(DocId(100), Timestamp(1.0), tf(&[(0, 2.0), (1, 2.0)]))
-                .unwrap();
-        }
-        let a = original.recluster_incremental().unwrap();
-        let b = restored.recluster_incremental().unwrap();
-        assert_eq!(a.member_lists(), b.member_lists());
-        assert_eq!(a.outliers(), b.outliers());
-        assert!((a.g() - b.g()).abs() < 1e-12);
     }
 
     #[test]
@@ -357,18 +269,19 @@ mod tests {
     }
 
     #[test]
-    fn fresh_pipeline_roundtrips_without_assignment() {
+    fn fresh_pipeline_roundtrips_without_assignment_or_lineage() {
         let decay = DecayParams::from_spans(7.0, 14.0).unwrap();
-        let p = NoveltyPipeline::new(decay, ClusteringConfig::default());
+        let p = ShardedPipeline::new(decay, ClusteringConfig::default(), 1).unwrap();
         let state = p.to_state();
-        assert!(state.previous_assignment.is_none());
-        let restored = NoveltyPipeline::from_state(&state).unwrap();
-        assert!(restored.repository().is_empty());
+        assert!(state.shard_states[0].previous_assignment.is_none());
+        assert!(state.lineage.is_none(), "no window observed yet");
+        let restored = ShardedPipeline::from_state(&state).unwrap();
+        assert!(restored.is_empty());
+        assert_eq!(restored.lineage().windows_observed(), 0);
     }
 
     #[test]
     fn corrupt_state_is_rejected() {
-        assert!(NoveltyPipeline::load_json(&b"[]"[..]).is_err());
         assert!(ShardedPipeline::load_json(&b"[]"[..]).is_err());
     }
 
@@ -402,30 +315,37 @@ mod tests {
 
     #[test]
     fn sharded_roundtrip_preserves_topology_and_warm_start() {
-        let mut original = running_sharded(3);
-        let mut buf = Vec::new();
-        original.save_json(&mut buf).unwrap();
-        let mut restored = ShardedPipeline::load_json(buf.as_slice()).unwrap();
+        for shards in [1, 3] {
+            let mut original = running_sharded(shards);
+            let mut buf = Vec::new();
+            original.save_json(&mut buf).unwrap();
+            let mut restored = ShardedPipeline::load_json(buf.as_slice()).unwrap();
 
-        assert_eq!(restored.num_shards(), 3);
-        assert_eq!(restored.num_docs(), original.num_docs());
-        // warm-start state survives per shard
-        for (a, b) in original.shards().iter().zip(restored.shards()) {
+            assert_eq!(restored.num_shards(), shards);
+            assert_eq!(restored.num_docs(), original.num_docs());
+            assert_eq!(restored.config().k, original.config().k);
+            // warm-start state survives per shard
+            for (a, b) in original.shards().iter().zip(restored.shards()) {
+                assert_eq!(
+                    a.pipeline().previous_assignment(),
+                    b.pipeline().previous_assignment()
+                );
+            }
             assert_eq!(
-                a.pipeline().previous_assignment(),
-                b.pipeline().previous_assignment()
+                restored.lineage().current_lineages(),
+                original.lineage().current_lineages()
             );
+            // both continue identically
+            for p in [&mut original, &mut restored] {
+                p.ingest(DocId(100), Timestamp(1.0), tf(&[(0, 2.0), (1, 2.0)]))
+                    .unwrap();
+            }
+            let a = original.recluster_incremental().unwrap();
+            let b = restored.recluster_incremental().unwrap();
+            assert_eq!(a.member_lists(), b.member_lists());
+            assert_eq!(a.outliers(), b.outliers());
+            assert_eq!(a.g().to_bits(), b.g().to_bits());
         }
-        // both continue identically
-        for p in [&mut original, &mut restored] {
-            p.ingest(DocId(100), Timestamp(1.0), tf(&[(0, 2.0), (1, 2.0)]))
-                .unwrap();
-        }
-        let a = original.recluster_incremental().unwrap();
-        let b = restored.recluster_incremental().unwrap();
-        assert_eq!(a.member_lists(), b.member_lists());
-        assert_eq!(a.outliers(), b.outliers());
-        assert_eq!(a.g().to_bits(), b.g().to_bits());
     }
 
     #[test]
@@ -459,27 +379,5 @@ mod tests {
                 found: 1
             })
         ));
-    }
-
-    #[test]
-    fn legacy_unsharded_checkpoint_loads_as_one_shard() {
-        let mut single = running_pipeline();
-        let mut buf = Vec::new();
-        single.save_json(&mut buf).unwrap();
-        let mut sharded = ShardedPipeline::load_json(buf.as_slice()).unwrap();
-
-        assert_eq!(sharded.num_shards(), 1);
-        assert_eq!(sharded.num_docs(), single.repository().len());
-        // the migrated pipeline continues exactly like the original
-        single
-            .ingest(DocId(100), Timestamp(1.0), tf(&[(0, 2.0), (1, 2.0)]))
-            .unwrap();
-        sharded
-            .ingest(DocId(100), Timestamp(1.0), tf(&[(0, 2.0), (1, 2.0)]))
-            .unwrap();
-        let a = single.recluster_incremental().unwrap();
-        let b = sharded.recluster_incremental().unwrap();
-        assert_eq!(a.member_lists(), b.member_lists());
-        assert_eq!(a.outliers().to_vec(), b.outliers());
     }
 }

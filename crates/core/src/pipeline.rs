@@ -1,51 +1,41 @@
-//! The on-line pipeline: ingest → decay/expire → (incrementally) recluster
-//! (paper §5.2).
+//! The per-shard engine of the on-line pipeline: ingest → decay/expire →
+//! (incrementally) recluster (paper §5.2).
+//!
+//! [`NoveltyPipeline`] owns one repository, its warm-start assignment and
+//! its last clustering. Lineage, checkpoints and the `nidc_mem_*` gauges
+//! are deployment concerns of the stream as a whole, so they live one
+//! level up, in [`crate::ShardedPipeline`].
 
 use std::collections::BTreeMap;
 
 use nidc_forgetting::{DecayParams, Repository, Timestamp};
-use nidc_obs::{buckets, DeepSize, LazyCounter, LazyGauge, LazyHistogram};
+use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_similarity::DocVectors;
 use nidc_textproc::{DocId, SparseVector};
 
-use crate::lineage::{LineageState, LineageTracker};
 use crate::{cluster_with_initial, Clustering, ClusteringConfig, InitialState, Result};
 
 /// Wall-clock seconds per `ingest`/`ingest_batch` call (§5.1 incremental
 /// statistics update). Single-document ingests run in microseconds, so
-/// this sits on the sub-millisecond bucket family.
+/// this sits on the sub-millisecond bucket family. Documents are counted
+/// once, by the repository (`nidc_forgetting_docs_inserted_total`).
 static INGEST_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_pipeline_ingest_seconds", buckets::FINE_SECONDS);
-/// Documents handed to the pipeline (single and batch ingests combined).
-static INGESTED_DOCS: LazyCounter = LazyCounter::new("nidc_pipeline_ingested_docs_total");
 /// Wall-clock seconds per pure-decay `advance_to` call (sub-ms buckets).
 static ADVANCE_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_pipeline_advance_seconds", buckets::FINE_SECONDS);
 /// Wall-clock seconds per `expire` pass (§5.2 step 2; sub-ms buckets).
+/// Expired documents are counted by the repository
+/// (`nidc_forgetting_docs_expired_total`).
 static EXPIRE_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_pipeline_expire_seconds", buckets::FINE_SECONDS);
-/// Documents expired below `ε = λ^γ`.
-static EXPIRED_DOCS: LazyCounter = LazyCounter::new("nidc_pipeline_expired_docs_total");
 /// Wall-clock seconds per re-clustering (expire + vector build + K-means).
 static RECLUSTER_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_pipeline_recluster_seconds", buckets::LATENCY_SECONDS);
 /// Re-clustering requests served (incremental and from-scratch combined).
 static RECLUSTERS: LazyCounter = LazyCounter::new("nidc_pipeline_reclusters_total");
-/// Heap bytes held by the document repository (document map, tf vectors,
-/// term-statistics table), sampled once per re-clustering. On a sharded
-/// pipeline the value is the sum across shards.
-static MEM_REPOSITORY_BYTES: LazyGauge = LazyGauge::new("nidc_mem_repository_bytes");
-/// Heap bytes held by the K cluster representatives of the latest
-/// clustering, sampled once per re-clustering (summed across shards). A
-/// sharded pipeline adds the window view it holds: its copy of every
-/// shard's clustering (members and representatives) and the stitched
-/// clusters.
-static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
-/// Heap bytes held by the warm-start assignment map carried between
-/// incremental re-clusterings (summed across shards).
-static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes");
 
-/// The stateful novelty-based clustering pipeline.
+/// The stateful novelty-based clustering engine of one shard.
 ///
 /// Drives the three steps of §5.2 on every re-clustering request:
 ///
@@ -54,31 +44,21 @@ static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes
 /// 2. documents with `dw < ε` are expired;
 /// 3. the extended K-means runs, warm-started from the previous clustering
 ///    (incremental mode) or from random seeds (non-incremental mode).
+///
+/// A stream runs through [`crate::ShardedPipeline`], which drives one
+/// engine per shard and adds lineage, checkpoints and memory gauges.
 #[derive(Debug, Clone)]
 pub struct NoveltyPipeline {
     repo: Repository,
     config: ClusteringConfig,
     previous: Option<BTreeMap<DocId, usize>>,
     last: Option<Clustering>,
-    /// Matches clusters across re-clusterings (persistent lineage ids,
-    /// lifecycle events). `None` on the shards of a [`crate::ShardedPipeline`],
-    /// which tracks lineage over merged/stitched ids at the top level instead
-    /// — otherwise every cross-shard stitch would double-report as per-shard
-    /// deaths plus a top-level continuation.
-    lineage: Option<LineageTracker>,
 }
 
 impl NoveltyPipeline {
     /// Creates an empty pipeline.
     pub fn new(decay: DecayParams, config: ClusteringConfig) -> Self {
-        register_mem_gauges();
-        Self {
-            repo: Repository::new(decay),
-            config,
-            previous: None,
-            last: None,
-            lineage: Some(LineageTracker::new()),
-        }
+        Self::from_parts(Repository::new(decay), config, None)
     }
 
     /// The underlying repository (statistics, documents, clock).
@@ -102,7 +82,7 @@ impl NoveltyPipeline {
     }
 
     /// Reassembles a pipeline from parts (used by state restoration).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         repo: Repository,
         config: ClusteringConfig,
         previous: Option<BTreeMap<DocId, usize>>,
@@ -112,36 +92,7 @@ impl NoveltyPipeline {
             config,
             previous,
             last: None,
-            lineage: Some(LineageTracker::new()),
         }
-    }
-
-    /// The lineage tracker, if this pipeline tracks lineage itself (always,
-    /// except on the shards of a [`crate::ShardedPipeline`]).
-    pub fn lineage(&self) -> Option<&LineageTracker> {
-        self.lineage.as_ref()
-    }
-
-    /// Stops per-pipeline lineage tracking. The sharded pipeline calls this
-    /// on its shards so lifecycle events are classified once, over
-    /// merged/stitched cluster ids, not once per shard.
-    pub fn disable_lineage(&mut self) {
-        self.lineage = None;
-    }
-
-    /// Captures the lineage tracker's state for checkpointing (`None` when
-    /// lineage tracking is disabled or no window has been observed yet).
-    pub fn lineage_state(&self) -> Option<LineageState> {
-        self.lineage
-            .as_ref()
-            .filter(|t| t.windows_observed() > 0)
-            .map(LineageTracker::to_state)
-    }
-
-    /// Restores the lineage tracker from a checkpointed state, so lineage
-    /// ids continue across save → load → resume.
-    pub fn restore_lineage_state(&mut self, state: &LineageState) {
-        self.lineage = Some(LineageTracker::from_state(state));
     }
 
     /// Ingests one document acquired at `t` (statistics update is
@@ -150,7 +101,6 @@ impl NoveltyPipeline {
         let _span = nidc_obs::span!("pipeline.ingest");
         let _timer = INGEST_SECONDS.start_timer();
         self.repo.insert(id, t, tf)?;
-        INGESTED_DOCS.inc();
         Ok(())
     }
 
@@ -158,34 +108,15 @@ impl NoveltyPipeline {
     ///
     /// Insert semantics are the repository's: documents are applied in
     /// iteration order and the first failure stops the batch, leaving the
-    /// earlier inserts in place. `INGESTED_DOCS` counts the insert
-    /// operations that actually succeeded — including those preceding a
-    /// failure — rather than being derived from a `len()` delta.
+    /// earlier inserts in place.
     pub fn ingest_batch<I>(&mut self, t: Timestamp, docs: I) -> Result<()>
     where
         I: IntoIterator<Item = (DocId, SparseVector)>,
     {
         let _span = nidc_obs::span!("pipeline.ingest_batch");
         let _timer = INGEST_SECONDS.start_timer();
-        let (inserted, result) = self.ingest_batch_counted(t, docs);
-        INGESTED_DOCS.add(inserted);
-        result
-    }
-
-    /// Applies the batch and returns how many insert operations succeeded —
-    /// exactly the figure `INGESTED_DOCS` records.
-    fn ingest_batch_counted<I>(&mut self, t: Timestamp, docs: I) -> (u64, Result<()>)
-    where
-        I: IntoIterator<Item = (DocId, SparseVector)>,
-    {
-        let mut inserted = 0u64;
-        for (id, tf) in docs {
-            match self.repo.insert(id, t, tf) {
-                Ok(()) => inserted += 1,
-                Err(e) => return (inserted, Err(e.into())),
-            }
-        }
-        (inserted, Ok(()))
+        self.repo.insert_batch(t, docs)?;
+        Ok(())
     }
 
     /// Advances the clock without ingesting (pure decay).
@@ -219,9 +150,6 @@ impl NoveltyPipeline {
             dead.push(id);
         });
         dead.sort_unstable();
-        // add(0) keeps the counter registered over windows where nothing ages
-        // out, so per-window snapshots stay schema-stable
-        EXPIRED_DOCS.add(dead.len() as u64);
         dead
     }
 
@@ -258,8 +186,6 @@ impl NoveltyPipeline {
         self.last = Some(clustering.clone());
         timer.stop();
         drop(span);
-        self.observe_lineage(&clustering);
-        self.sample_mem_gauges();
         self.log_recluster("incremental", &clustering);
         Ok(clustering)
     }
@@ -282,19 +208,8 @@ impl NoveltyPipeline {
         self.last = Some(clustering.clone());
         timer.stop();
         drop(span);
-        self.observe_lineage(&clustering);
-        self.sample_mem_gauges();
         self.log_recluster("from_scratch", &clustering);
         Ok(clustering)
-    }
-
-    /// Feeds a finished clustering to the lineage tracker (pure observer:
-    /// nothing it computes flows back into the algorithm).
-    fn observe_lineage(&mut self, clustering: &Clustering) {
-        if let Some(tracker) = self.lineage.as_mut() {
-            let _span = nidc_obs::span!("pipeline.lineage");
-            tracker.observe_clustering(clustering);
-        }
     }
 
     /// Samples this pipeline's heap footprint: repository, last clustering's
@@ -312,14 +227,6 @@ impl NoveltyPipeline {
             .as_ref()
             .map_or(0, |prev| nidc_obs::btree_map_size_bytes(prev, |_| 0));
         (repo, reps, warm)
-    }
-
-    /// Publishes [`NoveltyPipeline::mem_sample`] into the `nidc_mem_*`
-    /// gauges. The sharded pipeline overwrites these with cross-shard sums
-    /// after its fan-out joins (see [`crate::ShardedPipeline`]).
-    fn sample_mem_gauges(&self) {
-        let (repo, reps, warm) = self.mem_sample();
-        set_mem_gauges(repo, reps, warm);
     }
 
     /// One info-level summary line per re-clustering.
@@ -340,24 +247,6 @@ impl NoveltyPipeline {
             );
         }
     }
-}
-
-/// Sets the pipeline memory gauges directly — the sharded pipeline calls
-/// this with cross-shard sums so a multi-shard run reports whole-stream
-/// totals rather than whichever shard reclustered last.
-pub(crate) fn set_mem_gauges(repo_bytes: u64, reps_bytes: u64, warmstart_bytes: u64) {
-    MEM_REPOSITORY_BYTES.set(repo_bytes);
-    MEM_REPS_BYTES.set(reps_bytes);
-    MEM_WARMSTART_BYTES.set(warmstart_bytes);
-}
-
-/// Registers the pipeline memory gauges at zero (no-op while recording is
-/// disabled), so snapshots carry the full schema before the first
-/// re-clustering samples real values.
-pub(crate) fn register_mem_gauges() {
-    MEM_REPOSITORY_BYTES.touch();
-    MEM_REPS_BYTES.touch();
-    MEM_WARMSTART_BYTES.touch();
 }
 
 #[cfg(test)]
@@ -513,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_batch_failure_still_counts_its_successful_inserts() {
+    fn partial_batch_failure_keeps_its_earlier_inserts() {
         let mut p = pipeline();
         p.ingest(DocId(5), Timestamp(0.0), tf(&[(0, 1.0)])).unwrap();
         // two fresh docs succeed, the duplicate fails, doc 8 is never reached
@@ -523,25 +412,20 @@ mod tests {
             (DocId(5), tf(&[(2, 1.0)])), // duplicate → error
             (DocId(8), tf(&[(3, 1.0)])),
         ];
-        let (inserted, result) = p.ingest_batch_counted(Timestamp(1.0), batch);
-        assert!(result.is_err());
-        assert_eq!(
-            inserted, 2,
-            "the metric must count actual insert operations, not a len() delta"
-        );
+        assert!(p.ingest_batch(Timestamp(1.0), batch).is_err());
         assert_eq!(p.repository().len(), 3);
+        assert!(p.repository().contains(DocId(7)));
         assert!(!p.repository().contains(DocId(8)));
     }
 
     #[test]
-    fn all_success_batch_counts_every_insert() {
+    fn all_success_batch_inserts_every_document() {
         let mut p = pipeline();
         let batch: Vec<_> = (0..5u64)
             .map(|i| (DocId(i), tf(&[(i as u32, 1.0)])))
             .collect();
-        let (inserted, result) = p.ingest_batch_counted(Timestamp(0.0), batch);
-        assert!(result.is_ok());
-        assert_eq!(inserted, 5);
+        p.ingest_batch(Timestamp(0.0), batch).unwrap();
+        assert_eq!(p.repository().len(), 5);
     }
 
     #[test]

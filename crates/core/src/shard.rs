@@ -1,14 +1,18 @@
 //! Stream sharding: many independent pipelines, one view per window.
 //!
 //! The window's hot paths are parallel *within* a pipeline; this module
-//! shards *across* the stream. Each [`StreamShard`] owns a full
-//! [`NoveltyPipeline`] — its own forgetting [`Repository`], warm-start
-//! assignment, and last clustering — and a [`ShardedPipeline`] fans
-//! `ingest_batch` / `advance_to` / `expire` / `recluster_*` out across the
+//! shards *across* the stream. Each [`StreamShard`] owns a
+//! [`NoveltyPipeline`] engine — its own forgetting [`Repository`],
+//! warm-start assignment, and last clustering — and a [`ShardedPipeline`]
+//! fans `ingest_batch` / `advance_to` / `recluster_*` out across the
 //! shards via `nidc-parallel`. Each re-clustering merges the per-shard
 //! results into one [`MergedClustering`], stitched once when τ applies,
 //! which the pipeline holds until the next window: every reader borrows it
 //! through [`ShardedPipeline::last_merged`], which does no work.
+//!
+//! The sharded pipeline is the one owner of the stream-level concerns:
+//! cluster lineage (over merged/stitched ids), checkpoints
+//! ([`ShardedPipeline::save_json`]) and the `nidc_mem_*` gauges.
 //!
 //! Sharding is sound under the paper's model because every forgetting
 //! statistic of §3 (`tdw`, the `S_k` numerators, `Pr(d)`, `Pr(t_k)`) is a
@@ -28,17 +32,13 @@
 //! bit for bit.
 
 use nidc_forgetting::{DecayParams, Repository, RepositoryStats, Timestamp};
-use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
+use nidc_obs::{buckets, DeepSize, LazyCounter, LazyGauge, LazyHistogram};
 use nidc_textproc::{DocId, SparseVector, TermId};
 
-use crate::lineage::{LineageState, LineageTracker, ObservedCluster};
+use crate::lineage::{LineageTracker, ObservedCluster};
 use crate::merge::MergedClustering;
 use crate::{Clustering, ClusteringConfig, Error, NoveltyPipeline, Result};
 
-/// Documents routed through the sharded ingest paths.
-static INGESTED_DOCS: LazyCounter = LazyCounter::new("nidc_sharded_ingest_docs_total");
-/// Documents expired across all shards via the sharded expire path.
-static EXPIRED_DOCS: LazyCounter = LazyCounter::new("nidc_sharded_expired_docs_total");
 /// Sharded re-clustering requests (incremental and from-scratch combined).
 static RECLUSTERS: LazyCounter = LazyCounter::new("nidc_sharded_reclusters_total");
 /// Wall-clock seconds per sharded re-clustering (fan-out + per-shard work).
@@ -51,20 +51,31 @@ static MERGE_SECONDS: LazyHistogram =
 /// check on the router: a skewed distribution shows up as a wide spread).
 static DOCS_PER_SHARD: LazyHistogram =
     LazyHistogram::new("nidc_sharded_docs_per_shard", buckets::SIZES);
+/// Heap bytes held by the shards' document repositories (document maps, tf
+/// vectors, term-statistics tables), summed across shards and sampled once
+/// per re-clustering.
+static MEM_REPOSITORY_BYTES: LazyGauge = LazyGauge::new("nidc_mem_repository_bytes");
+/// Heap bytes held by the shards' latest cluster representatives plus the
+/// window view the pipeline holds: its copy of every shard's clustering
+/// (members and representatives) and the stitched clusters.
+static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
+/// Heap bytes held by the shards' warm-start assignment maps, carried
+/// between incremental re-clusterings.
+static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes");
 
 /// Registers every sharded metric at zero so per-window snapshots carry the
 /// full schema. Called at construction and again at each re-clustering:
 /// recording may have been enabled only after the pipeline was built, and
 /// registration while disabled is a no-op.
 fn register_sharded_metrics() {
-    INGESTED_DOCS.add(0);
-    EXPIRED_DOCS.add(0);
     RECLUSTERS.add(0);
     RECLUSTER_SECONDS.touch();
     MERGE_SECONDS.touch();
     DOCS_PER_SHARD.touch();
+    MEM_REPOSITORY_BYTES.touch();
+    MEM_REPS_BYTES.touch();
+    MEM_WARMSTART_BYTES.touch();
     crate::merge::register_stitch_metrics();
-    crate::pipeline::register_mem_gauges();
     crate::lineage::register_lifecycle_metrics();
 }
 
@@ -139,7 +150,7 @@ impl ShardRouter {
     }
 }
 
-/// One shard of the stream: a full pipeline over the documents the router
+/// One shard of the stream: a pipeline engine over the documents the router
 /// assigns here — its own repository, warm-start assignment, and last
 /// clustering.
 #[derive(Debug, Clone)]
@@ -173,23 +184,19 @@ impl StreamShard {
         self.pipeline.repository()
     }
 
-    /// The shard's most recent clustering, if any.
-    pub fn last(&self) -> Option<&Clustering> {
-        self.pipeline.last()
-    }
-
     /// Live documents on this shard.
     pub fn num_docs(&self) -> usize {
         self.pipeline.repository().len()
     }
 }
 
-/// The sharded on-line pipeline: N independent [`StreamShard`]s behind a
+/// The on-line pipeline: N independent [`StreamShard`]s behind a
 /// deterministic [`ShardRouter`], with every lifecycle operation fanned out
 /// via `nidc-parallel` and the clusterings merged (and stitched) once per
-/// window into a held view.
+/// window into a held view. It alone tracks lineage, writes checkpoints and
+/// publishes the memory gauges.
 ///
-/// `shards = 1` is today's behaviour — one pipeline, bit-identical to
+/// `shards = 1` runs one engine, and its clusterings are bit-identical to
 /// [`NoveltyPipeline`] driven directly.
 #[derive(Debug, Clone)]
 pub struct ShardedPipeline {
@@ -207,9 +214,8 @@ pub struct ShardedPipeline {
     /// Tracks cluster lineage over the *merged* (and, when stitching is on,
     /// *stitched*) cluster ids, so a topic whose fragments get reunited
     /// across shards reads as one continuing lineage instead of per-shard
-    /// deaths and a birth. The per-shard pipelines have their own trackers
-    /// disabled (see [`NoveltyPipeline::disable_lineage`]).
-    lineage: Option<LineageTracker>,
+    /// deaths and a birth.
+    lineage: LineageTracker,
 }
 
 impl ShardedPipeline {
@@ -222,17 +228,18 @@ impl ShardedPipeline {
         let pipelines = (0..shards)
             .map(|_| NoveltyPipeline::new(decay, config.clone()))
             .collect();
-        Self::from_shard_pipelines(pipelines, config)
+        Self::from_parts(pipelines, config, LineageTracker::new())
     }
 
-    /// Reassembles a sharded pipeline from per-shard pipelines (used by
-    /// state restoration; shard index = position).
+    /// Reassembles a sharded pipeline from per-shard pipelines (shard index
+    /// = position) and a lineage tracker (used by state restoration).
     ///
     /// # Errors
     /// [`Error::ZeroShards`] when `pipelines` is empty.
-    pub fn from_shard_pipelines(
+    pub(crate) fn from_parts(
         pipelines: Vec<NoveltyPipeline>,
         config: ClusteringConfig,
+        lineage: LineageTracker,
     ) -> Result<Self> {
         let router = ShardRouter::new(pipelines.len())?;
         register_sharded_metrics();
@@ -240,44 +247,19 @@ impl ShardedPipeline {
             shards: pipelines
                 .into_iter()
                 .enumerate()
-                .map(|(id, mut p)| {
-                    // Lineage is classified once, over the merged/stitched
-                    // view — never per shard.
-                    p.disable_lineage();
-                    StreamShard::new(id, p)
-                })
+                .map(|(id, p)| StreamShard::new(id, p))
                 .collect(),
             router,
             config,
             stitch: Some(crate::merge::DEFAULT_STITCH_THRESHOLD),
             merged: None,
-            lineage: Some(LineageTracker::new()),
+            lineage,
         })
     }
 
-    /// The top-level lineage tracker (over merged/stitched cluster ids).
-    pub fn lineage(&self) -> Option<&LineageTracker> {
-        self.lineage.as_ref()
-    }
-
-    /// Stops lineage tracking on this pipeline entirely.
-    pub fn disable_lineage(&mut self) {
-        self.lineage = None;
-    }
-
-    /// Captures the lineage tracker's state for checkpointing (`None` when
-    /// disabled or before the first re-clustering).
-    pub fn lineage_state(&self) -> Option<LineageState> {
-        self.lineage
-            .as_ref()
-            .filter(|t| t.windows_observed() > 0)
-            .map(LineageTracker::to_state)
-    }
-
-    /// Restores the lineage tracker from a checkpointed state, so lineage
-    /// ids continue across save → load → resume.
-    pub fn restore_lineage_state(&mut self, state: &LineageState) {
-        self.lineage = Some(LineageTracker::from_state(state));
+    /// The lineage tracker (over merged/stitched cluster ids).
+    pub fn lineage(&self) -> &LineageTracker {
+        &self.lineage
     }
 
     /// Sets the stitching threshold τ for the cross-shard repair pass:
@@ -375,7 +357,6 @@ impl ShardedPipeline {
 
     /// Ingests one document, routed by its id.
     pub fn ingest(&mut self, id: DocId, t: Timestamp, tf: SparseVector) -> Result<()> {
-        INGESTED_DOCS.inc();
         let s = self.router.route(id);
         self.shards[s].pipeline.ingest(id, t, tf)
     }
@@ -390,7 +371,6 @@ impl ShardedPipeline {
         t: Timestamp,
         tf: SparseVector,
     ) -> Result<()> {
-        INGESTED_DOCS.inc();
         let s = self.router.route_key(key);
         self.shards[s].pipeline.ingest(id, t, tf)
     }
@@ -408,12 +388,9 @@ impl ShardedPipeline {
         I: IntoIterator<Item = (DocId, SparseVector)>,
     {
         let mut batches: Vec<Vec<(DocId, SparseVector)>> = vec![Vec::new(); self.shards.len()];
-        let mut total = 0u64;
         for (id, tf) in docs {
             batches[self.router.route(id)].push((id, tf));
-            total += 1;
         }
-        INGESTED_DOCS.add(total);
         let _span = nidc_obs::span!("sharded.ingest_batch");
         label_shard_tracks(self.shards.len());
         let threads = self.config.threads;
@@ -443,23 +420,6 @@ impl ShardedPipeline {
         })
         .into_iter()
         .collect()
-    }
-
-    /// Expires documents below `ε = λ^γ` on every shard (fanned out) and
-    /// returns the union, sorted ascending.
-    pub fn expire(&mut self) -> Vec<DocId> {
-        let _span = nidc_obs::span!("sharded.expire");
-        label_shard_tracks(self.shards.len());
-        let threads = self.config.threads;
-        let per_shard = nidc_parallel::par_map_mut(&mut self.shards, threads, |s| {
-            let _track = nidc_obs::trace::with_track(shard_track(s.id));
-            let _s = nidc_obs::span!("shard.expire");
-            s.pipeline_mut().expire()
-        });
-        let mut all: Vec<DocId> = per_shard.into_iter().flatten().collect();
-        EXPIRED_DOCS.add(all.len() as u64);
-        all.sort_unstable();
-        all
     }
 
     /// Incremental re-clustering on every shard (fanned out; each shard
@@ -518,12 +478,15 @@ impl ShardedPipeline {
         Ok(self.merged.as_ref().expect("just stored"))
     }
 
-    /// Overwrites the memory gauges with whole-stream figures. Each shard's
-    /// recluster published its own sizes (last shard wins); these are the
-    /// cross-shard sums, and the reps gauge also counts the held window
-    /// view — its copy of every shard's clustering plus the stitched
-    /// clusters — which lives until the next window.
+    /// Publishes the memory gauges as whole-stream figures: cross-shard
+    /// sums, with the reps gauge also counting the held window view — its
+    /// copy of every shard's clustering plus the stitched clusters — which
+    /// lives until the next window. The walk is O(live docs), so it runs
+    /// only while recording is on.
     fn publish_mem_gauges(&self) {
+        if !nidc_obs::enabled() {
+            return;
+        }
         let (mut repo, mut reps, mut warm) = (0u64, 0u64, 0u64);
         for s in &self.shards {
             let (r, c, w) = s.pipeline().mem_sample();
@@ -532,7 +495,9 @@ impl ShardedPipeline {
             warm += w;
         }
         reps += self.merged.deep_size_bytes();
-        crate::pipeline::set_mem_gauges(repo, reps, warm);
+        MEM_REPOSITORY_BYTES.set(repo);
+        MEM_REPS_BYTES.set(reps);
+        MEM_WARMSTART_BYTES.set(warm);
     }
 
     /// Feeds the window's merged view to the lineage tracker. Stitched ids
@@ -540,9 +505,7 @@ impl ShardedPipeline {
     /// merged `(shard, local)` ids otherwise. Pure observer — nothing here
     /// feeds back into the clustering.
     fn observe_lineage(&mut self, merged: &MergedClustering) {
-        let Some(tracker) = self.lineage.as_mut() else {
-            return;
-        };
+        let tracker = &mut self.lineage;
         let _span = nidc_obs::span!("sharded.lineage");
         if let Some(stitched) = merged.stitched() {
             let observed: Vec<ObservedCluster<'_>> = stitched
@@ -759,15 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn expire_is_globally_sorted_and_prunes_all_shards() {
+    fn recluster_expires_on_every_shard() {
         let mut p = ShardedPipeline::new(decay(), config(), 3).unwrap();
         seed_two_topics(&mut p, 0.0, 0);
         p.advance_to(Timestamp(20.0)).unwrap(); // past the 14-day life span
-        let dead = p.expire();
-        assert_eq!(dead.len(), 8);
-        let mut sorted = dead.clone();
-        sorted.sort_unstable();
-        assert_eq!(dead, sorted, "expired ids must come back sorted");
+        let m = p.recluster_incremental().unwrap();
+        assert_eq!(m.assigned_docs() + m.outliers().len(), 0);
         assert!(p.is_empty());
     }
 

@@ -233,11 +233,11 @@ mod tests {
         let path = tmpdir("jsonl").join("out.jsonl");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
         assert!(crate::enabled());
-        crate::add("export_jsonl_total", 2);
+        crate::global().counter("export_jsonl_total").add(2);
         exp.record_window(&[("window", 0.0)]).unwrap();
         // Reset happened: the counter is registered but back to zero.
         assert_eq!(crate::snapshot().counter("export_jsonl_total"), Some(0));
-        crate::add("export_jsonl_total", 5);
+        crate::global().counter("export_jsonl_total").add(5);
         exp.record_window(&[("window", 1.0)]).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -267,9 +267,9 @@ mod tests {
         let _guard = global_lock();
         let path = tmpdir("prom").join("metrics.prom");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Prom).unwrap();
-        crate::add("export_prom_total", 1);
+        crate::global().counter("export_prom_total").add(1);
         exp.record_window(&[]).unwrap();
-        crate::add("export_prom_total", 1);
+        crate::global().counter("export_prom_total").add(1);
         exp.record_window(&[]).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("export_prom_total 2"), "cumulative: {text}");
@@ -292,7 +292,7 @@ mod tests {
             move || {
                 let mut exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
                 for w in 0..windows {
-                    crate::add("export_kill_total", w + 1);
+                    crate::global().counter("export_kill_total").add(w + 1);
                     exp.record_window(&[("window", w as f64)]).unwrap();
                 }
                 // Die without finish() or Drop — as an aborted process
@@ -321,7 +321,7 @@ mod tests {
         let _guard = global_lock();
         let path = tmpdir("finish").join("finish.jsonl");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
-        crate::add("export_finish_total", 1);
+        crate::global().counter("export_finish_total").add(1);
         exp.record_window(&[]).unwrap();
         exp.finish().unwrap();
         let text = fs::read_to_string(&path).unwrap();

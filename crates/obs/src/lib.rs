@@ -75,7 +75,7 @@ pub use handles::{LazyCounter, LazyHistogram, PhaseTimer};
 pub use log::{debug, info, log, log_level, log_on, set_log_level, Level};
 pub use metrics::{buckets, Counter, Histogram};
 pub use profile::{Profile, ProfileNode};
-pub use recorder::{NoopRecorder, Recorder, Registry};
+pub use recorder::Registry;
 pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use trace_export::{write_chrome_trace, TraceSession};
 
@@ -109,37 +109,6 @@ pub fn enabled() -> bool {
 /// them.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The active recorder: the global registry when enabled, a no-op otherwise.
-///
-/// For code that wants dynamic dispatch; hot paths should prefer the static
-/// [`LazyCounter`]/[`LazyHistogram`] handles instead.
-pub fn recorder() -> &'static dyn Recorder {
-    static NOOP: NoopRecorder = NoopRecorder;
-    if enabled() {
-        &GLOBAL
-    } else {
-        &NOOP
-    }
-}
-
-/// Adds `delta` to the named counter in the global registry (no-op while
-/// disabled).
-#[inline]
-pub fn add(name: &'static str, delta: u64) {
-    if enabled() {
-        GLOBAL.counter(name).add(delta);
-    }
-}
-
-/// Records `value` into the named histogram in the global registry (no-op
-/// while disabled).
-#[inline]
-pub fn observe(name: &'static str, bounds: &'static [f64], value: f64) {
-    if enabled() {
-        GLOBAL.histogram(name, bounds).observe(value);
-    }
 }
 
 /// Freezes the current state of the global registry.
@@ -201,33 +170,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn global_registry_add_and_observe_respect_enable_gate() {
-        let _guard = test_support::global_lock();
-        let name = "lib_test_gate_total";
-        set_enabled(false);
-        add(name, 5);
-        assert_eq!(
-            snapshot().counter(name),
-            None,
-            "disabled add must not register"
-        );
-        set_enabled(true);
-        add(name, 2);
-        observe("lib_test_gate_seconds", buckets::LATENCY_SECONDS, 0.25);
-        let snap = snapshot();
-        assert_eq!(snap.counter(name), Some(2));
-        assert_eq!(snap.histogram("lib_test_gate_seconds").unwrap().count, 1);
-        set_enabled(false);
-    }
-
-    #[test]
     fn reset_keeps_flags_but_reset_all_clears_them() {
         let _guard = test_support::global_lock();
         set_enabled(true);
         set_log_level(Level::Debug);
         trace::set_trace_enabled(true);
         alloc::set_tracking(true);
-        add("lib_test_reset_total", 7);
+        global().counter("lib_test_reset_total").add(7);
         {
             let _s = span!("lib_test_reset_span");
         }
@@ -242,7 +191,7 @@ mod tests {
         assert!(alloc::tracking_enabled());
 
         // `reset_all` is the between-runs boundary: flags off, buffers gone.
-        add("lib_test_reset_total", 3);
+        global().counter("lib_test_reset_total").add(3);
         reset_all();
         assert_eq!(snapshot().counter("lib_test_reset_total"), Some(0));
         assert!(!enabled());
@@ -252,15 +201,5 @@ mod tests {
         assert_eq!(alloc::stats(), alloc::AllocStats::default());
         assert!(trace::drain().is_empty(), "buffered spans discarded");
         assert!(trace::track_labels().is_empty());
-    }
-
-    #[test]
-    fn recorder_switches_with_enable_flag() {
-        let _guard = test_support::global_lock();
-        set_enabled(false);
-        assert!(!recorder().enabled());
-        set_enabled(true);
-        assert!(recorder().enabled());
-        set_enabled(false);
     }
 }

@@ -1,5 +1,4 @@
-//! The [`Recorder`] trait, its no-op implementation, and the [`Registry`]
-//! that backs the process-global recorder.
+//! The [`Registry`] that backs the process-global metrics.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -7,40 +6,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::gauge::{FloatGauge, Gauge};
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::{HistogramSnapshot, Snapshot};
-
-/// A sink for metric events.
-///
-/// Implemented by [`Registry`] (records) and [`NoopRecorder`] (discards).
-/// Hot paths normally go through the static [`crate::LazyCounter`] /
-/// [`crate::LazyHistogram`] handles instead of dynamic dispatch; the trait
-/// exists so components can be handed an explicit recorder in tests and so
-/// the disabled path has a provably inert implementation.
-pub trait Recorder: Send + Sync {
-    /// Whether this recorder keeps anything at all. `false` lets callers
-    /// skip preparing event data.
-    fn enabled(&self) -> bool;
-
-    /// Adds `delta` to the named counter.
-    fn add(&self, name: &'static str, delta: u64);
-
-    /// Records `value` into the named histogram, creating it with `bounds`
-    /// on first use.
-    fn observe(&self, name: &'static str, bounds: &'static [f64], value: f64);
-}
-
-/// A recorder that discards every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn add(&self, _name: &'static str, _delta: u64) {}
-
-    fn observe(&self, _name: &'static str, _bounds: &'static [f64], _value: f64) {}
-}
 
 /// A named collection of counters, gauges and histograms.
 ///
@@ -163,20 +128,6 @@ impl Default for Registry {
     }
 }
 
-impl Recorder for Registry {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn add(&self, name: &'static str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-
-    fn observe(&self, name: &'static str, bounds: &'static [f64], value: f64) {
-        self.histogram(name, bounds).observe(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +156,8 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("kept_total");
         c.add(7);
-        r.observe("kept_seconds", buckets::LATENCY_SECONDS, 0.1);
+        r.histogram("kept_seconds", buckets::LATENCY_SECONDS)
+            .observe(0.1);
         r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counter("kept_total"), Some(0));
@@ -245,25 +197,5 @@ mod tests {
         // The pre-reset handle still feeds the same gauge.
         a.set(0.25);
         assert_eq!(r.snapshot().fgauge("shared_ratio"), Some(0.25));
-    }
-
-    #[test]
-    fn noop_recorder_discards() {
-        let n = NoopRecorder;
-        assert!(!n.enabled());
-        n.add("x_total", 1);
-        n.observe("x_seconds", buckets::LATENCY_SECONDS, 1.0);
-    }
-
-    #[test]
-    fn registry_recorder_records() {
-        let r = Registry::new();
-        let rec: &dyn Recorder = &r;
-        assert!(rec.enabled());
-        rec.add("r_total", 4);
-        rec.observe("r_sizes", buckets::SIZES, 12.0);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("r_total"), Some(4));
-        assert_eq!(snap.histogram("r_sizes").unwrap().count, 1);
     }
 }

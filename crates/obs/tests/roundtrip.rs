@@ -1,20 +1,21 @@
 //! Snapshot serialisation round-trip through a real JSON parser, and
 //! Prometheus exposition validity on registry-produced snapshots.
 
-use nidc_obs::{buckets, HistogramSnapshot, Recorder, Registry, Snapshot};
+use nidc_obs::{buckets, HistogramSnapshot, Registry, Snapshot};
 use serde_json::Value;
 
 fn sample_registry() -> Registry {
     let r = Registry::new();
-    r.add("rt_docs_total", 41);
-    r.add("rt_windows_total", 3);
+    r.counter("rt_docs_total").add(41);
+    r.counter("rt_windows_total").add(3);
     r.gauge("rt_heap_bytes").set(2048);
     r.fgauge("rt_cohesion").set(0.8125);
     for v in [0.0002, 0.013, 0.013, 0.7, 120.0] {
-        r.observe("rt_phase_seconds", buckets::LATENCY_SECONDS, v);
+        r.histogram("rt_phase_seconds", buckets::LATENCY_SECONDS)
+            .observe(v);
     }
     for v in [2.0, 9.0, 400.0] {
-        r.observe("rt_batch_sizes", buckets::SIZES, v);
+        r.histogram("rt_batch_sizes", buckets::SIZES).observe(v);
     }
     r
 }

@@ -1,14 +1,17 @@
-//! Service-restart survival: run the on-line pipeline for half the stream,
-//! checkpoint it to JSON, "crash", restore from the checkpoint, and finish —
-//! then verify the restored run ends in exactly the same clustering state a
-//! never-interrupted run reaches.
+//! Service-restart survival: run the on-line pipeline (three shards) for
+//! half the stream, checkpoint it to JSON, "crash", restore from the
+//! checkpoint, and finish — then verify the restored run ends in exactly the
+//! same clustering state and the same lineage ids a never-interrupted run
+//! reaches.
 //!
 //! Run with: `cargo run --release --example checkpoint_restart`
 
 use khy2006::prelude::*;
 
+const SHARDS: usize = 3;
+
 fn ingest_range(
-    pipeline: &mut NoveltyPipeline,
+    pipeline: &mut ShardedPipeline,
     corpus: &Corpus,
     tfs: &[SparseVector],
     days: std::ops::Range<f64>,
@@ -43,55 +46,64 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- the interrupted service -----------------------------------------
-    let mut service = NoveltyPipeline::new(decay, config.clone());
+    let mut service = ShardedPipeline::new(decay, config.clone(), SHARDS)?;
     ingest_range(&mut service, &corpus, &tfs, 0.0..30.0)?;
     service.recluster_incremental()?;
     ingest_range(&mut service, &corpus, &tfs, 30.0..60.0)?;
     service.recluster_incremental()?;
 
     // checkpoint to disk, then "crash"
-    let path = std::env::temp_dir().join("nidc_checkpoint.json");
+    let path = std::env::temp_dir().join(format!("nidc_checkpoint_{}.json", std::process::id()));
     service.save_json(std::fs::File::create(&path)?)?;
     let bytes = std::fs::metadata(&path)?.len();
     println!(
-        "checkpointed {} live docs at {} ({bytes} bytes) to {}",
-        service.repository().len(),
-        service.repository().now(),
+        "checkpointed {} live docs on {SHARDS} shards at {} ({bytes} bytes) to {}",
+        service.num_docs(),
+        service.now(),
         path.display()
     );
     drop(service);
 
     // --- restore and finish the stream ------------------------------------
-    let mut restored = NoveltyPipeline::load_json(std::fs::File::open(&path)?)?;
+    let mut restored = ShardedPipeline::load_json(std::fs::File::open(&path)?)?;
+    std::fs::remove_file(&path).ok();
     println!(
-        "restored: {} live docs at {}",
-        restored.repository().len(),
-        restored.repository().now()
+        "restored: {} live docs on {} shards at {}",
+        restored.num_docs(),
+        restored.num_shards(),
+        restored.now()
     );
     ingest_range(&mut restored, &corpus, &tfs, 60.0..90.0)?;
-    let after_restart = restored.recluster_incremental()?;
+    restored.recluster_incremental()?;
 
     // --- the reference service that never crashed -------------------------
-    let mut reference = NoveltyPipeline::new(decay, config);
+    let mut reference = ShardedPipeline::new(decay, config, SHARDS)?;
     ingest_range(&mut reference, &corpus, &tfs, 0.0..30.0)?;
     reference.recluster_incremental()?;
     ingest_range(&mut reference, &corpus, &tfs, 30.0..60.0)?;
     reference.recluster_incremental()?;
     ingest_range(&mut reference, &corpus, &tfs, 60.0..90.0)?;
-    let uninterrupted = reference.recluster_incremental()?;
+    reference.recluster_incremental()?;
 
+    let after_restart = restored.last_merged().expect("a window ran");
+    let uninterrupted = reference.last_merged().expect("a window ran");
     assert_eq!(
         after_restart.member_lists(),
         uninterrupted.member_lists(),
         "restart changed the clustering!"
     );
     assert_eq!(after_restart.outliers(), uninterrupted.outliers());
+    assert_eq!(
+        restored.lineage().current_lineages(),
+        reference.lineage().current_lineages(),
+        "restart changed the lineage ids!"
+    );
     println!(
-        "restart-transparent: {} clusters, {} outliers, G = {:.3e} — identical to the uninterrupted run",
+        "restart-transparent: {} shard clusters, {} outliers, {} lineages, G = {:.3e} — identical to the uninterrupted run",
         after_restart.non_empty_clusters(),
         after_restart.outliers().len(),
+        restored.lineage().current_lineages().len(),
         after_restart.g()
     );
-    std::fs::remove_file(&path).ok();
     Ok(())
 }

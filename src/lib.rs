@@ -16,9 +16,9 @@
 //! * [`similarity`] — the novelty-based similarity `sim(d_i,d_j)` and the
 //!   O(1)-update cluster representatives of the paper's §4.4;
 //! * [`core`] — the extended K-means with clustering index `G`, outlier
-//!   handling, the incremental [`core::NoveltyPipeline`], and the
-//!   multi-stream [`core::ShardedPipeline`] (deterministic DocId routing,
-//!   one merged, stitched view per window);
+//!   handling, and the on-line [`core::ShardedPipeline`] (deterministic
+//!   DocId routing over per-shard [`core::NoveltyPipeline`] engines, one
+//!   merged, stitched view per window, cluster lineage, checkpoints);
 //! * [`baselines`] — cosine K-means, single-pass INCR, bucketed GAC;
 //! * [`f2icm`] — F²ICM, the paper's predecessor method (ECDL 2001), with
 //!   C²ICM cover-coefficient seed selection and K estimation;
@@ -39,7 +39,8 @@
 //! // 1. A forgetting model: 7-day half-life, 14-day life span.
 //! let decay = DecayParams::from_spans(7.0, 14.0)?;
 //! let config = ClusteringConfig { k: 2, seed: 1, ..ClusteringConfig::default() };
-//! let mut pipeline = NoveltyPipeline::new(decay, config);
+//! let shards = 1; // more shards split the stream; their clusters are stitched
+//! let mut pipeline = ShardedPipeline::new(decay, config, shards)?;
 //!
 //! // 2. Ingest documents as they arrive (here: trivial two-topic stream).
 //! let analyzer = Pipeline::english();
@@ -58,6 +59,13 @@
 //! // 3. Recluster incrementally whenever you need fresh results.
 //! let clustering = pipeline.recluster_incremental()?;
 //! assert!(clustering.non_empty_clusters() >= 1);
+//!
+//! // 4. Lineage ids follow topics across windows; a checkpoint keeps them.
+//! assert_eq!(pipeline.lineage().windows_observed(), 1);
+//! let mut checkpoint = Vec::new();
+//! pipeline.save_json(&mut checkpoint)?;
+//! let restored = ShardedPipeline::load_json(checkpoint.as_slice())?;
+//! assert_eq!(restored.lineage().current_lineages(), pipeline.lineage().current_lineages());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

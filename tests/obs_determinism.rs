@@ -86,7 +86,8 @@ fn postings_touched() -> u64 {
 type WindowResult = (Vec<Vec<DocId>>, Vec<DocId>, f64, usize);
 
 /// Runs the full pipeline (ingest → advance → expire → recluster every
-/// three days) and returns everything observable about the results.
+/// three days) on one shard — the production path, lineage included — and
+/// returns everything observable about the results.
 fn run_pipeline(k: usize, stream: &Stream, threads: usize) -> Vec<WindowResult> {
     let decay = DecayParams::from_spans(4.0, 8.0).unwrap();
     let config = ClusteringConfig {
@@ -95,30 +96,20 @@ fn run_pipeline(k: usize, stream: &Stream, threads: usize) -> Vec<WindowResult> 
         threads,
         ..ClusteringConfig::default()
     };
-    let mut pipeline = NoveltyPipeline::new(decay, config);
+    let mut pipeline = ShardedPipeline::new(decay, config, 1).unwrap();
     let mut windows = Vec::new();
     let mut next = 3.0f64;
     for (id, day, tf) in stream.iter().cloned() {
         while day >= next {
             pipeline.advance_to(Timestamp(next)).unwrap();
             let c = pipeline.recluster_incremental().unwrap();
-            windows.push((
-                c.member_lists(),
-                c.outliers().to_vec(),
-                c.g(),
-                c.iterations(),
-            ));
+            windows.push((c.member_lists(), c.outliers(), c.g(), c.iterations()));
             next += 3.0;
         }
         pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
     }
     let c = pipeline.recluster_incremental().unwrap();
-    windows.push((
-        c.member_lists(),
-        c.outliers().to_vec(),
-        c.g(),
-        c.iterations(),
-    ));
+    windows.push((c.member_lists(), c.outliers(), c.g(), c.iterations()));
     windows
 }
 
@@ -167,9 +158,8 @@ fn enabled_run_covers_all_instrumented_layers() {
 
     for metric in [
         // pipeline layer
-        "nidc_pipeline_ingested_docs_total",
         "nidc_pipeline_reclusters_total",
-        "nidc_pipeline_expired_docs_total",
+        "nidc_sharded_reclusters_total",
         // K-means layer
         "nidc_kmeans_runs_total",
         "nidc_kmeans_warm_starts_total",
@@ -206,7 +196,12 @@ fn enabled_run_covers_all_instrumented_layers() {
         assert!(h.count > 0, "histogram {histogram} never observed");
     }
     // cross-checks that only hold because the run really happened
-    assert_eq!(snap.counter("nidc_pipeline_ingested_docs_total"), Some(37));
+    // each document event is counted once, by the repository performing it
+    assert_eq!(
+        snap.counter("nidc_forgetting_docs_inserted_total"),
+        Some(37)
+    );
+    assert_eq!(snap.counter("nidc_forgetting_docs_expired_total"), Some(11));
     assert_eq!(
         snap.counter("nidc_pipeline_reclusters_total"),
         snap.counter("nidc_kmeans_runs_total"),
@@ -323,7 +318,8 @@ fn tiny_stream() -> Stream {
     ]
 }
 
-/// Two ingest → advance → recluster windows over the tiny stream.
+/// Two ingest → advance → recluster windows over the tiny stream, on one
+/// shard.
 fn run_tiny(threads: usize) {
     let decay = DecayParams::from_spans(4.0, 8.0).unwrap();
     let config = ClusteringConfig {
@@ -332,7 +328,7 @@ fn run_tiny(threads: usize) {
         threads,
         ..ClusteringConfig::default()
     };
-    let mut pipeline = NoveltyPipeline::new(decay, config);
+    let mut pipeline = ShardedPipeline::new(decay, config, 1).unwrap();
     for (id, day, tf) in tiny_stream() {
         pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
     }

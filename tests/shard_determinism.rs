@@ -7,7 +7,8 @@
 //!   and each pipeline's internal parallelism may only change wall-clock,
 //!   never bits), on both K-means step-1 sweeps;
 //! * **checkpoint transparency** — saving mid-stream, loading, and
-//!   continuing produces exactly the run that never stopped.
+//!   continuing produces exactly the run that never stopped, and a legacy
+//!   single-pipeline checkpoint still loads as one shard.
 
 use khy2006::prelude::*;
 use khy2006::textproc::{SparseVector, TermId};
@@ -263,9 +264,7 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
         straight.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
     }
     straight.recluster_incremental().unwrap();
-    let tracker = straight
-        .lineage()
-        .expect("lineage tracking is on by default");
+    let tracker = straight.lineage();
     assert_eq!(tracker.windows_observed(), 1);
     let mid_lineages = tracker.current_lineages();
     assert!(!mid_lineages.is_empty(), "first window produced clusters");
@@ -274,8 +273,8 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
     straight.save_json(&mut json).unwrap();
     let mut resumed = ShardedPipeline::load_json(&json[..]).unwrap();
     assert_eq!(
-        resumed.lineage().map(|t| t.current_lineages()),
-        Some(mid_lineages),
+        resumed.lineage().current_lineages(),
+        mid_lineages,
         "the checkpoint must carry the lineage assignment verbatim"
     );
 
@@ -284,7 +283,7 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
             pipeline.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
         }
         pipeline.recluster_incremental().unwrap();
-        let t = pipeline.lineage().expect("still tracking");
+        let t = pipeline.lineage();
         (t.windows_observed(), t.current_lineages())
     };
     let expected = finish(&mut straight);
@@ -294,6 +293,65 @@ fn lineage_ids_survive_checkpoint_save_load_continue() {
         "lineage ids diverged after checkpoint save → load → continue"
     );
     assert_eq!(expected.0, 2, "both windows count");
+}
+
+/// A checkpoint in the legacy single-pipeline format (`PipelineState`), as
+/// an unsharded `NoveltyPipeline` wrote it after two windows: doc ids 0..30
+/// of [`stream`], re-clustered at ids 14 and 29, lineage state included.
+const LEGACY_CHECKPOINT: &str = include_str!("fixtures/legacy_pipeline_state.json");
+
+/// The legacy format is read-only but still loads: as one shard, carrying
+/// its warm start and its lineage, so one more window matches a one-shard
+/// run that never stopped — member lists, outliers and lineage ids.
+#[test]
+fn legacy_checkpoint_loads_as_one_shard_and_continues() {
+    let docs = stream();
+    let mut straight = ShardedPipeline::new(decay(), config(0), 1).unwrap();
+    let mut resumed = ShardedPipeline::load_json(LEGACY_CHECKPOINT.as_bytes()).unwrap();
+    assert_eq!(resumed.num_shards(), 1);
+    assert_eq!(resumed.config().k, config(0).k);
+
+    let window = |pipeline: &mut ShardedPipeline, docs: &[(DocId, f64, SparseVector)]| {
+        for (id, day, tf) in docs {
+            pipeline.ingest(*id, Timestamp(*day), tf.clone()).unwrap();
+        }
+        pipeline.recluster_incremental().unwrap();
+    };
+    window(&mut straight, &docs[..15]);
+    window(&mut straight, &docs[15..30]);
+    assert_eq!(resumed.num_docs(), straight.num_docs());
+    assert_eq!(resumed.now(), straight.now());
+    assert_eq!(
+        resumed.lineage().current_lineages(),
+        straight.lineage().current_lineages()
+    );
+
+    let finish = |pipeline: &mut ShardedPipeline| {
+        window(pipeline, &docs[30..45]);
+        let merged = pipeline.last_merged().unwrap();
+        let t = pipeline.lineage();
+        (
+            merged.member_lists(),
+            merged.outliers(),
+            t.windows_observed(),
+            t.current_lineages(),
+        )
+    };
+    let expected = finish(&mut straight);
+    assert_eq!(finish(&mut resumed), expected);
+    assert_eq!(expected.2, 3, "all three windows count");
+}
+
+/// A legacy checkpoint cut off mid-file is an error, not a panic.
+#[test]
+fn truncated_legacy_checkpoint_is_an_error() {
+    let bytes = LEGACY_CHECKPOINT.as_bytes();
+    for cut in [1, bytes.len() / 3, bytes.len() / 2, bytes.len() - 2] {
+        assert!(
+            ShardedPipeline::load_json(&bytes[..cut]).is_err(),
+            "a checkpoint cut at byte {cut} loaded"
+        );
+    }
 }
 
 /// The documented id-stability guarantee of the merged/stitched views:
