@@ -1,10 +1,10 @@
 //! **Parallel hot-path benchmark** — sequential vs threaded wall-clock for
-//! the three batch-heavy paths behind `nidc-parallel`: the GAC baseline's
-//! pairwise-similarity agglomeration, the φ-vector (`DocVectors`) build, and
-//! the from-scratch statistics rebuild. Run on a generated ≈2k-document
-//! window with K-means-scale parameters.
+//! the one intra-layer fan-out left behind `nidc-parallel`: the GAC
+//! baseline's pairwise-similarity agglomeration, O(n²) work per bucket. Run
+//! on a generated ≈2k-document window. (The φ build and the statistics
+//! rebuild run sequentially: their fan-outs cost more than they saved.)
 //!
-//! Every threaded run is checked bit-identical to its sequential twin before
+//! The threaded run is checked bit-identical to its sequential twin before
 //! any number is reported — a speedup that changes the answer is a bug, not
 //! a speedup.
 //!
@@ -21,8 +21,6 @@ use std::time::{Duration, Instant};
 use nidc_baselines::{gac, GacConfig};
 use nidc_bench::{scale_from_env, write_json_report};
 use nidc_corpus::Generator;
-use nidc_forgetting::{DecayParams, Repository, Timestamp};
-use nidc_similarity::DocVectors;
 use nidc_textproc::{DocId, Pipeline, SparseVector, Vocabulary};
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
@@ -48,47 +46,18 @@ fn main() {
     let corpus = Generator::dense_stream(2006, days, per_day, 48);
     let pipeline = Pipeline::raw();
     let mut vocab = Vocabulary::new();
-    let docs: Vec<(DocId, f64, SparseVector)> = corpus
+    let pairs: Vec<(DocId, SparseVector)> = corpus
         .articles()
         .iter()
         .map(|a| {
             (
                 DocId(a.id),
-                a.day,
                 pipeline.analyze(&a.text, &mut vocab).to_sparse(),
             )
         })
         .collect();
-    println!("{} documents generated", docs.len());
+    println!("{} documents generated", pairs.len());
 
-    let decay = DecayParams::from_spans(7.0, 14.0).expect("paper setting");
-    let mut repo = Repository::new(decay);
-    for (id, day, tf) in &docs {
-        repo.insert(*id, Timestamp(*day), tf.clone())
-            .expect("chronological");
-    }
-    repo.advance_to(Timestamp(days as f64)).expect("forward");
-
-    let mut results = Vec::new();
-    let mut record = |name: &str, seq: Duration, par: Duration| {
-        let speedup = seq.as_secs_f64() / par.as_secs_f64().max(1e-9);
-        println!(
-            "{name:<28} sequential {:>9.1} ms   {threads} threads {:>9.1} ms   speedup {speedup:.2}x",
-            seq.as_secs_f64() * 1e3,
-            par.as_secs_f64() * 1e3,
-        );
-        results.push(serde_json::json!({
-            "name": name,
-            "sequential_ms": seq.as_secs_f64() * 1e3,
-            "parallel_ms": par.as_secs_f64() * 1e3,
-            "threads": threads,
-            "speedup": speedup,
-        }));
-    };
-
-    // ---------------- GAC pairwise agglomeration -------------------------
-    let pairs: Vec<(DocId, SparseVector)> =
-        docs.iter().map(|(id, _, tf)| (*id, tf.clone())).collect();
     let base = GacConfig {
         target_clusters: 32,
         ..GacConfig::default()
@@ -115,39 +84,27 @@ fn main() {
         seq_clusters, par_clusters,
         "GAC result must be bit-identical"
     );
-    record("gac_2k_window", t_seq, t_par);
-
-    // ---------------- φ-vector build -------------------------------------
-    let (seq_vecs, t_seq) = time(|| DocVectors::build(&repo));
-    let (par_vecs, t_par) = time(|| DocVectors::build_parallel(&repo, threads));
-    for id in seq_vecs.ids() {
-        assert_eq!(
-            seq_vecs.phi(id).unwrap().entries(),
-            par_vecs.phi(id).unwrap().entries(),
-            "phi must be bit-identical"
-        );
-    }
-    record("docvectors_build", t_seq, t_par);
-
-    // ---------------- from-scratch statistics rebuild ---------------------
-    let mut repo_seq = repo.clone();
-    let mut repo_par = repo.clone();
-    let ((), t_seq) = time(|| repo_seq.recompute_from_scratch_with(1));
-    let ((), t_par) = time(|| repo_par.recompute_from_scratch_with(threads));
-    assert!(
-        repo_seq.tdw() == repo_par.tdw(),
-        "rebuilt tdw must be bit-identical"
+    let speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
+    println!(
+        "gac_2k_window  sequential {:>9.1} ms   {threads} threads {:>9.1} ms   speedup {speedup:.2}x",
+        t_seq.as_secs_f64() * 1e3,
+        t_par.as_secs_f64() * 1e3,
     );
-    record("recompute_from_scratch", t_seq, t_par);
 
-    let n_docs = docs.len();
+    let gac_row = serde_json::json!({
+        "name": "gac_2k_window",
+        "sequential_ms": t_seq.as_secs_f64() * 1e3,
+        "parallel_ms": t_par.as_secs_f64() * 1e3,
+        "threads": threads,
+        "speedup": speedup,
+    });
     write_json_report(
         "parallel_hot_paths",
         Some("results/BENCH_parallel.json"),
         serde_json::json!({
             "scale": scale,
-            "docs": n_docs,
-            "results": results,
+            "docs": pairs.len(),
+            "results": [gac_row],
         }),
     );
 }

@@ -95,7 +95,7 @@ fn main() {
         prep.corpus.len()
     );
     println!(
-        "(K=24, beta=7d, gamma=21d, stitch tau={tau}, inner threads {threads}; host hardware threads {})\n",
+        "(K=24, beta=7d, gamma=21d, stitch tau={tau}, threads {threads}; host hardware threads {})\n",
         nidc_parallel::available_threads()
     );
     println!("| shards | rounds | stats ms | cluster+merge ms | stitch ms | live docs | merged F1 | stitched F1 |");

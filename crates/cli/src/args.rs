@@ -33,7 +33,70 @@ pub enum Command {
     Inspect,
 }
 
+/// Options every command accepts: `run` handles them before dispatch.
+const COMMON_OPTIONS: &[&str] = &["log-level", "alloc-stats"];
+
 impl Command {
+    /// The `--key value` options and bare `--flag`s this command reads,
+    /// besides [`COMMON_OPTIONS`].
+    fn options(self) -> &'static [&'static str] {
+        match self {
+            Command::Generate => &["out", "scale", "seed"],
+            Command::Stats => &["input"],
+            Command::Cluster => &[
+                "input",
+                "k",
+                "seed",
+                "beta",
+                "gamma",
+                "from",
+                "to",
+                "top",
+                "json",
+                "metrics",
+                "metrics-format",
+                "events",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Stream => &[
+                "input",
+                "k",
+                "seed",
+                "beta",
+                "gamma",
+                "every",
+                "state",
+                "shards",
+                "stitch",
+                "stitch-threshold",
+                "threads",
+                "metrics",
+                "metrics-format",
+                "events",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Eval => &[
+                "input",
+                "window",
+                "k",
+                "seed",
+                "beta",
+                "gamma",
+                "threads",
+                "shards",
+                "stitch",
+                "stitch-threshold",
+                "metrics",
+                "metrics-format",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Inspect => &["events", "top"],
+        }
+    }
+
     fn parse(word: &str) -> Option<Command> {
         match word {
             "generate" => Some(Command::Generate),
@@ -48,7 +111,7 @@ impl Command {
 }
 
 /// Options that never take a value.
-const BOOLEAN_FLAGS: &[&str] = &["json", "help", "trace-summary", "alloc-stats"];
+const BOOLEAN_FLAGS: &[&str] = &["json", "trace-summary", "alloc-stats"];
 
 impl ParsedArgs {
     /// Parses `args` (without the program name).
@@ -69,6 +132,11 @@ impl ParsedArgs {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument '{tok}'")));
             };
+            if !command.options().contains(&key) && !COMMON_OPTIONS.contains(&key) {
+                return Err(CliError::Usage(format!(
+                    "unknown option '--{key}' for '{word}'"
+                )));
+            }
             if BOOLEAN_FLAGS.contains(&key) {
                 flags.push(key.to_owned());
                 continue;
@@ -196,6 +264,63 @@ mod tests {
             ParsedArgs::parse(["cluster", "positional"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_naming_option_and_command() {
+        for (argv, key, word) in [
+            (&["stream", "--shard", "3"][..], "--shard", "stream"),
+            (&["cluster", "--threads", "2"][..], "--threads", "cluster"),
+            (&["eval", "--events", "e.jsonl"][..], "--events", "eval"),
+            (&["stats", "--json"][..], "--json", "stats"),
+        ] {
+            match ParsedArgs::parse(argv.iter().copied()) {
+                Err(CliError::Usage(msg)) => assert!(
+                    msg.contains(key) && msg.contains(word),
+                    "{argv:?}: message '{msg}' must name {key} and {word}"
+                ),
+                other => panic!("{argv:?} must be a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_option_in_the_usage_text_parses() {
+        // Each command's block in COMMANDS: its own line, then the indented
+        // option lines up to the next command or the blank line.
+        let commands = crate::USAGE
+            .split("COMMANDS:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a COMMANDS section");
+        let mut blocks: Vec<(String, String)> = Vec::new();
+        for line in commands.lines() {
+            match line.strip_prefix("    ").filter(|l| !l.starts_with(' ')) {
+                Some(head) => {
+                    let (word, rest) = head.split_once(' ').unwrap_or((head, ""));
+                    blocks.push((word.to_owned(), rest.to_owned()));
+                }
+                None => blocks.last_mut().expect("a command line first").1 += line,
+            }
+        }
+        assert_eq!(blocks.len(), 6, "one block per command");
+        for (word, text) in &blocks {
+            let keys: Vec<&str> = text
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|t| t.strip_prefix("--"))
+                .collect();
+            assert!(!keys.is_empty(), "{word} lists no options");
+            for key in keys {
+                let opt = format!("--{key}");
+                let mut argv = vec![word.as_str(), opt.as_str()];
+                if !BOOLEAN_FLAGS.contains(&key) {
+                    argv.push("1");
+                }
+                if let Err(e) = ParsedArgs::parse(argv.iter().copied()) {
+                    panic!("`nidc {word} --{key}` from USAGE does not parse: {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -249,7 +249,6 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     let config = ClusteringConfig {
         k: args.get_usize("k", 24)?,
         seed: args.get_u64("seed", 42)?,
-        threads: args.get_usize("threads", 0)?,
         ..ClusteringConfig::default()
     };
     let top = args.get_usize("top", 10)?;
@@ -273,7 +272,7 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     }
     repo.advance_to(Timestamp(to))
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let vecs = DocVectors::build_parallel(&repo, config.threads);
+    let vecs = DocVectors::build(&repo);
     let clustering = cluster_batch(&vecs, &config).map_err(|e| CliError::Other(e.to_string()))?;
     if let Some(m) = exporter.as_mut() {
         m.record_window(&[("from", from), ("to", to)])?;
@@ -606,7 +605,7 @@ fn eval<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     }
     repo.advance_to(Timestamp(w.end))
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let vecs = DocVectors::build_parallel(&repo, config.threads);
+    let vecs = DocVectors::build(&repo);
     let clustering = cluster_batch(&vecs, &config).map_err(|e| CliError::Other(e.to_string()))?;
     if let Some(m) = exporter.as_mut() {
         m.record_window(&[("window", window_no as f64)])?;

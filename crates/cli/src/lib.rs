@@ -63,7 +63,7 @@ COMMANDS:
     cluster    cluster a time range and print the hot-topic overview
                --input FILE [--k N=24] [--beta DAYS=7] [--gamma DAYS=30]
                [--from DAY=0] [--to DAY=end] [--top N=10] [--json]
-               [--threads N=0] [--metrics FILE] [--events FILE]
+               [--seed N] [--metrics FILE] [--events FILE]
     stream     replay the corpus incrementally, printing overviews
                --input FILE [--k N=16] [--beta DAYS=7] [--gamma DAYS=21]
                [--every DAYS=5] [--state FILE] [--shards N=1]
@@ -78,8 +78,9 @@ COMMANDS:
     inspect    render per-lineage timelines from an event stream
                --events FILE [--top N=24]
 
---threads N: worker threads for the clustering hot paths (0 = all hardware
-threads, 1 = sequential). Results are identical for any value.
+--threads N (stream, eval): how many shards run at once (0 = all hardware
+threads, 1 = sequential). Only --shards > 1 fans out; everything within a
+shard runs sequentially. Results are identical for any value.
 --shards N (stream, eval): split the stream over N independent pipelines
 behind a deterministic DocId router, clustered in parallel and merged once
 per window. N=1 (default) is the single pipeline, bit for bit; any fixed N

@@ -42,12 +42,13 @@ pub struct ClusteringConfig {
     pub keep_last_member: bool,
     /// The assignment criterion (see [`Criterion`]).
     pub criterion: Criterion,
-    /// Worker threads for the parallel hot paths (φ-vector build, the
-    /// from-scratch statistics rebuild and the shard fan-out): `0` = all
-    /// hardware threads, `1` = sequential. The extended K-means step 1 is
-    /// sequential by the paper's definition and ignores it. The clustering,
-    /// its statistics, and the iteration count are bit-identical for any
-    /// value — see `nidc-parallel` for the contract.
+    /// How many shards of a [`crate::ShardedPipeline`] run at once: `0` =
+    /// all hardware threads, `1` = sequential. Nothing else in the pipeline
+    /// reads it: within a shard the φ build, the statistics rebuild and the
+    /// extended K-means (sequential by the paper's definition) run on one
+    /// thread, so one shard is single-threaded at any value. The
+    /// clustering, its statistics, and the iteration count are
+    /// bit-identical for any value — see `nidc-parallel` for the contract.
     pub threads: usize,
 }
 

@@ -646,13 +646,11 @@ impl LineageTracker {
         LIFECYCLE_MERGES.add(merges);
         LIFECYCLE_DRIFT_MAX.set(drift_max);
         if obs::enabled() {
+            // G over Σ ss(C_p): φ scales cancel, and each cluster's G-term
+            // is at most its ss (Cauchy–Schwarz), so this lies in [0, 1].
+            let ss: f64 = clusters.iter().map(|c| c.rep.ss()).sum();
+            QUALITY_COHESION.set(if ss > 0.0 { g / ss } else { 0.0 });
             let assigned: usize = clusters.iter().map(|c| c.members.len()).sum();
-            let cohesion = if assigned > 0 {
-                g / assigned as f64
-            } else {
-                0.0
-            };
-            QUALITY_COHESION.set(cohesion);
             QUALITY_SEPARATION.set(separation(clusters));
             let novel = universe.difference(&self.prev_universe).count();
             let novelty_rate = if universe.is_empty() {

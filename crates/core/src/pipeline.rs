@@ -157,20 +157,58 @@ impl NoveltyPipeline {
     /// extended K-means from the previous clustering's assignment. Falls
     /// back to random seeding the first time.
     pub fn recluster_incremental(&mut self) -> Result<Clustering> {
+        self.recluster(false)
+    }
+
+    /// Non-incremental re-clustering (the paper's Experiment 1 baseline):
+    /// rebuilds every statistic from scratch and seeds randomly, ignoring
+    /// any previous clustering.
+    pub fn recluster_from_scratch(&mut self) -> Result<Clustering> {
+        self.recluster(true)
+    }
+
+    /// The one body of both re-clusterings: expire, (rebuild the
+    /// statistics,) build φ, run K-means, keep the result for the next
+    /// warm start.
+    fn recluster(&mut self, from_scratch: bool) -> Result<Clustering> {
         let span = nidc_obs::span!("pipeline.recluster");
         let timer = RECLUSTER_SECONDS.start_timer();
         RECLUSTERS.inc();
         self.expire();
+        if from_scratch {
+            self.repo.recompute_from_scratch();
+        }
         let vecs = {
             let _span = nidc_obs::span!("pipeline.build_vectors");
-            DocVectors::build_parallel(&self.repo, self.config.threads)
+            DocVectors::build(&self.repo)
         };
-        // the effective K shrinks with the live population (K = min(k, n));
-        // after heavy expiration the previous assignment may reference
-        // cluster slots that no longer exist — those documents re-enter as
-        // unassigned (they reseed slots like any new document)
-        let k = self.config.k.min(vecs.len());
-        let initial = match self.previous.take() {
+        let initial = if from_scratch {
+            InitialState::Random
+        } else {
+            self.warm_start(vecs.len())
+        };
+        let clustering = cluster_with_initial(&vecs, &self.config, initial)?;
+        self.previous = Some(clustering.assignment());
+        self.last = Some(clustering.clone());
+        timer.stop();
+        drop(span);
+        let mode = if from_scratch {
+            "from_scratch"
+        } else {
+            "incremental"
+        };
+        self.log_recluster(mode, &clustering);
+        Ok(clustering)
+    }
+
+    /// Takes the previous assignment as the warm-start state for `live`
+    /// documents. The effective K shrinks with the live population
+    /// (K = min(k, n)); after heavy expiration the previous assignment may
+    /// reference cluster slots that no longer exist — those documents
+    /// re-enter as unassigned (they reseed slots like any new document).
+    fn warm_start(&mut self, live: usize) -> InitialState {
+        let k = self.config.k.min(live);
+        match self.previous.take() {
             Some(mut prev) => {
                 prev.retain(|_, p| *p < k);
                 if prev.is_empty() {
@@ -180,36 +218,7 @@ impl NoveltyPipeline {
                 }
             }
             None => InitialState::Random,
-        };
-        let clustering = cluster_with_initial(&vecs, &self.config, initial)?;
-        self.previous = Some(clustering.assignment());
-        self.last = Some(clustering.clone());
-        timer.stop();
-        drop(span);
-        self.log_recluster("incremental", &clustering);
-        Ok(clustering)
-    }
-
-    /// Non-incremental re-clustering (the paper's Experiment 1 baseline):
-    /// rebuilds every statistic from scratch and seeds randomly, ignoring
-    /// any previous clustering.
-    pub fn recluster_from_scratch(&mut self) -> Result<Clustering> {
-        let span = nidc_obs::span!("pipeline.recluster");
-        let timer = RECLUSTER_SECONDS.start_timer();
-        RECLUSTERS.inc();
-        self.expire();
-        self.repo.recompute_from_scratch_with(self.config.threads);
-        let vecs = {
-            let _span = nidc_obs::span!("pipeline.build_vectors");
-            DocVectors::build_parallel(&self.repo, self.config.threads)
-        };
-        let clustering = cluster_with_initial(&vecs, &self.config, InitialState::Random)?;
-        self.previous = Some(clustering.assignment());
-        self.last = Some(clustering.clone());
-        timer.stop();
-        drop(span);
-        self.log_recluster("from_scratch", &clustering);
-        Ok(clustering)
+        }
     }
 
     /// Samples this pipeline's heap footprint: repository, last clustering's

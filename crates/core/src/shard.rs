@@ -1,11 +1,11 @@
 //! Stream sharding: many independent pipelines, one view per window.
 //!
-//! The window's hot paths are parallel *within* a pipeline; this module
-//! shards *across* the stream. Each [`StreamShard`] owns a
-//! [`NoveltyPipeline`] engine — its own forgetting [`Repository`],
-//! warm-start assignment, and last clustering — and a [`ShardedPipeline`]
-//! fans `ingest_batch` / `advance_to` / `recluster_*` out across the
-//! shards via `nidc-parallel`. Each re-clustering merges the per-shard
+//! Within one pipeline a window runs sequentially; this module shards
+//! *across* the stream, and the shards are the unit of parallelism. Each
+//! [`StreamShard`] owns a [`NoveltyPipeline`] engine — its own forgetting
+//! [`Repository`], warm-start assignment, and last clustering — and a
+//! [`ShardedPipeline`] fans `ingest_batch` / `advance_to` / `recluster_*`
+//! out across the shards via `nidc-parallel`. Each re-clustering merges the per-shard
 //! results into one [`MergedClustering`], stitched once when τ applies,
 //! which the pipeline holds until the next window: every reader borrows it
 //! through [`ShardedPipeline::last_merged`], which does no work.
@@ -25,8 +25,8 @@
 //!
 //! Routing is a pure function of the [`DocId`] (or an explicit stream key),
 //! so a fixed shard count always produces the same partition; each shard's
-//! pipeline is bit-identical for any thread count (the PR 1 contract); and
-//! the merge walks shards in index order. Hence a sharded run is
+//! pipeline runs sequentially at any thread count; and the merge walks
+//! shards in index order. Hence a sharded run is
 //! bit-identical across `threads ∈ {0, 1, 2, 4, 7, …}`, and `shards = 1`
 //! routes everything to one pipeline, reproducing the unsharded pipeline
 //! bit for bit.

@@ -377,66 +377,17 @@ impl Repository {
                 self.term_num[idx] += scale * f;
             }
         }
+        // the rebuilt table keeps no slack from amortised growth
+        self.term_num.shrink_to_fit();
         self.tdw = tdw;
     }
 
-    /// [`Repository::recompute_from_scratch`] fanned out over `threads`
-    /// scoped workers (`0` = all hardware threads; see `nidc-parallel`).
-    ///
-    /// Bit-identical to the sequential rebuild for any thread count:
-    ///
-    /// * the per-document weights `λ^(τ−T_i)` are pure and computed
-    ///   item-parallel, then `tdw` is summed sequentially in document order;
-    /// * the `S_k` numerators are sharded by **term range** — each worker
-    ///   owns a contiguous slice of the term table and scans the postings in
-    ///   document order, accumulating only the terms in its range. Every
-    ///   slot therefore receives its additions in exactly the sequential
-    ///   order. (Each worker re-scans all postings; the redundancy buys
-    ///   lock-free determinism and still wins once the table is wide.)
-    pub fn recompute_from_scratch_with(&mut self, threads: usize) {
-        let threads = nidc_parallel::resolve_threads(threads);
-        if !nidc_parallel::should_fan_out(self.docs.len(), threads) {
-            // The sequential fallback carries its own RECOMPUTE_SECONDS timer.
-            return self.recompute_from_scratch();
-        }
-        let _span = nidc_obs::span!("repo.recompute");
-        let _timer = RECOMPUTE_SECONDS.start_timer();
-        let lambda = self.params;
-        let now = self.now;
-        let ages: Vec<Timestamp> = self.docs.values().map(|e| e.acquired).collect();
-        let weights = nidc_parallel::par_map(&ages, threads, |&t| lambda.weight_at_age(now - t));
-        let mut tdw = 0.0;
-        for (entry, &w) in self.docs.values_mut().zip(&weights) {
-            entry.weight = w;
-            tdw += w;
-        }
-        let dim = self.term_num.len().max(
-            self.docs
-                .values()
-                .flat_map(|e| e.tf.iter())
-                .map(|(t, _)| t.index() + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        let postings: Vec<(&SparseVector, f64)> = self
-            .docs
-            .values()
-            .map(|e| (&e.tf, e.weight / e.len))
-            .collect();
-        let shards = nidc_parallel::par_chunks(dim, threads, |range| {
-            let mut local = vec![0.0; range.len()];
-            for (tf, scale) in &postings {
-                for (term, f) in tf.iter() {
-                    let idx = term.index();
-                    if range.contains(&idx) {
-                        local[idx - range.start] += scale * f;
-                    }
-                }
-            }
-            local
-        });
-        self.term_num = shards.concat();
-        self.tdw = tdw;
+    /// [`Repository::recompute_from_scratch`]; `_threads` is ignored. The
+    /// rebuild is a milliseconds-long pass, so it runs sequentially. This
+    /// forward exists only because the `bench_e2e` replay still calls it;
+    /// nothing else may.
+    pub fn recompute_from_scratch_with(&mut self, _threads: usize) {
+        self.recompute_from_scratch();
     }
 
     /// Maximum absolute deviation between the incrementally-maintained

@@ -16,7 +16,7 @@
 //!   touching them never allocates and never recurses into the allocator):
 //!   allocation events and bytes allocated on *this* thread. Trace spans
 //!   snapshot these at open/close, giving the profile tree per-span
-//!   `allocs`/`bytes` attribution; `par_map`/`par_map_mut` fold worker
+//!   `allocs`/`bytes` attribution; `par_chunks`/`par_map_mut` fold worker
 //!   deltas back into the capturing span via [`add_external`].
 //!
 //! Counting is a pure observer: no allocation decision ever depends on the

@@ -1,7 +1,13 @@
-//! Deterministic chunked thread fan-out shared by every parallel hot path.
+//! Deterministic chunked thread fan-out, used only where it pays.
 //!
-//! All parallelism in this workspace goes through this crate so that one
-//! invariant is enforced in one place: **results are independent of thread
+//! Two callers fan out: a [`par_map_mut`] over the shards of a
+//! sharded pipeline (one coarse unit of work per shard), and
+//! [`par_chunks`] over the GAC baseline's O(n²) bucket scans. The
+//! millisecond batch passes of a window — the φ build, the statistics
+//! rebuild, K-means step 1 — run sequentially, because a fan-out there
+//! cost more than it saved.
+//!
+//! Every helper keeps one invariant: **results are independent of thread
 //! count and scheduling**. Work is split into contiguous index chunks, one
 //! per worker, each worker produces its chunk's results independently, and
 //! the chunks are concatenated in chunk order. Since every function here
@@ -129,11 +135,8 @@ pub fn should_fan_out(len: usize, threads: usize) -> bool {
 }
 
 /// Maps `f` over each chunk of `0..len`, one worker per chunk, and returns
-/// the per-chunk results in chunk order.
-///
-/// This is the primitive the item-level helpers build on; use it directly
-/// when the natural unit of work is a whole range (e.g. building one map
-/// per chunk and merging them in order).
+/// the per-chunk results in chunk order. Fans out only past
+/// [`should_fan_out`]'s gate.
 pub fn par_chunks<R, F>(len: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -190,40 +193,15 @@ where
         .collect()
 }
 
-/// Maps `f` over `0..len` in parallel; `results[i] == f(i)` exactly as in
-/// the sequential loop, regardless of thread count.
-pub fn par_map_indices<R, F>(len: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_chunks(len, threads, |range| range.map(&f).collect::<Vec<R>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Maps `f` over a slice in parallel; `results[i] == f(&items[i])`.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indices(items.len(), threads, |i| f(&items[i]))
-}
-
 /// Maps `f` over a mutable slice in parallel; `results[i] == f(&mut
 /// items[i])` exactly as in the sequential loop, for any thread count.
 ///
 /// The slice is split into contiguous `chunks_mut` regions, one scoped
 /// worker per region, so each worker holds an exclusive borrow of its items
-/// — mutation needs no locks and no `unsafe`. Unlike the read-only helpers,
-/// this one fans out whenever `threads > 1` and there are at least two
-/// items: it exists for **coarse-grained** units of work (one pipeline
-/// shard, one partition) where even two items are worth two workers, not
-/// for fine-grained item loops (those should keep using [`par_map`] and its
-/// `len >= 2·threads` gate).
+/// — mutation needs no locks and no `unsafe`. Unlike [`par_chunks`], this
+/// one fans out whenever `threads > 1` and there are at least two items:
+/// it exists for **coarse-grained** units of work (one pipeline shard)
+/// where even two items are worth two workers.
 pub fn par_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -233,7 +211,7 @@ where
     let threads = resolve_threads(threads);
     let len = items.len();
     // Register the fan-out metrics at the decision point, as should_fan_out
-    // does for the read-only helpers.
+    // does for par_chunks.
     FANOUTS.add(0);
     SEQUENTIAL.add(0);
     CHUNKS.add(0);
@@ -286,33 +264,6 @@ where
         .collect()
 }
 
-/// Folds each chunk of `0..len` sequentially with `fold`, then combines
-/// the per-chunk accumulators **in chunk order** with `merge`.
-///
-/// Deterministic for any thread count, but note the caveat shared by every
-/// parallel reduction: the result equals the sequential fold only when
-/// `merge` is exactly associative over the accumulators (true for counts,
-/// maps keyed by disjoint items, max by a total order — not for float
-/// sums). Hot paths that need bit-identical float statistics keep their
-/// accumulation sequential and parallelise only the pure per-item work.
-pub fn par_fold<A, F, M>(
-    len: usize,
-    threads: usize,
-    init: impl Fn() -> A + Sync,
-    fold: F,
-    merge: M,
-) -> A
-where
-    A: Send,
-    F: Fn(A, usize) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    par_chunks(len, threads, |range| range.fold(init(), &fold))
-        .into_iter()
-        .reduce(merge)
-        .unwrap_or_else(init)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,23 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_sequential_for_any_thread_count() {
-        let items: Vec<u64> = (0..103).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [0usize, 1, 2, 4, 7] {
-            assert_eq!(par_map(&items, threads, |x| x * x + 1), expected);
-        }
-    }
-
-    #[test]
-    fn par_map_indices_preserves_order() {
-        for threads in [0usize, 1, 2, 4, 7] {
-            let got = par_map_indices(57, threads, |i| i as u64 * 3);
-            assert_eq!(got, (0..57).map(|i| i as u64 * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn par_chunks_concatenates_in_chunk_order() {
         for threads in [0usize, 1, 2, 4, 7] {
             let per_chunk = par_chunks(40, threads, |r| (r.start, r.end));
@@ -361,27 +295,6 @@ mod tests {
             }
             assert_eq!(pos, 40);
         }
-    }
-
-    #[test]
-    fn par_fold_counts_deterministically() {
-        for threads in [0usize, 1, 2, 4, 7] {
-            let count = par_fold(
-                1000,
-                threads,
-                || 0u64,
-                |acc, i| acc + u64::from(i % 3 == 0),
-                |a, b| a + b,
-            );
-            assert_eq!(count, 334);
-        }
-    }
-
-    #[test]
-    fn small_inputs_stay_sequential_but_correct() {
-        // len < 2*threads takes the sequential path
-        assert_eq!(par_map(&[1, 2, 3], 8, |x| x + 1), vec![2, 3, 4]);
-        assert_eq!(par_map::<u32, u32, _>(&[], 4, |x| *x), Vec::<u32>::new());
     }
 
     #[test]
@@ -426,10 +339,12 @@ mod tests {
         // no cross-test lock is needed; tallies are per-thread anyway.
         nidc_obs::alloc::set_tracking(true);
         let (a0, b0) = nidc_obs::alloc::thread_tallies();
-        let results = par_map_indices(16, 4, |i| vec![i as u64; 64]);
+        let results = par_chunks(16, 4, |range| {
+            range.map(|i| vec![i as u64; 64]).collect::<Vec<_>>()
+        });
         let (a1, b1) = nidc_obs::alloc::thread_tallies();
         nidc_obs::alloc::set_tracking(false);
-        assert_eq!(results.len(), 16);
+        assert_eq!(results.concat().len(), 16);
         assert!(
             a1 - a0 >= 16,
             "every worker-side Vec allocation must fold into the caller ({})",

@@ -16,13 +16,17 @@ fn worker_spans_parent_under_the_fan_out_call() {
     let _guard = trace_lock();
     trace::clear();
     trace::set_trace_enabled(true);
-    let items: Vec<u64> = (0..16).collect();
     {
         let _root = nidc_obs::span!("test.window");
-        let got = nidc_parallel::par_map(&items, 4, |x| {
-            let _item = nidc_obs::span!("test.item");
-            x + 1
-        });
+        let got: Vec<u64> = nidc_parallel::par_chunks(16, 4, |range| {
+            range
+                .map(|x| {
+                    let _item = nidc_obs::span!("test.item");
+                    x as u64 + 1
+                })
+                .collect::<Vec<u64>>()
+        })
+        .concat();
         assert_eq!(got, (1..=16).collect::<Vec<u64>>());
     }
     trace::set_trace_enabled(false);
@@ -91,16 +95,16 @@ fn span_guards_unwind_across_worker_panics() {
     let _guard = trace_lock();
     trace::clear();
     trace::set_trace_enabled(true);
-    let items: Vec<u64> = (0..16).collect();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        nidc_parallel::par_map(&items, 4, |x| {
-            let _item = nidc_obs::span!("test.panicking_item");
-            if *x == 5 {
-                panic!("worker died");
+    let result = std::panic::catch_unwind(|| {
+        nidc_parallel::par_chunks(16, 4, |range| {
+            for x in range {
+                let _item = nidc_obs::span!("test.panicking_item");
+                if x == 5 {
+                    panic!("worker died");
+                }
             }
-            *x
         })
-    }));
+    });
     assert!(result.is_err(), "the worker panic must propagate");
     trace::set_trace_enabled(false);
     let events = trace::drain();

@@ -64,37 +64,11 @@ impl DocVectors {
         }
     }
 
-    /// Builds φ vectors in parallel over `threads` scoped worker threads
-    /// (`0` = all hardware threads, `1` = sequential; see `nidc-parallel`).
-    ///
-    /// Semantically identical to [`DocVectors::build`] (same vectors,
-    /// deterministic result); worthwhile from a few thousand documents up.
-    pub fn build_parallel(repo: &Repository, threads: usize) -> Self {
-        let threads = nidc_parallel::resolve_threads(threads);
-        if !nidc_parallel::should_fan_out(repo.len(), threads) {
-            return Self::build(repo);
-        }
-        let snapshot = repo.snapshot();
-        let docs: Vec<(DocId, &SparseVector, f64)> =
-            repo.iter().map(|(id, e)| (id, e.tf(), e.len())).collect();
-        let parts = nidc_parallel::par_chunks(docs.len(), threads, |range| {
-            Self::build_from_snapshot(
-                &snapshot,
-                docs[range].iter().copied(),
-                0, // placeholder; fixed when merging
-            )
-        });
-        let mut phi = BTreeMap::new();
-        let mut self_sim = BTreeMap::new();
-        for part in parts {
-            phi.extend(part.phi);
-            self_sim.extend(part.self_sim);
-        }
-        Self {
-            phi,
-            self_sim,
-            vocab_dim: repo.vocab_dim(),
-        }
+    /// [`DocVectors::build`]; `_threads` is ignored. The φ build is a
+    /// milliseconds-long pass, so it runs sequentially. This forward exists
+    /// only because the `bench_e2e` replay still calls it; nothing else may.
+    pub fn build_parallel(repo: &Repository, _threads: usize) -> Self {
+        Self::build(repo)
     }
 
     /// The φ vector of document `id`.
@@ -232,35 +206,6 @@ mod tests {
         assert!(vecs.sim(DocId(0), DocId(99)).is_none());
         assert!(vecs.phi(DocId(99)).is_none());
         assert!(vecs.self_sim(DocId(99)).is_none());
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let mut repo = Repository::new(DecayParams::from_spans(7.0, 300.0).unwrap());
-        for i in 0..50u64 {
-            repo.insert(
-                DocId(i),
-                Timestamp(0.01 * i as f64),
-                tf(&[
-                    ((i % 7) as u32, 1.0 + (i % 3) as f64),
-                    (10 + (i % 5) as u32, 2.0),
-                ]),
-            )
-            .unwrap();
-        }
-        let seq = DocVectors::build(&repo);
-        for threads in [0, 1, 2, 4, 7] {
-            let par = DocVectors::build_parallel(&repo, threads);
-            assert_eq!(par.len(), seq.len());
-            assert_eq!(par.vocab_dim(), seq.vocab_dim());
-            for id in seq.ids() {
-                assert_eq!(
-                    par.phi(id).unwrap().entries(),
-                    seq.phi(id).unwrap().entries(),
-                    "threads={threads}, doc {id}"
-                );
-            }
-        }
     }
 
     #[test]

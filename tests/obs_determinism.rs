@@ -305,11 +305,8 @@ fn alloc_tracking_on_off_results_are_bit_identical() {
     }
 }
 
-/// A stream small enough that every parallel call site stays below its
-/// fan-out gate (`len >= 2 * threads`) for every thread count under test:
-/// three documents over a three-term vocabulary — `par_chunks` over the
-/// vocabulary dimension (statistics recompute) and over the document count
-/// (doc-vector build) both see `len == 3 < 4`.
+/// Three documents over a three-term vocabulary: a stream small enough
+/// that allocation tallies stay cheap to compare.
 fn tiny_stream() -> Stream {
     vec![
         (0, 0.0, tf(&[(0, 3.0), (1, 1.0)])),
@@ -339,10 +336,10 @@ fn run_tiny(threads: usize) {
 }
 
 /// For a fixed seed and config, allocation tallies are a pure function of
-/// the input — not of the thread count. The workload stays below every
-/// fan-out gate so all four thread counts run the identical sequential
-/// code path, and the per-thread tallies (immune to allocations from other
-/// test threads) must agree exactly.
+/// the input — not of the thread count. A one-shard pipeline never fans
+/// out, so all four thread counts run the identical sequential code path,
+/// and the per-thread tallies (immune to allocations from other test
+/// threads) must agree exactly.
 #[test]
 fn alloc_counts_are_thread_count_invariant() {
     let _guard = flag_lock();
@@ -375,32 +372,45 @@ fn alloc_counts_are_thread_count_invariant() {
     }
 }
 
-/// 72 documents over four topics, each ≈ 400 terms wide: far above every
-/// fan-out gate at the thread counts under test, and wide enough that at
-/// K = 4 step 1 runs through the inverted index rather than the dense
-/// small-K sweep.
+/// 72 documents over four topics, each ≈ 400 terms wide: far above
+/// `should_fan_out`'s `len >= 2 * threads` item gate at the thread counts
+/// under test, and wide enough that at K = 4 step 1 runs through the
+/// inverted index rather than the dense small-K sweep.
+fn wide_docs() -> Stream {
+    (0..72u32)
+        .map(|i| {
+            let topic = (i % 4) * 1000;
+            let mut pairs: Vec<(u32, f64)> = (0..300)
+                .map(|j| (topic + j, 1.0 + ((i + j) % 5) as f64))
+                .collect();
+            // shared background vocabulary, so topics overlap a little
+            pairs.extend((0..100).map(|j| (5000 + (j + 7 * i) % 400, 1.0)));
+            (u64::from(i), 0.1 * f64::from(i), tf(&pairs))
+        })
+        .collect()
+}
+
+fn wide_decay() -> DecayParams {
+    DecayParams::from_spans(7.0, 30.0).unwrap()
+}
+
 fn wide_repository() -> Repository {
-    let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
-    for i in 0..72u32 {
-        let topic = (i % 4) * 1000;
-        let mut pairs: Vec<(u32, f64)> = (0..300)
-            .map(|j| (topic + j, 1.0 + ((i + j) % 5) as f64))
-            .collect();
-        // shared background vocabulary, so topics overlap a little
-        pairs.extend((0..100).map(|j| (5000 + (j + 7 * i) % 400, 1.0)));
-        repo.insert(
-            DocId(u64::from(i)),
-            Timestamp(0.1 * f64::from(i)),
-            tf(&pairs),
-        )
-        .unwrap();
+    let mut repo = Repository::new(wide_decay());
+    for (id, day, tf) in wide_docs() {
+        repo.insert(DocId(id), Timestamp(day), tf).unwrap();
     }
     repo
 }
 
+fn fanouts() -> u64 {
+    khy2006::obs::snapshot()
+        .counter("nidc_parallel_fanouts_total")
+        .unwrap_or(0)
+}
+
 /// Step 1 of the extended K-means is sequential by the paper's definition
 /// (§4.4): each document is scored against representatives every earlier
-/// move of the sweep has updated. On an input above the fan-out gate, a
+/// move of the sweep has updated. On an input far above the item gate, a
 /// K-means run — cold or warm — never fans out, and its
 /// allocation tallies and result are identical at every thread count.
 #[test]
@@ -408,18 +418,20 @@ fn kmeans_step1_never_fans_out() {
     let _guard = flag_lock();
     let repo = wide_repository();
     let vecs = DocVectors::build(&repo);
-    let fanouts = || {
-        khy2006::obs::snapshot()
-            .counter("nidc_parallel_fanouts_total")
-            .unwrap_or(0)
-    };
     khy2006::obs::trace::set_trace_enabled(false);
     khy2006::obs::reset();
     khy2006::obs::set_enabled(true);
     khy2006::obs::alloc::set_tracking(true);
-    // the probe is live: building the vectors on two threads does fan out
+    // the probe is live: advancing two shards on two threads does fan out
     let before = fanouts();
-    let _ = DocVectors::build_parallel(&repo, 2);
+    let two_threads = ClusteringConfig {
+        threads: 2,
+        ..ClusteringConfig::default()
+    };
+    ShardedPipeline::new(wide_decay(), two_threads, 2)
+        .unwrap()
+        .advance_to(Timestamp(1.0))
+        .unwrap();
     assert!(
         fanouts() > before,
         "nidc_parallel_fanouts_total never moved"
@@ -484,6 +496,94 @@ fn kmeans_step1_never_fans_out() {
     }
     khy2006::obs::alloc::set_tracking(false);
     khy2006::obs::set_enabled(false);
+}
+
+/// A one-shard window is sequential at every thread count: the shard
+/// fan-out needs two shards, and the φ build, the statistics rebuild and
+/// K-means step 1 never fan out, even at 72 live documents.
+#[test]
+fn one_shard_window_never_fans_out() {
+    let _guard = flag_lock();
+    khy2006::obs::reset();
+    khy2006::obs::set_enabled(true);
+    let config = ClusteringConfig {
+        k: 4,
+        seed: 5,
+        threads: 2,
+        ..ClusteringConfig::default()
+    };
+    let mut pipeline = ShardedPipeline::new(wide_decay(), config, 1).unwrap();
+    for (id, day, tf) in wide_docs() {
+        pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+    }
+    let before = fanouts();
+    pipeline.recluster_incremental().unwrap();
+    pipeline.recluster_from_scratch().unwrap();
+    let after = fanouts();
+    khy2006::obs::set_enabled(false);
+    assert_eq!(after, before, "a one-shard window fanned out");
+}
+
+/// `nidc_quality_cohesion` is scale-free: φ scales with Pr(d), so the same
+/// clusters under another `tdw` have every representative scaled by some
+/// c (entries × c, `cr_self` and `ss` × c²) and G by c². The gauge must not
+/// move, and it lies in [0, 1].
+#[test]
+fn cohesion_gauge_is_scale_free() {
+    use khy2006::core::{LineageTracker, ObservedCluster};
+    let _guard = flag_lock();
+    // The representative of a cluster whose members' φ vectors are `phis`
+    // over `terms`, every φ scaled by `c`.
+    let rep = |terms: [u32; 2], phis: &[[f64; 2]], c: f64| {
+        let sum = [0, 1].map(|t| c * phis.iter().map(|p| p[t]).sum::<f64>());
+        let ss = phis
+            .iter()
+            .map(|p| c * c * (p[0] * p[0] + p[1] * p[1]))
+            .sum();
+        ClusterRep::from_parts(
+            vec![(TermId(terms[0]), sum[0]), (TermId(terms[1]), sum[1])],
+            phis.len(),
+            sum[0] * sum[0] + sum[1] * sum[1],
+            ss,
+        )
+    };
+    let members = [vec![DocId(0), DocId(1)], vec![DocId(2), DocId(3), DocId(4)]];
+    let cohesion_at = |c: f64| {
+        let reps = [
+            rep([0, 1], &[[2.0, 0.0], [1.0, 1.0]], c),
+            rep([5, 6], &[[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], c),
+        ];
+        let g: f64 = reps.iter().map(ClusterRep::g_term).sum();
+        let observed: Vec<ObservedCluster<'_>> = reps
+            .iter()
+            .zip(&members)
+            .enumerate()
+            .map(|(local, (rep, members))| ObservedCluster {
+                id: GlobalClusterId { shard: 0, local },
+                members,
+                rep,
+            })
+            .collect();
+        khy2006::obs::reset();
+        khy2006::obs::set_enabled(true);
+        LineageTracker::new().observe(&observed, &[], g);
+        let gauge = khy2006::obs::snapshot().fgauge("nidc_quality_cohesion");
+        khy2006::obs::set_enabled(false);
+        gauge.expect("cohesion gauge set")
+    };
+    let base = cohesion_at(1.0);
+    for c in [1e-3, 37.0] {
+        let scaled = cohesion_at(c);
+        assert!(
+            (scaled - base).abs() <= 1e-12 * base.abs(),
+            "cohesion moved with scale {c}: {scaled} vs {base}"
+        );
+        assert!(
+            (0.0..=1.0).contains(&scaled),
+            "cohesion {scaled} at scale {c}"
+        );
+    }
+    assert!((0.0..=1.0).contains(&base) && base > 0.0, "cohesion {base}");
 }
 
 /// `par_map_mut` attributes worker-thread allocations back to the caller:

@@ -1,8 +1,9 @@
-//! The determinism contract of `nidc-parallel`: every parallel hot path
+//! The determinism contract of the thread knob: every path that fans out
 //! produces **bit-identical** results for any thread count. These tests pin
-//! the contract for the four ported paths — φ-vector build, GAC, the
-//! extended K-means, and the from-scratch statistics rebuild — plus the
-//! interaction of `expire()` with a threaded pipeline window run.
+//! the contract for GAC (the one intra-layer fan-out), the extended K-means
+//! (which never fans out), and whole pipeline window runs, plus the
+//! interaction of `expire()` with a threaded pipeline window run. The shard
+//! fan-out has its own suite in `shard_determinism`.
 
 use khy2006::baselines::{gac, GacConfig};
 use khy2006::prelude::*;
@@ -38,26 +39,6 @@ fn repo_from(docs: &[Vec<(u32, f64)>]) -> Repository {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn docvectors_build_is_thread_count_invariant(docs in doc_stream()) {
-        let repo = repo_from(&docs);
-        let seq = DocVectors::build(&repo);
-        for threads in THREAD_COUNTS {
-            let par = DocVectors::build_parallel(&repo, threads);
-            prop_assert_eq!(par.len(), seq.len());
-            for id in seq.ids() {
-                prop_assert_eq!(
-                    par.phi(id).unwrap().entries(), seq.phi(id).unwrap().entries(),
-                    "phi differs at threads={}", threads
-                );
-                prop_assert!(
-                    par.self_sim(id).unwrap() == seq.self_sim(id).unwrap(),
-                    "self_sim differs at threads={}", threads
-                );
-            }
-        }
-    }
 
     #[test]
     fn gac_is_thread_count_invariant(docs in doc_stream()) {
@@ -134,33 +115,6 @@ proptest! {
                 "iteration count differs at threads={}", threads);
             prop_assert_eq!(par.outliers(), seq.outliers(),
                 "outliers differ at threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn recompute_from_scratch_is_thread_count_invariant(docs in doc_stream()) {
-        let mut seq = repo_from(&docs);
-        seq.advance_to(Timestamp(docs.len() as f64)).unwrap();
-        let mut variants: Vec<Repository> =
-            THREAD_COUNTS.iter().map(|_| seq.clone()).collect();
-        seq.recompute_from_scratch();
-        for (threads, repo) in THREAD_COUNTS.iter().zip(variants.iter_mut()) {
-            repo.recompute_from_scratch_with(*threads);
-            prop_assert!(repo.tdw() == seq.tdw(),
-                "tdw differs at threads={}: {} vs {}", threads, repo.tdw(), seq.tdw());
-            prop_assert_eq!(repo.vocab_dim(), seq.vocab_dim(),
-                "vocab_dim differs at threads={}", threads);
-            for k in 0..seq.vocab_dim() {
-                let t = TermId(k as u32);
-                prop_assert!(repo.pr_term(t) == seq.pr_term(t),
-                    "pr_term({}) differs at threads={}", k, threads);
-            }
-            for id in seq.doc_ids() {
-                prop_assert!(
-                    repo.doc_weight(id).unwrap() == seq.doc_weight(id).unwrap(),
-                    "weight of {} differs at threads={}", id, threads
-                );
-            }
         }
     }
 }
