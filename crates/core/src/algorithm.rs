@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder};
 use nidc_textproc::DocId;
 
 use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
@@ -31,7 +31,7 @@ static MOVED_DOCS: LazyCounter = LazyCounter::new("nidc_kmeans_moved_docs_total"
 /// Documents demoted to the outlier list during an iteration.
 static OUTLIER_DOCS: LazyCounter = LazyCounter::new("nidc_kmeans_outlier_docs_total");
 /// `(document, cluster)` candidate pairs scored by the step-1 sweep — the
-/// dense-equivalent `K·rows` work bound. Compare against
+/// per-cluster `K·rows` work bound. Compare against
 /// `nidc_index_postings_touched_total` for the inverted-index saving.
 static STEP1_CANDIDATES: LazyCounter = LazyCounter::new("nidc_kmeans_step1_candidates_total");
 /// Wall time of one step-1 assignment sweep, per repetition. Fine buckets: a
@@ -43,32 +43,6 @@ static STEP1_SECONDS: LazyHistogram =
 /// convergence test).
 static ITERATION_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_kmeans_iteration_seconds", buckets::FINE_SECONDS);
-
-/// Minimum estimated dense-sweep work per document — `K · avg nnz(φ)`,
-/// in multiply-adds — below which the term→cluster inverted index does not
-/// pay for its maintenance (a rebuild per iteration plus postings churn on
-/// every move) and the step-1 sweep runs on dense representatives instead.
-///
-/// On the `bench_e2e` workloads the cutoff sends `firehose` (short windows,
-/// small K·nnz) to the dense sweep and keeps `daily` and `rebuild` on the
-/// index. Running the index on `firehose` too costs ≈ 30% of its
-/// `window_ms_p50`.
-const INDEX_MIN_SWEEP_WORK: f64 = 1500.0;
-
-/// Whether a run's step-1 sweep should go through the term→cluster inverted
-/// index. The index wins only when the dense sweep would do enough work per
-/// document; for small `K · avg nnz(φ)` the run keeps dense representatives
-/// as private scratch ([`ClusterRep::new_dense`]) — bit-identical to the
-/// sparse storage — and converts them with [`ClusterRep::into_sparse`] on
-/// exit.
-fn sweep_uses_index(vecs: &DocVectors, ids: &[DocId], k: usize) -> bool {
-    let total_nnz: usize = ids
-        .iter()
-        .map(|&d| vecs.phi(d).map_or(0, |phi| phi.nnz()))
-        .sum();
-    let avg_nnz = total_nnz as f64 / ids.len() as f64;
-    (k as f64) * avg_nnz >= INDEX_MIN_SWEEP_WORK
-}
 
 /// How the repetition process is initialised.
 #[derive(Debug, Clone)]
@@ -92,9 +66,7 @@ pub fn cluster_batch(vecs: &DocVectors, config: &ClusteringConfig) -> Result<Clu
 /// The step-1 assignment score of one `(document, cluster)` pair, given the
 /// already-computed dot product `c⃗ · φ_d`: the change of the cluster's
 /// criterion value if `d` joined (`is_current = false`), or `d`'s present
-/// contribution — `score(C) − score(C \ {d})` (`is_current = true`). One
-/// function so the inverted-index sweep and the dense sweep compute
-/// bit-identical values.
+/// contribution — `score(C) − score(C \ {d})` (`is_current = true`).
 fn assignment_delta_from_dot(
     criterion: crate::Criterion,
     rep: &ClusterRep,
@@ -124,33 +96,43 @@ fn assignment_delta_from_dot(
 /// Fills `row[q]` with the step-1 assignment delta of `phi` against every
 /// cluster `q < reps.len()`.
 ///
-/// With an inverted [`ClusterIndex`] one [`ClusterIndex::dot_all`] pass over
-/// φ's terms produces all K dot products at once — O(Σ_t |postings(t)|)
-/// instead of O(K·nnz(φ)) — and each dot is bit-identical to
-/// `reps[q].dot_doc(phi)` (the index mirrors the sparse representatives entry
-/// for entry), so the deltas, and therefore the argmax winner, match the
-/// dense sweep exactly.
+/// One [`ClusterIndex::dot_all`] pass over φ's terms produces all K dot
+/// products at once — O(Σ_t |postings(t)|) instead of O(K·nnz(φ)) — and
+/// each dot is bit-identical to `reps[q].dot_doc(phi)` (the index mirrors
+/// the representatives entry for entry).
 fn score_row_into(
     criterion: crate::Criterion,
     reps: &[ClusterRep],
-    index: Option<&ClusterIndex>,
+    index: &ClusterIndex,
     phi: &nidc_textproc::SparseVector,
     current: Option<usize>,
     row: &mut [f64],
 ) {
     STEP1_CANDIDATES.add(reps.len() as u64);
-    match index {
-        Some(ix) => ix.dot_all(phi, row),
-        None => {
-            for (dot, rep) in row.iter_mut().zip(reps) {
-                *dot = rep.dot_doc(phi);
-            }
-        }
-    }
+    index.dot_all(phi, row);
     let norm_sq = phi.norm_sq();
     for (q, rep) in reps.iter().enumerate() {
         row[q] = assignment_delta_from_dot(criterion, rep, row[q], norm_sq, current == Some(q));
     }
+}
+
+/// Each cluster's members in ascending `DocId` order.
+fn member_lists(assign: &BTreeMap<DocId, usize>, k: usize) -> Vec<Vec<DocId>> {
+    let mut members: Vec<Vec<DocId>> = vec![Vec::new(); k];
+    for (&d, &p) in assign {
+        members[p].push(d);
+    }
+    members
+}
+
+/// The φ vectors of `members`, in order.
+fn member_phis<'a>(
+    vecs: &'a DocVectors,
+    members: &'a [DocId],
+) -> impl Iterator<Item = &'a nidc_textproc::SparseVector> {
+    members
+        .iter()
+        .map(|d| vecs.phi(*d).expect("member has a vector"))
 }
 
 /// Runs the extended K-means from an explicit [`InitialState`].
@@ -169,31 +151,9 @@ pub fn cluster_with_initial(
     let k = config.k.min(ids.len());
     RUNS.inc();
     let _run_span = nidc_obs::span!("kmeans.run");
-    let use_index = sweep_uses_index(vecs, &ids, k);
-    run(vecs, config, initial, &ids, k, use_index)
-}
 
-/// One extended K-means run over the non-empty `ids` with `k ≤ ids.len()`
-/// clusters; `use_index` picks the step-1 sweep (the inverted index over
-/// sparse representatives, or dense scratch representatives). Both sweeps
-/// produce bit-identical results.
-fn run(
-    vecs: &DocVectors,
-    config: &ClusteringConfig,
-    initial: InitialState,
-    ids: &[DocId],
-    k: usize,
-    use_index: bool,
-) -> Result<Clustering> {
     // --- Initial process -------------------------------------------------
-    let new_rep = if use_index {
-        ClusterRep::new
-    } else {
-        ClusterRep::new_dense
-    };
-    let mut reps: Vec<ClusterRep> = (0..k).map(|_| new_rep()).collect();
     let mut assign: BTreeMap<DocId, usize> = BTreeMap::new();
-    let mut sizes = vec![0usize; k];
 
     match initial {
         InitialState::Random => {
@@ -237,23 +197,22 @@ fn run(
             }
         }
     }
-    for (&d, &p) in &assign {
-        reps[p].add(vecs.phi(d).expect("assigned doc has a vector"));
-        sizes[p] += 1;
-    }
+    // One sparse accumulator builds every representative of the run: the
+    // initial ones as the `add` chain over each cluster's members in DocId
+    // order, and the exact recomputes at the end of each iteration.
+    let mut builder = RepBuilder::new();
+    let mut reps: Vec<ClusterRep> = member_lists(&assign, k)
+        .iter()
+        .map(|m| builder.add_chain(member_phis(vecs, m)))
+        .collect();
 
-    // The sparse sweep routes step 1 through a term→cluster inverted index
-    // mirroring the representatives; the dense sweep keeps per-cluster dot
-    // products (no index to maintain).
-    let mut index: Option<ClusterIndex> = use_index.then(|| {
-        let mut ix = ClusterIndex::new(k);
-        ix.rebuild(&reps);
-        ix
-    });
-    if index.is_none() {
-        // keep the metric schema stable when the index is skipped
-        ClusterIndex::register_metrics();
-    }
+    // Step 1 scores every document through a term→cluster inverted index
+    // mirroring the representatives.
+    let mut index = ClusterIndex::new(k);
+    index.rebuild(&reps);
+    // Clusters a document joined or left since their last exact recompute;
+    // every one starts dirty, since the initial build is an `add` chain.
+    let mut dirty = vec![true; k];
 
     let mut g_old: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
@@ -277,11 +236,11 @@ fn run(
         // already updated, so there is nothing to fan out.
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
-        for &d in ids {
+        for &d in &ids {
             let phi = vecs.phi(d).expect("id comes from vecs");
             let current = assign.get(&d).copied();
             if let Some(p) = current {
-                if config.keep_last_member && sizes[p] == 1 {
+                if config.keep_last_member && reps[p].size() == 1 {
                     continue; // keep the cluster alive; d stays its nucleus
                 }
             }
@@ -294,14 +253,7 @@ fn run(
             // actually moves — this keeps converged iterations cheap, which
             // is what makes warm restarts (§5.2) fast.
             let mut best: Option<(usize, f64)> = None;
-            score_row_into(
-                config.criterion,
-                &reps,
-                index.as_ref(),
-                phi,
-                current,
-                &mut scratch,
-            );
+            score_row_into(config.criterion, &reps, &index, phi, current, &mut scratch);
             for (q, &delta) in scratch.iter().enumerate() {
                 if best.is_none_or(|(_, bd)| delta > bd) {
                     best = Some((q, delta));
@@ -313,16 +265,12 @@ fn run(
                     if current != Some(q) {
                         if let Some(p) = current {
                             reps[p].remove(phi);
-                            if let Some(ix) = index.as_mut() {
-                                ix.remove(p, phi);
-                            }
-                            sizes[p] -= 1;
+                            index.remove(p, phi);
+                            dirty[p] = true;
                         }
                         reps[q].add(phi);
-                        if let Some(ix) = index.as_mut() {
-                            ix.add(q, phi);
-                        }
-                        sizes[q] += 1;
+                        index.add(q, phi);
+                        dirty[q] = true;
                         assign.insert(d, q);
                         moved += 1;
                     }
@@ -330,10 +278,8 @@ fn run(
                 _ => {
                     if let Some(p) = current {
                         reps[p].remove(phi);
-                        if let Some(ix) = index.as_mut() {
-                            ix.remove(p, phi);
-                        }
-                        sizes[p] -= 1;
+                        index.remove(p, phi);
+                        dirty[p] = true;
                         assign.remove(&d);
                         demoted += 1;
                     }
@@ -345,25 +291,20 @@ fn run(
         drop(step1_span);
 
         // steps 2–3: representatives are maintained online; rebuild exactly
-        // to clear floating-point drift, then recompute G
-        let mut members: Vec<Vec<DocId>> = vec![Vec::new(); k];
-        for (&d, &p) in &assign {
-            members[p].push(d);
-        }
+        // the ones whose member list changed, to clear floating-point drift,
+        // then recompute G. An exact representative is a pure function of
+        // its member list, so skipping an unchanged list is bit-identical.
+        let members = member_lists(&assign, k);
         for (p, rep) in reps.iter_mut().enumerate() {
-            rep.recompute_exact(
-                members[p]
-                    .iter()
-                    .map(|d| vecs.phi(*d).expect("member has a vector")),
-            );
+            if std::mem::take(&mut dirty[p]) {
+                *rep = builder.exact(member_phis(vecs, &members[p]));
+            }
         }
         if moved + demoted > 0 {
             // re-mirror the recomputed representatives (incremental updates
-            // above tracked them exactly, but recompute_exact may shed
+            // above tracked them exactly, but the recompute may shed
             // floating-point drift the postings still carry)
-            if let Some(ix) = index.as_mut() {
-                ix.rebuild(&reps);
-            }
+            index.rebuild(&reps);
         }
         let g_new: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
@@ -397,7 +338,7 @@ fn run(
             let clusters = members
                 .into_iter()
                 .zip(reps)
-                .map(|(m, rep)| Cluster::new(m, rep.into_sparse()))
+                .map(|(m, rep)| Cluster::new(m, rep))
                 .collect();
             return Ok(Clustering::new(clusters, outliers, g_new, iterations));
         }
@@ -623,8 +564,8 @@ mod tests {
     }
 
     /// Two-topic collections: each document carries its topic's three core
-    /// terms plus random noise terms, so every scored document shares terms
-    /// with the seeds of its topic and the index sweep visits postings.
+    /// terms plus random noise terms, so clusters share terms and documents
+    /// move between them.
     fn topic_docs() -> impl Strategy<Value = DocVectors> {
         proptest::collection::vec(
             (
@@ -651,28 +592,20 @@ mod tests {
         })
     }
 
-    fn postings_touched() -> u64 {
-        nidc_obs::global()
-            .counter("nidc_index_postings_touched_total")
-            .get()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The two step-1 sweeps — the term→cluster index over sparse
-        /// representatives, and dense scratch representatives — give the
-        /// same clustering bit for bit, cold and warm, under both criteria,
-        /// whichever side `sweep_uses_index` would have picked. Only the
-        /// index side visits postings.
+        /// Every returned representative is bit-identical to an exact
+        /// rebuild over its member list — cold and warm, under both
+        /// criteria — so skipping the recompute of clusters no document
+        /// joined or left never leaves a stale representative behind.
         #[test]
-        fn index_and_dense_sweeps_are_bit_identical(
+        fn returned_representatives_are_exact(
             vecs in topic_docs(),
             k in 2usize..6,
             seed in 0u64..100,
         ) {
-            nidc_obs::set_enabled(true);
-            let ids = vecs.ids();
+            let mut builder = RepBuilder::new();
             for criterion in [crate::Criterion::GTerm, crate::Criterion::AvgSim] {
                 let config = ClusteringConfig { k, seed, criterion, ..ClusteringConfig::default() };
                 let cold = cluster_batch(&vecs, &config).unwrap();
@@ -682,23 +615,23 @@ mod tests {
                     .into_iter()
                     .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % k } else { p }))
                     .collect();
-                for initial in [InitialState::Random, InitialState::Assignment(perturbed)] {
-                    let sweep = |use_index: bool| {
-                        let before = postings_touched();
-                        let c = run(&vecs, &config, initial.clone(), &ids, k, use_index).unwrap();
-                        (c, postings_touched() - before)
+                let warm =
+                    cluster_with_initial(&vecs, &config, InitialState::Assignment(perturbed))
+                        .unwrap();
+                for c in cold.clusters().iter().chain(warm.clusters()) {
+                    let exact = builder.exact(member_phis(&vecs, c.members()));
+                    let (got, want) = (c.rep(), &exact);
+                    prop_assert_eq!(got.size(), want.size());
+                    prop_assert_eq!(got.cr_self().to_bits(), want.cr_self().to_bits());
+                    prop_assert_eq!(got.ss().to_bits(), want.ss().to_bits());
+                    let entries = |r: &ClusterRep| {
+                        let mut e = Vec::new();
+                        r.for_each_entry(|t, w| e.push((t, w.to_bits())));
+                        e
                     };
-                    let (dense, dense_touched) = sweep(false);
-                    let (index, index_touched) = sweep(true);
-                    prop_assert_eq!(index.member_lists(), dense.member_lists());
-                    prop_assert_eq!(index.outliers(), dense.outliers());
-                    prop_assert_eq!(index.iterations(), dense.iterations());
-                    prop_assert_eq!(index.g().to_bits(), dense.g().to_bits());
-                    prop_assert_eq!(dense_touched, 0);
-                    prop_assert!(index_touched > 0, "the index sweep touched no postings");
+                    prop_assert_eq!(entries(got), entries(want));
                 }
             }
-            nidc_obs::set_enabled(false);
         }
     }
 }

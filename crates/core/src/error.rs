@@ -31,6 +31,14 @@ pub enum Error {
         /// The number of per-shard states present.
         found: usize,
     },
+    /// A persisted lineage slot lists its representative's term ids or its
+    /// member ids out of strictly ascending order.
+    MalformedLineageSlot {
+        /// The slot's position in the persisted lineage state.
+        slot: usize,
+        /// The offending field: `"rep_entries"` or `"members"`.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -53,6 +61,9 @@ impl std::fmt::Display for Error {
                     f,
                     "sharded state declares {declared} shards but carries {found} shard states"
                 )
+            }
+            Error::MalformedLineageSlot { slot, field } => {
+                write!(f, "lineage slot {slot}: {field} are not strictly ascending")
             }
         }
     }

@@ -66,7 +66,7 @@ use nidc_similarity::ClusterRep;
 use nidc_textproc::{DocId, TermId};
 
 use crate::merge::GlobalClusterId;
-use crate::Clustering;
+use crate::{Clustering, Error, Result};
 
 static LIFECYCLE_BIRTHS: LazyCounter = LazyCounter::new("nidc_lifecycle_births_total");
 static LIFECYCLE_DEATHS: LazyCounter = LazyCounter::new("nidc_lifecycle_deaths_total");
@@ -730,30 +730,55 @@ impl LineageTracker {
     /// Restores a tracker from a checkpointed state. Representatives are
     /// rebuilt verbatim (no recomputation), so the restored tracker matches
     /// the uninterrupted run bit for bit.
-    pub fn from_state(state: &LineageState) -> Self {
+    ///
+    /// # Errors
+    /// [`Error::MalformedLineageSlot`] if a slot's representative term ids
+    /// or its members are not strictly ascending — the order every
+    /// merge-join over them relies on.
+    pub fn from_state(state: &LineageState) -> Result<Self> {
+        let prev = state
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(slot, s)| {
+                if !strictly_ascending(s.rep_entries.iter().map(|&(t, _)| u64::from(t))) {
+                    return Err(Error::MalformedLineageSlot {
+                        slot,
+                        field: "rep_entries",
+                    });
+                }
+                if !strictly_ascending(s.members.iter().copied()) {
+                    return Err(Error::MalformedLineageSlot {
+                        slot,
+                        field: "members",
+                    });
+                }
+                let entries = s.rep_entries.iter().map(|&(t, w)| (TermId(t), w)).collect();
+                Ok(LineageSlot {
+                    lineage: s.lineage,
+                    key: GlobalClusterId {
+                        shard: s.shard,
+                        local: s.local,
+                    },
+                    members: s.members.iter().map(|&d| DocId(d)).collect(),
+                    rep: ClusterRep::from_parts(entries, s.rep_size, s.rep_cr_self, s.rep_ss),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         register_lifecycle_metrics();
-        Self {
+        Ok(Self {
             next_lineage: state.next_lineage,
             window: state.window,
-            prev: state
-                .slots
-                .iter()
-                .map(|s| {
-                    let entries = s.rep_entries.iter().map(|&(t, w)| (TermId(t), w)).collect();
-                    LineageSlot {
-                        lineage: s.lineage,
-                        key: GlobalClusterId {
-                            shard: s.shard,
-                            local: s.local,
-                        },
-                        members: s.members.iter().map(|&d| DocId(d)).collect(),
-                        rep: ClusterRep::from_parts(entries, s.rep_size, s.rep_cr_self, s.rep_ss),
-                    }
-                })
-                .collect(),
+            prev,
             prev_universe: state.universe.iter().map(|&d| DocId(d)).collect(),
-        }
+        })
     }
+}
+
+/// Whether `ids` is strictly ascending (no repeats).
+fn strictly_ascending(ids: impl IntoIterator<Item = u64>) -> bool {
+    let mut last = None;
+    ids.into_iter().all(|id| last.replace(id) < Some(id))
 }
 
 /// `1 −` the maximum pairwise normalized rep similarity between distinct
@@ -1092,7 +1117,7 @@ mod tests {
         let state = t.to_state();
         let json = serde_json::to_string(&state).unwrap();
         let back: LineageState = serde_json::from_str(&json).unwrap();
-        let mut restored = LineageTracker::from_state(&back);
+        let mut restored = LineageTracker::from_state(&back).unwrap();
 
         let r1 = rep(&[(0, 1.0), (3, 0.5)], 4);
         let m1 = docs(&[1, 2, 3, 9]);

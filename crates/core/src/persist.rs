@@ -176,7 +176,8 @@ impl ShardedPipeline {
     /// # Errors
     /// [`Error::StateVersionMismatch`] if the state was written by an
     /// incompatible format version, [`Error::ShardCountMismatch`] if the
-    /// declared topology disagrees with the per-shard states carried, plus
+    /// declared topology disagrees with the per-shard states carried,
+    /// [`Error::MalformedLineageSlot`] for a lineage slot out of order, plus
     /// any repository-restore failure.
     pub fn from_state(state: &ShardedPipelineState) -> Result<ShardedPipeline> {
         if state.version != SHARDED_STATE_VERSION {
@@ -204,10 +205,10 @@ impl ShardedPipeline {
                 Ok(NoveltyPipeline::from_parts(repo, config.clone(), previous))
             })
             .collect::<Result<Vec<_>>>()?;
-        let lineage = state
-            .lineage
-            .as_ref()
-            .map_or_else(LineageTracker::new, LineageTracker::from_state);
+        let lineage = match &state.lineage {
+            Some(l) => LineageTracker::from_state(l)?,
+            None => LineageTracker::new(),
+        };
         ShardedPipeline::from_parts(pipelines, config, lineage)
     }
 
@@ -237,6 +238,7 @@ impl ShardedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineage::LineageSlotState;
     use nidc_forgetting::{DecayParams, Timestamp};
     use nidc_textproc::{SparseVector, TermId};
 
@@ -365,6 +367,53 @@ mod tests {
         serde_json::to_writer(&mut json, &state).unwrap();
         let err = ShardedPipeline::load_json(json.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A checkpoint whose lineage slots break the ascending order every
+    /// merge-join over them relies on is refused as `InvalidData` — the
+    /// representative's term ids reversed or duplicated, or the members out
+    /// of order — in release builds too.
+    #[test]
+    fn malformed_lineage_slots_are_rejected() {
+        let state = running_sharded(3).to_state();
+        let slots = &state.lineage.as_ref().expect("lineage observed").slots;
+        let wide = slots.iter().position(|s| s.rep_entries.len() >= 2).unwrap();
+        let crowded = slots.iter().position(|s| s.members.len() >= 2).unwrap();
+        type Corrupt = fn(&mut LineageSlotState);
+        let cases: [(&str, usize, Corrupt); 3] = [
+            ("reversed rep_entries", wide, |s| s.rep_entries.reverse()),
+            ("duplicated rep entry", wide, |s| {
+                s.rep_entries.insert(1, s.rep_entries[0]);
+            }),
+            ("unsorted members", crowded, |s| s.members.swap(0, 1)),
+        ];
+        for (what, slot, corrupt) in cases {
+            let mut bad = state.clone();
+            corrupt(&mut bad.lineage.as_mut().unwrap().slots[slot]);
+            assert!(
+                matches!(
+                    ShardedPipeline::from_state(&bad),
+                    Err(Error::MalformedLineageSlot { slot: s, .. }) if s == slot
+                ),
+                "{what} was accepted"
+            );
+            let mut json = Vec::new();
+            serde_json::to_writer(&mut json, &bad).unwrap();
+            let err = ShardedPipeline::load_json(json.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
+    }
+
+    proptest::proptest! {
+        /// A checkpoint cut short at any byte — a crash mid-write — fails
+        /// to load with an error, never a panic or a half-restored pipeline.
+        #[test]
+        fn truncated_checkpoint_is_an_error(frac in 0.0f64..1.0) {
+            let mut buf = Vec::new();
+            running_sharded(3).save_json(&mut buf).unwrap();
+            let cut = (frac * buf.len() as f64) as usize;
+            proptest::prop_assert!(ShardedPipeline::load_json(&buf[..cut]).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use nidc_core::{cluster_batch, cluster_with_initial, ClusteringConfig, Criterion, InitialState};
 use nidc_forgetting::{DecayParams, Repository, Timestamp};
-use nidc_similarity::{ClusterRep, DocVectors};
+use nidc_similarity::{DocVectors, RepBuilder};
 use nidc_textproc::{DocId, SparseVector, TermId};
 use proptest::prelude::*;
 
@@ -82,8 +82,7 @@ proptest! {
         let c = cluster_batch(&vecs, &config).unwrap();
         let mut g = 0.0;
         for cl in c.clusters() {
-            let mut rep = ClusterRep::new();
-            rep.recompute_exact(cl.members().iter().map(|d| vecs.phi(*d).unwrap()));
+            let rep = RepBuilder::new().exact(cl.members().iter().map(|d| vecs.phi(*d).unwrap()));
             g += rep.g_term();
         }
         prop_assert!((c.g() - g).abs() < 1e-9, "G {} vs definitional {g}", c.g());

@@ -28,7 +28,7 @@ use crate::ClusterRep;
 
 /// Postings visited by [`ClusterIndex::dot_all`] — the realised
 /// `Σ_t |postings(t)|` work of the step-1 sweep (compare against
-/// `nidc_kmeans_step1_candidates_total`, the dense-equivalent K·rows bound,
+/// `nidc_kmeans_step1_candidates_total`, the per-cluster K·rows bound,
 /// to see the inverted-index win per run).
 static POSTINGS_TOUCHED: LazyCounter = LazyCounter::new("nidc_index_postings_touched_total");
 /// Incremental `add(cluster, φ)` maintenance operations.
@@ -54,8 +54,8 @@ static POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes
 /// contiguous vocabulary indices, so the per-term lookup in the hot
 /// [`ClusterIndex::dot_all`] loop is a single array access (a `BTreeMap`
 /// spine was measured ~5× slower there; the log-depth pointer chase
-/// swamped the postings savings). Spine memory is O(max term id), like one
-/// dense representative — the K multiplier sparse representatives remove.
+/// swamped the postings savings). Spine memory is O(max term id), once per
+/// index, like the value array of a [`crate::RepBuilder`].
 ///
 /// Postings lists are kept sorted by cluster id; weights mirror the
 /// representatives' stored entries bit-exactly (entries that cancel to
@@ -67,19 +67,6 @@ pub struct ClusterIndex {
 }
 
 impl ClusterIndex {
-    /// Registers the index metric family at its current value (zero on
-    /// first call), so runs that never build a `ClusterIndex` — e.g. when
-    /// the small-K sweep selection picks the dense path — still export the
-    /// full schema. `remove_ops` is deliberately excluded, mirroring the
-    /// metrics manifest (it is not guaranteed even on index-backed runs).
-    pub fn register_metrics() {
-        POSTINGS_TOUCHED.add(0);
-        ADD_OPS.add(0);
-        REBUILDS.add(0);
-        REBUILD_SECONDS.touch();
-        POSTINGS_BYTES.touch();
-    }
-
     /// An empty index over `k` cluster slots.
     pub fn new(k: usize) -> Self {
         Self {
@@ -177,8 +164,8 @@ impl ClusterIndex {
     }
 
     /// Rebuilds all postings from the representatives' stored entries (used
-    /// after `recompute_exact` clears floating-point drift from the reps, so
-    /// index and reps stay bit-identical mirrors of each other).
+    /// after an exact recompute clears floating-point drift from the reps,
+    /// so index and reps stay bit-identical mirrors of each other).
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild");

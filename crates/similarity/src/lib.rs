@@ -29,7 +29,8 @@
 //! [`DocVectors`] materialises the φ vectors from a repository snapshot;
 //! [`ClusterRep`] maintains `c⃗_p`, `cr_sim(C_p,C_p)`, `ss(C_p)` and `|C_p|`
 //! under O(|φ|) additions/removals and answers the "what if d joined/left"
-//! queries the extended K-means needs.
+//! queries the extended K-means needs; [`RepBuilder`] builds whole
+//! representatives in one O(Σ nnz(φ)) pass.
 //!
 //! ```
 //! use nidc_forgetting::{DecayParams, Repository, Timestamp};
@@ -62,7 +63,7 @@ mod rep;
 
 pub use docvec::DocVectors;
 pub use index::ClusterIndex;
-pub use rep::ClusterRep;
+pub use rep::{ClusterRep, RepBuilder};
 
 use nidc_forgetting::Repository;
 use nidc_textproc::DocId;

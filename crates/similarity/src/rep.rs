@@ -10,20 +10,6 @@ use nidc_textproc::{SparseVector, TermId};
 /// accompanying `debug_assert!`s compile out of release builds.
 static FP_RESIDUE_CLAMPS: LazyCounter = LazyCounter::new("nidc_fp_residue_clamps_total");
 
-/// How a [`ClusterRep`] stores its vector `c⃗_p`.
-///
-/// Sparse everywhere except inside one extended K-means run whose step-1
-/// sweep is too small for the term→cluster index to pay off: that run keeps
-/// its representatives dense as private scratch ([`ClusterRep::new_dense`])
-/// and converts them back with [`ClusterRep::into_sparse`] before they
-/// leave it. Both storages accumulate every weight by the same scalar
-/// operations in the same order, so their statistics are bit-identical.
-#[derive(Debug, Clone)]
-enum Storage {
-    Dense(Vec<f64>),
-    Sparse(SparseVector),
-}
-
 /// A cluster representative `c⃗_p = Σ_{d∈C_p} φ_d` (eq. 19–20) together with
 /// the cached quantities of §4.4:
 ///
@@ -38,12 +24,11 @@ enum Storage {
 /// The representative vector is a sorted `Vec<(TermId, f64)>` (the
 /// [`SparseVector`] idiom): O(nnz) memory, O(log nnz) lookup, merge-join
 /// rep↔rep products, mirrored entry for entry by the term→cluster
-/// [`crate::ClusterIndex`]. A small K-means run may instead hold it dense
-/// (`Vec<f64>` over the term space, O(1) lookup) as scratch; see
-/// [`ClusterRep::new_dense`].
+/// [`crate::ClusterIndex`]. Whole representatives are built in one pass by
+/// a [`RepBuilder`].
 #[derive(Debug, Clone)]
 pub struct ClusterRep {
-    storage: Storage,
+    vector: SparseVector,
     size: usize,
     cr_self: f64,
     ss: f64,
@@ -58,35 +43,11 @@ impl Default for ClusterRep {
 impl ClusterRep {
     /// An empty cluster.
     pub fn new() -> Self {
-        Self::with_storage(Storage::Sparse(SparseVector::new()))
+        Self::from_parts(Vec::new(), 0, 0.0, 0.0)
     }
 
-    /// An empty cluster stored densely (`Vec<f64>` over the term space):
-    /// the extended K-means step-1 sweep's scratch when `K · avg nnz(φ)` is
-    /// too small for the term→cluster index to pay off. A document dot
-    /// product is then O(nnz(φ_d)) instead of O(nnz(φ_d)·log nnz(c⃗_p)).
-    ///
-    /// Dense representatives never leave that run: it hands them out through
-    /// [`ClusterRep::into_sparse`]. They support what the sweep needs —
-    /// membership updates, [`ClusterRep::dot_doc`] and every statistic,
-    /// bit-identical to the sparse storage. The methods that read stored
-    /// entries ([`ClusterRep::nnz`], [`ClusterRep::weight`],
-    /// [`ClusterRep::for_each_entry`], [`ClusterRep::top_terms`],
-    /// [`ClusterRep::dot_rep`], [`ClusterRep::merge_from`]) panic on them.
-    pub fn new_dense() -> Self {
-        Self::with_storage(Storage::Dense(Vec::new()))
-    }
-
-    fn with_storage(storage: Storage) -> Self {
-        Self {
-            storage,
-            size: 0,
-            cr_self: 0.0,
-            ss: 0.0,
-        }
-    }
-
-    /// Builds a representative from a set of member φ vectors.
+    /// Builds a representative from a set of member φ vectors by an `add`
+    /// chain ([`RepBuilder::add_chain`] gives the same result in one pass).
     pub fn from_members<'a, I>(members: I) -> Self
     where
         I: IntoIterator<Item = &'a SparseVector>,
@@ -110,7 +71,7 @@ impl ClusterRep {
     pub fn from_parts(entries: Vec<(TermId, f64)>, size: usize, cr_self: f64, ss: f64) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Self {
-            storage: Storage::Sparse(SparseVector::from_sorted(entries)),
+            vector: SparseVector::from_sorted(entries),
             size,
             cr_self,
             ss,
@@ -139,28 +100,19 @@ impl ClusterRep {
 
     /// Number of stored non-zero terms of `c⃗_p`.
     pub fn nnz(&self) -> usize {
-        self.sparse().nnz()
+        self.vector.nnz()
     }
 
     /// The weight of term `t` in `c⃗_p` (0.0 if absent).
     pub fn weight(&self, t: TermId) -> f64 {
-        self.sparse().get(t)
+        self.vector.get(t)
     }
 
     /// Calls `f` for every stored non-zero `(term, weight)` entry of `c⃗_p`,
     /// in ascending term order.
     pub fn for_each_entry(&self, mut f: impl FnMut(TermId, f64)) {
-        for (t, w) in self.sparse().iter() {
+        for (t, w) in self.vector.iter() {
             f(t, w);
-        }
-    }
-
-    /// The stored entries; dense K-means scratch has none to read (see
-    /// [`ClusterRep::new_dense`]).
-    fn sparse(&self) -> &SparseVector {
-        match &self.storage {
-            Storage::Sparse(s) => s,
-            Storage::Dense(_) => panic!("dense K-means scratch has no stored entries to read"),
         }
     }
 
@@ -168,39 +120,25 @@ impl ClusterRep {
     /// computed fresh per (cluster, document) pair (see the discussion
     /// following eq. 26).
     ///
-    /// Both storages accumulate `rep[t]·φ[t]` over φ's terms in term order
-    /// (absent terms contribute an exact ±0.0), so the result is
-    /// bit-identical across them — and to the per-cluster rows of
-    /// [`crate::ClusterIndex::dot_all`].
+    /// Accumulates `rep[t]·φ[t]` over φ's terms in term order (absent terms
+    /// contribute an exact ±0.0), so the result is bit-identical to the
+    /// per-cluster rows of [`crate::ClusterIndex::dot_all`].
     pub fn dot_doc(&self, phi: &SparseVector) -> f64 {
-        match &self.storage {
-            Storage::Dense(v) => {
-                let mut acc = 0.0;
-                for (t, w) in phi.iter() {
-                    if let Some(&r) = v.get(t.index()) {
-                        acc += r * w;
-                    }
-                }
-                acc
-            }
-            Storage::Sparse(s) => {
-                let mut acc = 0.0;
-                for (t, w) in phi.iter() {
-                    acc += s.get(t) * w;
-                }
-                acc
-            }
+        let mut acc = 0.0;
+        for (t, w) in phi.iter() {
+            acc += self.vector.get(t) * w;
         }
+        acc
     }
 
     /// `cr_sim(C_p, C_q)` between two representatives (eq. 21): a
     /// merge-join over the stored entries, O(nnz_p + nnz_q).
     pub fn dot_rep(&self, other: &ClusterRep) -> f64 {
-        self.sparse().dot(other.sparse())
+        self.vector.dot(&other.vector)
     }
 
     /// Adds document `φ` to the cluster, maintaining all cached quantities in
-    /// O(nnz(φ) + nnz(c⃗_p)) worst case (sparse merge; O(nnz(φ)) dense).
+    /// O(nnz(φ) + nnz(c⃗_p)) worst case (sparse merge).
     pub fn add(&mut self, phi: &SparseVector) {
         let dot = self.dot_doc(phi);
         let norm_sq = phi.norm_sq();
@@ -208,22 +146,11 @@ impl ClusterRep {
         self.cr_self += 2.0 * dot + norm_sq;
         self.ss += norm_sq;
         self.size += 1;
-        match &mut self.storage {
-            Storage::Dense(v) => {
-                for (t, w) in phi.iter() {
-                    let idx = t.index();
-                    if idx >= v.len() {
-                        v.resize(idx + 1, 0.0);
-                    }
-                    v[idx] += w;
-                }
-            }
-            Storage::Sparse(s) => s.axpy_in_place(phi, 1.0),
-        }
+        self.vector.axpy_in_place(phi, 1.0);
     }
 
     /// Removes document `φ` from the cluster (the deletion analogue the paper
-    /// omits "for simplicity"), in O(nnz(φ)) / O(nnz(φ) + nnz(c⃗_p)):
+    /// omits "for simplicity"), in O(nnz(φ) + nnz(c⃗_p)):
     ///
     /// ```text
     /// |c − φ|² = |c|² − 2 c·φ + |φ|²
@@ -261,22 +188,10 @@ impl ClusterRep {
         }
         FP_RESIDUE_CLAMPS.add(clamps);
         self.size -= 1;
-        match &mut self.storage {
-            Storage::Dense(v) => {
-                for (t, w) in phi.iter() {
-                    if let Some(r) = v.get_mut(t.index()) {
-                        *r -= w;
-                    }
-                }
-            }
-            Storage::Sparse(s) => s.axpy_in_place(phi, -1.0),
-        }
+        self.vector.axpy_in_place(phi, -1.0);
         if self.size == 0 {
             // restore exact emptiness so drift cannot accumulate across reuse
-            match &mut self.storage {
-                Storage::Dense(v) => v.iter_mut().for_each(|r| *r = 0.0),
-                Storage::Sparse(s) => *s = SparseVector::new(),
-            }
+            self.vector = SparseVector::new();
             self.cr_self = 0.0;
             self.ss = 0.0;
         }
@@ -301,31 +216,7 @@ impl ClusterRep {
         self.cr_self += 2.0 * dot + other.cr_self;
         self.ss += other.ss;
         self.size += other.size;
-        match &mut self.storage {
-            Storage::Sparse(s) => s.axpy_in_place(other.sparse(), 1.0),
-            Storage::Dense(_) => unreachable!("dot_rep rejects dense scratch"),
-        }
-    }
-
-    /// The same representative in sparse storage: dense K-means scratch is
-    /// converted, copying the non-zero entries and every cached statistic
-    /// verbatim, so dot products and statistics stay bit-identical. O(max
-    /// term id) for dense scratch; a sparse representative is returned as is.
-    pub fn into_sparse(self) -> ClusterRep {
-        let Storage::Dense(v) = &self.storage else {
-            return self;
-        };
-        // one exact-size allocation: a filtered collect would regrow
-        let mut entries = Vec::with_capacity(v.iter().filter(|&&w| w != 0.0).count());
-        for (i, &w) in v.iter().enumerate() {
-            if w != 0.0 {
-                entries.push((TermId(i as u32), w));
-            }
-        }
-        ClusterRep {
-            storage: Storage::Sparse(SparseVector::from_sorted(entries)),
-            ..self
-        }
+        self.vector.axpy_in_place(&other.vector, 1.0);
     }
 
     /// `avg_sim(C_p)` — the intra-cluster similarity, via eq. 24:
@@ -415,55 +306,6 @@ impl ClusterRep {
         ((cr_new - ss_new) / ((n - 1.0) * (n - 2.0))).max(0.0)
     }
 
-    /// Rebuilds every cached quantity exactly from the member φ vectors
-    /// (removes floating-point drift after long add/remove chains).
-    pub fn recompute_exact<'a, I>(&mut self, members: I)
-    where
-        I: IntoIterator<Item = &'a SparseVector>,
-    {
-        self.size = 0;
-        self.ss = 0.0;
-        match &mut self.storage {
-            Storage::Dense(v) => {
-                v.iter_mut().for_each(|r| *r = 0.0);
-                for phi in members {
-                    for (t, w) in phi.iter() {
-                        let idx = t.index();
-                        if idx >= v.len() {
-                            v.resize(idx + 1, 0.0);
-                        }
-                        v[idx] += w;
-                    }
-                    self.ss += phi.norm_sq();
-                    self.size += 1;
-                }
-                self.cr_self = v.iter().map(|r| r * r).sum();
-            }
-            Storage::Sparse(s) => {
-                // Accumulate per term in member order — the same scalar-op
-                // sequence the dense storage's slot accumulation performs —
-                // into a hash map, then sort once. An axpy per member would
-                // rewrite the whole entry list each time (O(|C|·nnz(c⃗))).
-                // Map iteration order is never observed: entries are sorted
-                // before use.
-                let mut acc: std::collections::HashMap<TermId, f64> =
-                    std::collections::HashMap::with_capacity(s.nnz());
-                for phi in members {
-                    for (t, w) in phi.iter() {
-                        *acc.entry(t).or_insert(0.0) += w;
-                    }
-                    self.ss += phi.norm_sq();
-                    self.size += 1;
-                }
-                let mut entries: Vec<(TermId, f64)> =
-                    acc.into_iter().filter(|&(_, w)| w != 0.0).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                *s = SparseVector::from_sorted(entries);
-                self.cr_self = s.iter().map(|(_, w)| w * w).sum();
-            }
-        }
-    }
-
     /// The `n` heaviest positive-weight terms of the representative,
     /// heaviest first with ties in ascending term order — a cheap cluster
     /// label for display ("hot topic" keywords).
@@ -490,10 +332,105 @@ impl nidc_obs::DeepSize for ClusterRep {
     /// Heap footprint of the stored vector (full buffer capacity); the
     /// cached scalar statistics are inline and excluded.
     fn deep_size_bytes(&self) -> u64 {
-        match &self.storage {
-            Storage::Dense(v) => (v.capacity() * std::mem::size_of::<f64>()) as u64,
-            Storage::Sparse(s) => s.deep_size_bytes(),
+        self.vector.deep_size_bytes()
+    }
+}
+
+/// A reusable sparse accumulator (SPA; Gilbert, Moler & Schreiber, SIAM J.
+/// Matrix Anal. Appl. 1992) that builds whole representatives in
+/// O(Σ nnz(φ)) — where an `add` chain pays an O(nnz(c⃗_p)) merge per member.
+///
+/// It holds one value array over the term space, the list of terms the
+/// current cluster touched and a seen mark per term. Both builds leave every
+/// slot they touched at zero again, so one builder serves every cluster of a
+/// run and costs O(max term id) memory once, not per cluster.
+#[derive(Debug, Default)]
+pub struct RepBuilder {
+    values: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<TermId>,
+}
+
+impl RepBuilder {
+    /// An empty builder; its arrays grow to the largest term id it meets.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The representative an `add` chain over `members` produces, bit for
+    /// bit ([`ClusterRep::from_members`]): per member, the dot product
+    /// against the accumulator in φ's term order, then `cr_self += 2·dot +
+    /// |φ|²`, `ss += |φ|²` and `acc[t] += w` — the scalar operations of
+    /// [`ClusterRep::add`], in the same order.
+    pub fn add_chain<'a, I>(&mut self, members: I) -> ClusterRep
+    where
+        I: IntoIterator<Item = &'a SparseVector>,
+    {
+        let (mut size, mut cr_self, mut ss) = (0, 0.0, 0.0);
+        for phi in members {
+            let mut dot = 0.0;
+            for (t, w) in phi.iter() {
+                dot += self.values.get(t.index()).copied().unwrap_or(0.0) * w;
+            }
+            let norm_sq = phi.norm_sq();
+            cr_self += 2.0 * dot + norm_sq;
+            ss += norm_sq;
+            size += 1;
+            self.accumulate(phi);
         }
+        ClusterRep::from_parts(self.drain(), size, cr_self, ss)
+    }
+
+    /// The representative recomputed exactly from `members`, shedding the
+    /// floating-point drift of long add/remove chains: each term's weight
+    /// is accumulated in member order, exact zeros are dropped, and
+    /// `cr_self = Σ w²` is summed in ascending term order.
+    pub fn exact<'a, I>(&mut self, members: I) -> ClusterRep
+    where
+        I: IntoIterator<Item = &'a SparseVector>,
+    {
+        let (mut size, mut ss) = (0, 0.0);
+        for phi in members {
+            self.accumulate(phi);
+            ss += phi.norm_sq();
+            size += 1;
+        }
+        let entries = self.drain();
+        let cr_self = entries.iter().map(|&(_, w)| w * w).sum();
+        ClusterRep::from_parts(entries, size, cr_self, ss)
+    }
+
+    /// `acc[t] += w` for every term of φ, recording first touches.
+    fn accumulate(&mut self, phi: &SparseVector) {
+        for (t, w) in phi.iter() {
+            let idx = t.index();
+            if idx >= self.values.len() {
+                self.values.resize(idx + 1, 0.0);
+                self.seen.resize(idx + 1, false);
+            }
+            if !self.seen[idx] {
+                self.seen[idx] = true;
+                self.touched.push(t);
+            }
+            self.values[idx] += w;
+        }
+    }
+
+    /// The accumulated non-zero entries in ascending term order; resets
+    /// every touched slot for the next cluster.
+    fn drain(&mut self) -> Vec<(TermId, f64)> {
+        self.touched.sort_unstable();
+        let mut entries = Vec::with_capacity(self.touched.len());
+        for &t in &self.touched {
+            let idx = t.index();
+            let w = std::mem::take(&mut self.values[idx]);
+            self.seen[idx] = false;
+            if w != 0.0 {
+                entries.push((t, w));
+            }
+        }
+        self.touched.clear();
+        entries
     }
 }
 
@@ -688,14 +625,13 @@ mod tests {
     }
 
     #[test]
-    fn recompute_exact_matches_incremental() {
+    fn builder_exact_matches_incremental() {
         let members = sample_members();
         let mut rep = ClusterRep::new();
         for m in &members {
             rep.add(m);
         }
-        let mut exact = rep.clone();
-        exact.recompute_exact(members.iter());
+        let exact = RepBuilder::new().exact(members.iter());
         assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-12);
         assert!((rep.ss() - exact.ss()).abs() < 1e-12);
         assert_eq!(rep.size(), exact.size());
@@ -756,96 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_bit_identical_through_churn() {
-        // the dense K-means scratch against the sparse storage
-        let members = sample_members();
-        let churn = [phi(&[(0, 0.9), (3, 0.1)]), phi(&[(2, 0.5)])];
-        let mut dense = ClusterRep::new_dense();
-        let mut sparse = ClusterRep::new();
-        for m in &members {
-            dense.add(m);
-            sparse.add(m);
-        }
-        for d in &churn {
-            dense.add(d);
-            sparse.add(d);
-        }
-        for d in churn.iter().rev() {
-            dense.remove(d);
-            sparse.remove(d);
-        }
-        assert_eq!(
-            dense.cr_self(),
-            sparse.cr_self(),
-            "cr_self must be bitwise equal"
-        );
-        assert_eq!(dense.ss(), sparse.ss());
-        assert_eq!(dense.avg_sim(), sparse.avg_sim());
-        let probe = phi(&[(0, 0.2), (1, 0.4), (3, 0.3)]);
-        assert_eq!(dense.dot_doc(&probe), sparse.dot_doc(&probe));
-        assert_eq!(
-            dense.avg_sim_if_added(&probe),
-            sparse.avg_sim_if_added(&probe)
-        );
-        // draining the scratch restores exact emptiness, as on sparse
-        for m in &members {
-            dense.remove(m);
-        }
-        assert!(dense.is_empty());
-        assert_eq!((dense.cr_self(), dense.ss()), (0.0, 0.0));
-        assert_eq!(
-            dense.into_sparse().nnz(),
-            0,
-            "stored weights must be zeroed"
-        );
-    }
-
-    #[test]
-    fn into_sparse_copies_dense_scratch_bit_for_bit() {
-        let members = sample_members();
-        let mut dense = ClusterRep::new_dense();
-        for m in &members {
-            dense.add(m);
-        }
-        // a term beyond every member's support: its slot holds an exact 0
-        dense.add(&phi(&[(9, 0.5)]));
-        dense.remove(&phi(&[(9, 0.5)]));
-        let probe = phi(&[(0, 0.2), (1, 0.4), (2, 0.1), (3, 0.9), (9, 1.0)]);
-        let (cr_self, ss, dot) = (dense.cr_self(), dense.ss(), dense.dot_doc(&probe));
-        let sparse = dense.into_sparse();
-        let reference = ClusterRep::from_members(members.iter());
-        assert_eq!(sparse.size(), reference.size());
-        assert_eq!(sparse.cr_self().to_bits(), cr_self.to_bits());
-        assert_eq!(sparse.ss().to_bits(), ss.to_bits());
-        assert_eq!(sparse.dot_doc(&probe).to_bits(), dot.to_bits());
-        let entries = |r: &ClusterRep| {
-            let mut e = Vec::new();
-            r.for_each_entry(|t, w| e.push((t, w.to_bits())));
-            e
-        };
-        assert_eq!(
-            entries(&sparse),
-            entries(&reference),
-            "zero slots are dropped"
-        );
-        // converted scratch supports the rep↔rep operations
-        assert_eq!(sparse.dot_rep(&reference), reference.dot_rep(&reference));
-        assert_eq!(
-            reference.clone().into_sparse().cr_self(),
-            reference.cr_self()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "dense K-means scratch has no stored entries")]
-    fn dense_scratch_rejects_rep_to_rep_operations() {
-        let members = sample_members();
-        let mut dense = ClusterRep::new_dense();
-        dense.add(&members[0]);
-        ClusterRep::from_members(members.iter()).merge_from(&dense);
-    }
-
-    #[test]
     fn from_parts_round_trips_entries_and_stats_verbatim() {
         let rep = ClusterRep::from_members(sample_members().iter());
         let mut entries = Vec::new();
@@ -861,18 +707,8 @@ mod tests {
     #[test]
     fn deep_size_reflects_storage() {
         use nidc_obs::DeepSize;
-        let members = sample_members();
-        let mut dense = ClusterRep::new_dense();
-        for m in &members {
-            dense.add(m);
-        }
-        let sparse = ClusterRep::from_members(members.iter());
-        // dense: 4 term slots × 8 bytes minimum; sparse: 4 nnz × 16 bytes.
-        assert!(
-            dense.deep_size_bytes() >= 4 * 8,
-            "{}",
-            dense.deep_size_bytes()
-        );
+        let sparse = ClusterRep::from_members(sample_members().iter());
+        // 4 nnz × 16 bytes minimum
         assert!(sparse.deep_size_bytes() >= 4 * 16);
         assert_eq!(ClusterRep::new().deep_size_bytes(), 0);
     }

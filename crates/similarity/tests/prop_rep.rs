@@ -2,7 +2,9 @@
 //! incremental formulas must agree with brute-force pairwise computation for
 //! arbitrary clusters and arbitrary add/remove sequences.
 
-use nidc_similarity::ClusterRep;
+use std::collections::BTreeMap;
+
+use nidc_similarity::{ClusterIndex, ClusterRep, RepBuilder};
 use nidc_textproc::{SparseVector, TermId};
 use proptest::prelude::*;
 
@@ -12,6 +14,50 @@ fn phi_strategy() -> impl Strategy<Value = SparseVector> {
     prop::collection::vec((0u32..DIM, 0.01f64..1.0), 1..6).prop_map(|pairs| {
         SparseVector::from_entries(pairs.into_iter().map(|(t, w)| (TermId(t), w)).collect())
     })
+}
+
+/// Like [`phi_strategy`], but weights of either sign, so accumulated
+/// weights can cancel.
+fn signed_phi_strategy() -> impl Strategy<Value = SparseVector> {
+    let weight = prop_oneof![0.01f64..1.0, -1.0f64..-0.01];
+    prop::collection::vec((0u32..DIM, weight), 1..6).prop_map(|pairs| {
+        SparseVector::from_entries(pairs.into_iter().map(|(t, w)| (TermId(t), w)).collect())
+    })
+}
+
+/// Consecutive clusters for one reused [`RepBuilder`]. A cluster flagged
+/// `true` also gets a pair of members on a private term whose weights
+/// cancel to exactly 0.0.
+fn clusters_strategy() -> impl Strategy<Value = Vec<Vec<SparseVector>>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec(signed_phi_strategy(), 0..8),
+            prop::bool::ANY,
+            0.01f64..1.0,
+        ),
+        1..6,
+    )
+    .prop_map(|clusters| {
+        clusters
+            .into_iter()
+            .enumerate()
+            .map(|(c, (mut members, cancel, w))| {
+                if cancel {
+                    let t = TermId(DIM + c as u32);
+                    members.insert(members.len() / 2, SparseVector::from_entries(vec![(t, w)]));
+                    members.push(SparseVector::from_entries(vec![(t, -w)]));
+                }
+                members
+            })
+            .collect()
+    })
+}
+
+/// A representative's stored entries, weights as bits.
+fn entry_bits(rep: &ClusterRep) -> Vec<(TermId, u64)> {
+    let mut e = Vec::new();
+    rep.for_each_entry(|t, w| e.push((t, w.to_bits())));
+    e
 }
 
 fn brute_avg_sim(members: &[SparseVector]) -> f64 {
@@ -81,8 +127,7 @@ proptest! {
         for d in churn.iter().rev() {
             rep.remove(d);
         }
-        let mut exact = rep.clone();
-        exact.recompute_exact(initial.iter());
+        let exact = RepBuilder::new().exact(initial.iter());
         prop_assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-8);
         prop_assert!((rep.ss() - exact.ss()).abs() < 1e-8);
         prop_assert_eq!(rep.size(), exact.size());
@@ -116,56 +161,91 @@ proptest! {
         prop_assert!((rep.g_term() - rep.size() as f64 * rep.avg_sim()).abs() < 1e-12);
     }
 
-    /// The dense K-means scratch and the sparse storage are
+    /// A representative and its mirror slot in a [`ClusterIndex`] stay
     /// **bit-identical** (not merely close) through arbitrary interleaved
-    /// add/remove churn — the property that lets a K-means run pick its
-    /// sweep storage without touching the workspace's determinism contract.
+    /// add/remove churn: every dot product the step-1 sweep reads from the
+    /// index, and every mirrored weight, equals the representative's own.
     #[test]
     fn backends_bit_identical_under_churn(
         initial in prop::collection::vec(phi_strategy(), 0..8),
         churn in prop::collection::vec((phi_strategy(), prop::bool::ANY), 0..24),
         probe in phi_strategy(),
     ) {
-        let mut dense = ClusterRep::new_dense();
+        let mut rep = ClusterRep::new();
+        let mut index = ClusterIndex::new(1);
         for d in &initial {
-            dense.add(d);
+            rep.add(d);
+            index.add(0, d);
         }
-        let mut sparse = ClusterRep::from_members(initial.iter());
-        // replay the same add/remove sequence through both; removals only
-        // target documents currently in the cluster (mirrors the algorithm)
+        // removals only target documents currently in the cluster (mirrors
+        // the algorithm), and never its last one: an emptied representative
+        // resets to exact zero, while the index slot keeps whatever residue
+        // the cancelled weights left
         let mut present: Vec<&SparseVector> = initial.iter().collect();
         for (d, is_add) in &churn {
-            if *is_add || present.is_empty() {
-                dense.add(d);
-                sparse.add(d);
+            if *is_add || present.len() < 2 {
+                rep.add(d);
+                index.add(0, d);
                 present.push(d);
             } else {
                 let victim = present.remove(present.len() / 2);
-                dense.remove(victim);
-                sparse.remove(victim);
+                rep.remove(victim);
+                index.remove(0, victim);
             }
         }
-        prop_assert_eq!(dense.size(), sparse.size());
-        prop_assert!(dense.cr_self() == sparse.cr_self(),
-            "cr_self: {} vs {}", dense.cr_self(), sparse.cr_self());
-        prop_assert!(dense.ss() == sparse.ss());
-        prop_assert!(dense.avg_sim() == sparse.avg_sim());
-        prop_assert!(dense.g_term() == sparse.g_term());
-        prop_assert!(dense.dot_doc(&probe) == sparse.dot_doc(&probe),
-            "dot_doc: {} vs {}", dense.dot_doc(&probe), sparse.dot_doc(&probe));
-        prop_assert!(dense.avg_sim_if_added(&probe) == sparse.avg_sim_if_added(&probe));
-        prop_assert!(dense.g_term_if_added(&probe) == sparse.g_term_if_added(&probe));
-        if dense.size() >= 2 && !present.is_empty() {
-            let d = present[0];
-            prop_assert!(dense.avg_sim_if_removed(d) == sparse.avg_sim_if_removed(d));
+        let mut row = [0.0];
+        for d in present.iter().copied().chain([&probe]) {
+            index.dot_all(d, &mut row);
+            prop_assert!(row[0].to_bits() == rep.dot_doc(d).to_bits(),
+                "dot: index {} vs rep {}", row[0], rep.dot_doc(d));
         }
-        // the scratch hands out exactly the sparse storage's entries
-        let entries = |r: &ClusterRep| {
-            let mut e = Vec::new();
-            r.for_each_entry(|t, w| e.push((t, w.to_bits())));
-            e
-        };
-        prop_assert_eq!(entries(&dense.into_sparse()), entries(&sparse));
+        prop_assert_eq!(index.postings_len(), rep.nnz());
+        for t in 0..DIM {
+            prop_assert_eq!(index.weight(TermId(t), 0).to_bits(), rep.weight(TermId(t)).to_bits());
+        }
+    }
+
+    /// `RepBuilder::add_chain` is the `add` chain of `from_members`, bit
+    /// for bit — entries, `cr_self`, `ss`, `size` — including weights that
+    /// cancel to exactly 0.0 and get pruned. One builder serves every
+    /// cluster, so state left over from the previous one would show.
+    #[test]
+    fn add_chain_equals_from_members(clusters in clusters_strategy()) {
+        let mut builder = RepBuilder::new();
+        for members in &clusters {
+            let built = builder.add_chain(members.iter());
+            let chain = ClusterRep::from_members(members.iter());
+            prop_assert_eq!(entry_bits(&built), entry_bits(&chain));
+            prop_assert_eq!(built.cr_self().to_bits(), chain.cr_self().to_bits());
+            prop_assert_eq!(built.ss().to_bits(), chain.ss().to_bits());
+            prop_assert_eq!(built.size(), chain.size());
+        }
+    }
+
+    /// `RepBuilder::exact` accumulates each term in member order, drops
+    /// exact zeros and sums `cr_self = Σ w²` in ascending term order — bit
+    /// for bit what a `BTreeMap` reference computes.
+    #[test]
+    fn exact_equals_ordered_map_reference(clusters in clusters_strategy()) {
+        let mut builder = RepBuilder::new();
+        for members in &clusters {
+            let mut acc: BTreeMap<TermId, f64> = BTreeMap::new();
+            let mut ss = 0.0;
+            for phi in members {
+                for (t, w) in phi.iter() {
+                    *acc.entry(t).or_insert(0.0) += w;
+                }
+                ss += phi.norm_sq();
+            }
+            let entries: Vec<(TermId, f64)> = acc.into_iter().filter(|&(_, w)| w != 0.0).collect();
+            let cr_self: f64 = entries.iter().map(|&(_, w)| w * w).sum();
+            let exact = builder.exact(members.iter());
+            let want: Vec<(TermId, u64)> = entries.iter().map(|&(t, w)| (t, w.to_bits())).collect();
+            prop_assert_eq!(entry_bits(&exact), want);
+            prop_assert_eq!(exact.cr_self().to_bits(), cr_self.to_bits());
+            prop_assert_eq!(exact.ss().to_bits(), ss.to_bits());
+            prop_assert_eq!(exact.size(), members.len());
+        }
     }
 
     /// `top_terms(n)` keeps exactly what a full stable sort of the positive

@@ -2,8 +2,8 @@
 //! change a single bit of any clustering result. The instrumentation is a
 //! pure observer — it never branches the algorithm, never reorders float
 //! accumulation, never feeds a value back — and this suite pins that
-//! contract across both step-1 sweeps (dense scratch and the term→cluster
-//! index) and every thread count, through full multi-window pipeline runs.
+//! contract on a small-K and a wide input and at every thread count,
+//! through full multi-window pipeline runs.
 
 use std::collections::BTreeMap;
 
@@ -50,9 +50,8 @@ fn stream() -> Stream {
 }
 
 /// The same shape at index scale: 96 documents over four topics, each 80
-/// terms wide (60 topic terms plus 20 of a shared background). At K = 24,
-/// `K · avg nnz(φ)` clears the 1500 cutoff, so its K-means runs take the
-/// term→cluster index sweep that `daily` and `rebuild` run.
+/// terms wide (60 topic terms plus 20 of a shared background). At K = 24
+/// every term→cluster postings list is long, as on `daily` and `rebuild`.
 fn wide_stream() -> Stream {
     (0..96u32)
         .map(|i| {
@@ -66,13 +65,10 @@ fn wide_stream() -> Stream {
         .collect()
 }
 
-/// The streams every on/off test replays, with their K: the small one's
-/// K-means runs take the dense step-1 sweep, the wide one's the index.
+/// The streams every on/off test replays, with their K: a small-K input
+/// and a wide one. Both score step 1 through the term→cluster index.
 fn inputs() -> [(&'static str, usize, Stream); 2] {
-    [
-        ("dense sweep", 3, stream()),
-        ("index sweep", 24, wide_stream()),
-    ]
+    [("small-K", 3, stream()), ("wide", 24, wide_stream())]
 }
 
 fn postings_touched() -> u64 {
@@ -115,12 +111,12 @@ fn run_pipeline(k: usize, stream: &Stream, threads: usize) -> Vec<WindowResult> 
 
 /// The core guarantee: with metric recording AND debug logging enabled, the
 /// clusterings (members, outliers, bitwise G, iteration counts) are
-/// identical to the recorder-off run, per window, on both step-1 sweeps and
-/// at all thread counts. The postings counter shows which sweep ran.
+/// identical to the recorder-off run, per window, on both inputs and at all
+/// thread counts. The postings counter shows the index sweep ran.
 #[test]
 fn recorder_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for (sweep, k, stream) in inputs() {
+    for (input, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::set_enabled(false);
             let off = run_pipeline(k, &stream, threads);
@@ -133,13 +129,9 @@ fn recorder_on_off_results_are_bit_identical() {
 
             assert_eq!(
                 off, on,
-                "recorder flipped the result on the {sweep}, threads {threads}"
+                "recorder flipped the result on the {input} input, threads {threads}"
             );
-            assert_eq!(
-                touched > 0,
-                sweep == "index sweep",
-                "{sweep} touched {touched} postings"
-            );
+            assert!(touched > 0, "the {input} input touched no postings");
         }
     }
 }
@@ -215,7 +207,7 @@ fn enabled_run_covers_all_instrumented_layers() {
 /// The lifecycle event stream is held to the same pure-observer contract:
 /// running with an active `--events` sink (which also makes the
 /// `LineageTracker` serialise every event) must not change a single bit of
-/// any clustering result, on both step-1 sweeps and at all thread counts —
+/// any clustering result, on both inputs and at all thread counts —
 /// and the stream left behind must be non-trivial.
 #[test]
 fn events_on_off_results_are_bit_identical() {
@@ -224,7 +216,7 @@ fn events_on_off_results_are_bit_identical() {
         "nidc_obs_determinism_events_{}.jsonl",
         std::process::id()
     ));
-    for (sweep, k, stream) in inputs() {
+    for (input, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             let off = run_pipeline(k, &stream, threads);
 
@@ -234,7 +226,7 @@ fn events_on_off_results_are_bit_identical() {
 
             assert_eq!(
                 off, on,
-                "the event stream flipped the result on the {sweep}, threads {threads}"
+                "the event stream flipped the result on the {input} input, threads {threads}"
             );
             let text = std::fs::read_to_string(&path).unwrap();
             let mut lines = text.lines();
@@ -260,7 +252,7 @@ fn events_on_off_results_are_bit_identical() {
 #[test]
 fn tracing_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for (sweep, k, stream) in inputs() {
+    for (input, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::trace::set_trace_enabled(false);
             khy2006::obs::trace::clear();
@@ -276,7 +268,7 @@ fn tracing_on_off_results_are_bit_identical() {
             assert!(stats.spans > 0, "the traced run recorded spans");
             assert_eq!(
                 off, on,
-                "tracing flipped the result on the {sweep}, threads {threads}"
+                "tracing flipped the result on the {input} input, threads {threads}"
             );
         }
     }
@@ -284,11 +276,11 @@ fn tracing_on_off_results_are_bit_identical() {
 
 /// The counting allocator is held to the same pure-observer contract:
 /// tracking every heap allocation must not change a single bit of any
-/// clustering result, on both step-1 sweeps and at all thread counts.
+/// clustering result, on both inputs and at all thread counts.
 #[test]
 fn alloc_tracking_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for (sweep, k, stream) in inputs() {
+    for (input, k, stream) in inputs() {
         for threads in THREAD_COUNTS {
             khy2006::obs::alloc::set_tracking(false);
             let off = run_pipeline(k, &stream, threads);
@@ -299,7 +291,7 @@ fn alloc_tracking_on_off_results_are_bit_identical() {
 
             assert_eq!(
                 off, on,
-                "alloc tracking flipped the result on the {sweep}, threads {threads}"
+                "alloc tracking flipped the result on the {input} input, threads {threads}"
             );
         }
     }
@@ -374,8 +366,7 @@ fn alloc_counts_are_thread_count_invariant() {
 
 /// 72 documents over four topics, each ≈ 400 terms wide: far above
 /// `should_fan_out`'s `len >= 2 * threads` item gate at the thread counts
-/// under test, and wide enough that at K = 4 step 1 runs through the
-/// inverted index rather than the dense small-K sweep.
+/// under test.
 fn wide_docs() -> Stream {
     (0..72u32)
         .map(|i| {
@@ -437,7 +428,6 @@ fn kmeans_step1_never_fans_out() {
         "nidc_parallel_fanouts_total never moved"
     );
 
-    // K = 4 sweeps through the index, K = 3 (1200 < 1500) on dense scratch
     for k in [4, 3] {
         // a warm start that still has work to do: every third document of
         // a converged clustering is moved to the next slot
@@ -488,11 +478,7 @@ fn kmeans_step1_never_fans_out() {
                 assert_eq!(par, seq, "result diverged at {what}");
             }
         }
-        assert_eq!(
-            postings_touched() > touched,
-            k == 4,
-            "k={k} took the wrong sweep"
-        );
+        assert!(postings_touched() > touched, "k={k} touched no postings");
     }
     khy2006::obs::alloc::set_tracking(false);
     khy2006::obs::set_enabled(false);

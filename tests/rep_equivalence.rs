@@ -1,9 +1,8 @@
-//! Step-1 sweep equivalence: the extended K-means scores documents either
-//! through the term→cluster [`ClusterIndex`] over sparse [`ClusterRep`]s or,
-//! when `K · avg nnz(φ)` is small, against dense scratch representatives.
-//! The two must agree **bitwise**, not merely closely, so which one a run
-//! picks never shows in its result. Whole runs on both sides are compared
-//! by the sweep proptest in `nidc-core`'s `algorithm.rs`.
+//! Step-1 sweep equivalence: the extended K-means scores documents through
+//! the term→cluster [`ClusterIndex`], which mirrors the [`ClusterRep`]s
+//! entry for entry. Its dot products must agree **bitwise** with each
+//! representative's own `dot_doc`, not merely closely, so the index is an
+//! exact accelerator and never shows in a result.
 
 use std::collections::BTreeMap;
 
@@ -40,38 +39,35 @@ proptest! {
 
     /// The step-1 scoring sweep in isolation: for every document, the
     /// inverted-index row (`ClusterIndex::dot_all`) and the per-cluster
-    /// dense dots agree bitwise, so the argmax winner is the same document
-    /// by document.
+    /// `ClusterRep::dot_doc` agree bitwise, so the argmax winner is the
+    /// same document by document.
     #[test]
     fn step1_winner_is_backend_invariant(docs in doc_stream(), k in 2usize..6) {
         let repo = repo_from(&docs);
         let vecs = DocVectors::build(&repo);
         let ids = vecs.ids();
-        // deal documents round-robin into k clusters, mirrored three ways
-        let mut dense = vec![ClusterRep::new_dense(); k];
-        let mut sparse = vec![ClusterRep::new(); k];
+        // deal documents round-robin into k clusters, mirrored two ways
+        let mut reps = vec![ClusterRep::new(); k];
         let mut index = ClusterIndex::new(k);
         for (i, &d) in ids.iter().enumerate() {
             let phi = vecs.phi(d).unwrap();
-            dense[i % k].add(phi);
-            sparse[i % k].add(phi);
+            reps[i % k].add(phi);
             index.add(i % k, phi);
         }
         let mut row = vec![0.0; k];
         for &d in &ids {
             let phi = vecs.phi(d).unwrap();
             index.dot_all(phi, &mut row);
-            let mut winner_dense = 0usize;
+            let mut winner_rep = 0usize;
             let mut winner_index = 0usize;
             for q in 0..k {
-                let dd = dense[q].dot_doc(phi);
-                prop_assert!(row[q] == dd,
-                    "dot differs for {} cluster {}: index {} vs dense {}", d, q, row[q], dd);
-                prop_assert!(sparse[q].dot_doc(phi) == dd);
-                if dd > dense[winner_dense].dot_doc(phi) { winner_dense = q; }
+                let dd = reps[q].dot_doc(phi);
+                prop_assert!(row[q].to_bits() == dd.to_bits(),
+                    "dot differs for {} cluster {}: index {} vs rep {}", d, q, row[q], dd);
+                if dd > reps[winner_rep].dot_doc(phi) { winner_rep = q; }
                 if row[q] > row[winner_index] { winner_index = q; }
             }
-            prop_assert_eq!(winner_dense, winner_index);
+            prop_assert_eq!(winner_rep, winner_index);
         }
     }
 }
