@@ -71,4 +71,5 @@ fn events_export_and_inspect() {
         run_args(["inspect", "--events", &bad_s]),
         Err(CliError::Other(_))
     ));
+    std::fs::remove_dir_all(bad.parent().unwrap()).ok();
 }

@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder, RepStats};
 use nidc_textproc::DocId;
 
 use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
@@ -69,7 +69,7 @@ pub fn cluster_batch(vecs: &DocVectors, config: &ClusteringConfig) -> Result<Clu
 /// contribution — `score(C) − score(C \ {d})` (`is_current = true`).
 fn assignment_delta_from_dot(
     criterion: crate::Criterion,
-    rep: &ClusterRep,
+    stats: &RepStats,
     dot: f64,
     norm_sq: f64,
     is_current: bool,
@@ -77,42 +77,19 @@ fn assignment_delta_from_dot(
     if is_current {
         match criterion {
             crate::Criterion::AvgSim => {
-                rep.avg_sim() - rep.avg_sim_if_removed_from_dot(dot, norm_sq)
+                stats.avg_sim() - stats.avg_sim_if_removed_from_dot(dot, norm_sq)
             }
             crate::Criterion::GTerm => {
-                rep.g_term()
-                    - (rep.size().saturating_sub(1)) as f64
-                        * rep.avg_sim_if_removed_from_dot(dot, norm_sq)
+                stats.g_term()
+                    - (stats.size().saturating_sub(1)) as f64
+                        * stats.avg_sim_if_removed_from_dot(dot, norm_sq)
             }
         }
     } else {
         match criterion {
-            crate::Criterion::AvgSim => rep.avg_sim_if_added_from_dot(dot) - rep.avg_sim(),
-            crate::Criterion::GTerm => rep.g_term_if_added_from_dot(dot) - rep.g_term(),
+            crate::Criterion::AvgSim => stats.avg_sim_if_added_from_dot(dot) - stats.avg_sim(),
+            crate::Criterion::GTerm => stats.g_term_if_added_from_dot(dot) - stats.g_term(),
         }
-    }
-}
-
-/// Fills `row[q]` with the step-1 assignment delta of `phi` against every
-/// cluster `q < reps.len()`.
-///
-/// One [`ClusterIndex::dot_all`] pass over φ's terms produces all K dot
-/// products at once — O(Σ_t |postings(t)|) instead of O(K·nnz(φ)) — and
-/// each dot is bit-identical to `reps[q].dot_doc(phi)` (the index mirrors
-/// the representatives entry for entry).
-fn score_row_into(
-    criterion: crate::Criterion,
-    reps: &[ClusterRep],
-    index: &ClusterIndex,
-    phi: &nidc_textproc::SparseVector,
-    current: Option<usize>,
-    row: &mut [f64],
-) {
-    STEP1_CANDIDATES.add(reps.len() as u64);
-    index.dot_all(phi, row);
-    let norm_sq = phi.norm_sq();
-    for (q, rep) in reps.iter().enumerate() {
-        row[q] = assignment_delta_from_dot(criterion, rep, row[q], norm_sq, current == Some(q));
     }
 }
 
@@ -197,29 +174,30 @@ pub fn cluster_with_initial(
             }
         }
     }
-    // One sparse accumulator builds every representative of the run: the
-    // initial ones as the `add` chain over each cluster's members in DocId
-    // order, and the exact recomputes at the end of each iteration.
+    // One sparse accumulator builds every representative of the run, each
+    // exactly from its member list: the initial ones here, and the ones a
+    // document joined or left at the end of each iteration.
     let mut builder = RepBuilder::new();
     let mut reps: Vec<ClusterRep> = member_lists(&assign, k)
         .iter()
-        .map(|m| builder.add_chain(member_phis(vecs, m)))
+        .map(|m| builder.exact(member_phis(vecs, m)))
         .collect();
 
-    // Step 1 scores every document through a term→cluster inverted index
-    // mirroring the representatives.
+    // Step 1 reads and moves only the clusters' statistics and their live
+    // vectors in the term→cluster index; `reps` stays as built until the
+    // end of the iteration.
+    let mut stats: Vec<RepStats> = reps.iter().map(ClusterRep::stats).collect();
     let mut index = ClusterIndex::new(k);
     index.rebuild(&reps);
-    // Clusters a document joined or left since their last exact recompute;
-    // every one starts dirty, since the initial build is an `add` chain.
-    let mut dirty = vec![true; k];
+    // Clusters a document joined or left since their last build.
+    let mut dirty = vec![false; k];
 
     let mut g_old: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
     // --- Repetition process ----------------------------------------------
     let mut outliers: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
-    let mut scratch = vec![0.0; k];
+    let mut dots = vec![0.0; k];
     loop {
         iterations += 1;
         // Span first, timer second: drop order closes the span *after* the
@@ -232,43 +210,57 @@ pub fn cluster_with_initial(
         let mut moved = 0u64;
         let mut demoted = 0u64;
         // Step 1 is sequential by definition (§4.4): each document is scored
-        // against the representatives every earlier move of this sweep has
-        // already updated, so there is nothing to fan out.
+        // against the clusters every earlier move of this sweep has already
+        // updated, so there is nothing to fan out.
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
         for &d in &ids {
             let phi = vecs.phi(d).expect("id comes from vecs");
             let current = assign.get(&d).copied();
             if let Some(p) = current {
-                if config.keep_last_member && reps[p].size() == 1 {
+                if config.keep_last_member && stats[p].size() == 1 {
                     continue; // keep the cluster alive; d stays its nucleus
                 }
             }
             // step 1(a): preview every cluster's intra-cluster similarity
-            // with d appended (eq. 26 / its G-term variant). Conceptually d
-            // is first removed from its current cluster (§4.4 speaks of
-            // documents being removed and appended during this step); for
-            // the current cluster the "remove then re-append" preview equals
-            // d's present contribution, so no mutation is needed unless d
-            // actually moves — this keeps converged iterations cheap, which
-            // is what makes warm restarts (§5.2) fast.
+            // with d appended (eq. 26 / its G-term variant). One `dot_all`
+            // pass over φ's terms gives all K dot products at once —
+            // O(Σ_t |postings(t)|), not O(K·nnz(φ)) — and they stay in
+            // `dots` for the move below. Conceptually d is first removed
+            // from its current cluster (§4.4 speaks of documents being
+            // removed and appended during this step); for the current
+            // cluster the "remove then re-append" preview equals d's present
+            // contribution, so nothing changes unless d actually moves —
+            // this keeps converged iterations cheap, which is what makes
+            // warm restarts (§5.2) fast.
+            STEP1_CANDIDATES.add(k as u64);
+            index.dot_all(phi, &mut dots);
+            let norm_sq = phi.norm_sq();
             let mut best: Option<(usize, f64)> = None;
-            score_row_into(config.criterion, &reps, &index, phi, current, &mut scratch);
-            for (q, &delta) in scratch.iter().enumerate() {
+            for (q, (s, &dot)) in stats.iter().zip(&dots).enumerate() {
+                let delta = assignment_delta_from_dot(
+                    config.criterion,
+                    s,
+                    dot,
+                    norm_sq,
+                    current == Some(q),
+                );
                 if best.is_none_or(|(_, bd)| delta > bd) {
                     best = Some((q, delta));
                 }
             }
-            // step 1(b): largest strictly-positive increase wins, else outlier
+            // step 1(b): largest strictly-positive increase wins, else
+            // outlier. A move updates the stats from the dots d was scored
+            // on and folds φ into the live index.
             match best {
                 Some((q, delta)) if delta > 0.0 => {
                     if current != Some(q) {
                         if let Some(p) = current {
-                            reps[p].remove(phi);
+                            stats[p].leave(dots[p], norm_sq);
                             index.remove(p, phi);
                             dirty[p] = true;
                         }
-                        reps[q].add(phi);
+                        stats[q].join(dots[q], norm_sq);
                         index.add(q, phi);
                         dirty[q] = true;
                         assign.insert(d, q);
@@ -277,7 +269,7 @@ pub fn cluster_with_initial(
                 }
                 _ => {
                     if let Some(p) = current {
-                        reps[p].remove(phi);
+                        stats[p].leave(dots[p], norm_sq);
                         index.remove(p, phi);
                         dirty[p] = true;
                         assign.remove(&d);
@@ -290,20 +282,28 @@ pub fn cluster_with_initial(
         step1_timer.stop();
         drop(step1_span);
 
-        // steps 2–3: representatives are maintained online; rebuild exactly
-        // the ones whose member list changed, to clear floating-point drift,
-        // then recompute G. An exact representative is a pure function of
-        // its member list, so skipping an unchanged list is bit-identical.
+        // steps 2–3: rebuild exactly the representatives whose member list
+        // changed, then the index from them, shedding the drift the moves
+        // folded into stats and postings; then recompute G. An exact
+        // representative is a pure function of its member list, so
+        // skipping an unchanged list is bit-identical, and so is keeping
+        // its stats, which no move touched.
         let members = member_lists(&assign, k);
         for (p, rep) in reps.iter_mut().enumerate() {
             if std::mem::take(&mut dirty[p]) {
                 *rep = builder.exact(member_phis(vecs, &members[p]));
+                // the moves kept the stats within fp drift of the rebuild
+                debug_assert_eq!(stats[p].size(), rep.size());
+                debug_assert!(
+                    (stats[p].cr_self() - rep.cr_self()).abs() <= 1e-9 * (rep.cr_self() + rep.ss()),
+                    "cluster {p}: swept cr_self {} vs exact {}",
+                    stats[p].cr_self(),
+                    rep.cr_self()
+                );
+                stats[p] = rep.stats();
             }
         }
         if moved + demoted > 0 {
-            // re-mirror the recomputed representatives (incremental updates
-            // above tracked them exactly, but the recompute may shed
-            // floating-point drift the postings still carry)
             index.rebuild(&reps);
         }
         let g_new: f64 = reps.iter().map(ClusterRep::g_term).sum();
@@ -563,6 +563,36 @@ mod tests {
         assert!((clustering.g() - g_direct).abs() < 1e-12);
     }
 
+    /// An emptied cluster's index slot may keep floating-point residue until
+    /// the next rebuild; it is never scored, because an empty cluster's
+    /// join delta is exactly `0.0` under both criteria whatever the dot,
+    /// and a document moves only on a delta strictly above `0.0`.
+    #[test]
+    fn empty_cluster_join_delta_is_exactly_zero() {
+        let d = tf(&[(0, 0.3), (2, 0.7)]);
+        let single = RepBuilder::new().exact([&d]);
+        let mut emptied = single.stats();
+        emptied.leave(single.dot_doc(&d), d.norm_sq());
+        for stats in [RepStats::default(), emptied] {
+            assert_eq!(stats.size(), 0);
+            for dot in [
+                0.0,
+                -0.0,
+                1e-17,
+                -1e-17,
+                f64::MIN_POSITIVE,
+                0.5,
+                -3.0,
+                1e300,
+            ] {
+                for criterion in [crate::Criterion::GTerm, crate::Criterion::AvgSim] {
+                    let delta = assignment_delta_from_dot(criterion, &stats, dot, 0.25, false);
+                    assert_eq!(delta.to_bits(), 0.0f64.to_bits(), "{criterion:?} dot={dot}");
+                }
+            }
+        }
+    }
+
     /// Two-topic collections: each document carries its topic's three core
     /// terms plus random noise terms, so clusters share terms and documents
     /// move between them.
@@ -597,8 +627,10 @@ mod tests {
 
         /// Every returned representative is bit-identical to an exact
         /// rebuild over its member list — cold and warm, under both
-        /// criteria — so skipping the recompute of clusters no document
-        /// joined or left never leaves a stale representative behind.
+        /// criteria, with and without `keep_last_member` (without it a
+        /// cluster can empty mid-sweep) — so skipping the rebuild of
+        /// clusters no document joined or left never leaves a stale
+        /// representative behind.
         #[test]
         fn returned_representatives_are_exact(
             vecs in topic_docs(),
@@ -606,8 +638,19 @@ mod tests {
             seed in 0u64..100,
         ) {
             let mut builder = RepBuilder::new();
-            for criterion in [crate::Criterion::GTerm, crate::Criterion::AvgSim] {
-                let config = ClusteringConfig { k, seed, criterion, ..ClusteringConfig::default() };
+            for (criterion, keep_last_member) in [
+                (crate::Criterion::GTerm, true),
+                (crate::Criterion::AvgSim, true),
+                (crate::Criterion::GTerm, false),
+                (crate::Criterion::AvgSim, false),
+            ] {
+                let config = ClusteringConfig {
+                    k,
+                    seed,
+                    criterion,
+                    keep_last_member,
+                    ..ClusteringConfig::default()
+                };
                 let cold = cluster_batch(&vecs, &config).unwrap();
                 // a warm start with work left: every third document moves on
                 let perturbed = cold

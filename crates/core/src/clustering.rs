@@ -148,7 +148,7 @@ mod tests {
 
     fn sample() -> Clustering {
         let m0 = [phi(&[(0, 0.5)]), phi(&[(0, 0.4), (1, 0.1)])];
-        let rep0 = ClusterRep::from_members(m0.iter());
+        let rep0 = nidc_similarity::RepBuilder::new().exact(m0.iter());
         let c0 = Cluster::new(vec![DocId(0), DocId(1)], rep0);
         let c1 = Cluster::new(vec![], ClusterRep::new());
         let g = c0.rep().g_term();

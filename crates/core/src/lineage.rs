@@ -311,11 +311,12 @@ struct LineageSlot {
     rep: ClusterRep,
 }
 
-/// Serialisable form of one [`LineageSlot`]. The representative is persisted
-/// **verbatim** — entries in ascending term order plus the cached `size`,
-/// `cr_sim(c,c)` and `ss` statistics — and restored through
-/// [`ClusterRep::from_parts`] without recomputation, so a restored tracker
-/// scores candidate pairs bit-identically to the uninterrupted run.
+/// Serialisable form of one remembered cluster (a `LineageSlot`). The
+/// representative is persisted **verbatim** — entries in ascending term
+/// order plus the cached `size`, `cr_sim(c,c)` and `ss` statistics — and
+/// restored through [`ClusterRep::from_parts`] without recomputation, so a
+/// restored tracker scores candidate pairs bit-identically to the
+/// uninterrupted run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LineageSlotState {
     /// Persistent lineage id.

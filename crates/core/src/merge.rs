@@ -624,7 +624,7 @@ mod tests {
     use super::*;
     use crate::{cluster_batch, ClusteringConfig};
     use nidc_forgetting::{DecayParams, Repository, Timestamp};
-    use nidc_similarity::DocVectors;
+    use nidc_similarity::{DocVectors, RepBuilder};
     use nidc_textproc::{SparseVector, TermId};
     use proptest::prelude::*;
 
@@ -806,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn stitched_rep_is_exact_versus_from_members_on_the_union() {
+    fn stitched_rep_matches_an_exact_build_of_the_union() {
         let (m, vecs) = two_shard_merge_with_vecs();
         let s = m.stitch(0.5);
         for c in s.clusters().iter().filter(|c| c.sources().len() > 1) {
@@ -814,10 +814,11 @@ mod tests {
                 let shard = usize::from(d.0 >= 100);
                 vecs[shard].phi(*d).expect("member has a vector")
             });
-            let reference = ClusterRep::from_members(phis);
+            let reference = RepBuilder::new().exact(phis);
             assert_eq!(c.rep().size(), reference.size());
-            // merge_from folds fragments in a different floating-point
-            // order than sequential adds; exact in value, not in bits
+            // merge_from folds whole fragments, in a different
+            // floating-point order than one pass over the members; exact
+            // in value, not in bits
             let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
             assert!(rel(c.rep().cr_self(), reference.cr_self()) < 1e-9);
             assert!(rel(c.rep().ss(), reference.ss()) < 1e-9);
@@ -882,18 +883,15 @@ mod tests {
     /// all clusters.
     const SHARED_TERM: u32 = 40;
 
-    /// One stitch input slot: empty, a one-term rep, or a rep summed from a
-    /// few φ vectors over a ten-term vocabulary (long postings lists, and
-    /// sums that round).
-    fn slot_strategy() -> impl Strategy<Value = Option<ClusterRep>> {
+    /// One stitch input slot's members: none (an empty slot), one one-term
+    /// φ, or a few φ vectors over a ten-term vocabulary (long postings
+    /// lists, and sums that round).
+    fn slot_strategy() -> impl Strategy<Value = Option<Vec<SparseVector>>> {
         let phi = prop::collection::vec((0u32..10, 0.01f64..1.0), 1..6);
         (0u32..4, prop::collection::vec(phi, 1..4)).prop_map(|(kind, members)| match kind {
             0 => None,
-            1 => Some(ClusterRep::from_members([tf(&members[0][..1])].iter())),
-            _ => {
-                let phis: Vec<SparseVector> = members.iter().map(|m| tf(m)).collect();
-                Some(ClusterRep::from_members(phis.iter()))
-            }
+            1 => Some(vec![tf(&members[0][..1])]),
+            _ => Some(members.iter().map(|m| tf(m)).collect()),
         })
     }
 
@@ -904,16 +902,17 @@ mod tests {
         /// bit for bit, so every stitch merge decision is unchanged.
         #[test]
         fn postings_dot_matrix_is_bit_identical_to_pairwise_dot_rep(
-            mut slots in prop::collection::vec(slot_strategy(), 1..16),
+            slots in prop::collection::vec(slot_strategy(), 1..16),
             shared in prop::bool::ANY,
             shared_weight in 0.01f64..1.0,
         ) {
-            if shared {
-                for rep in slots.iter_mut().flatten() {
-                    rep.add(&tf(&[(SHARED_TERM, shared_weight)]));
-                }
-            }
-            let reps: Vec<Option<&ClusterRep>> = slots.iter().map(Option::as_ref).collect();
+            let shared = shared.then(|| tf(&[(SHARED_TERM, shared_weight)]));
+            let mut builder = RepBuilder::new();
+            let built: Vec<Option<ClusterRep>> = slots
+                .iter()
+                .map(|m| m.as_ref().map(|m| builder.exact(m.iter().chain(&shared))))
+                .collect();
+            let reps: Vec<Option<&ClusterRep>> = built.iter().map(Option::as_ref).collect();
             let bits = |m: Vec<f64>| m.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             prop_assert_eq!(
                 bits(stitch_dot_matrix(&reps)),

@@ -115,7 +115,7 @@ pub struct ShardState {
 /// routing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardedPipelineState {
-    /// Format version ([`SHARDED_STATE_VERSION`]).
+    /// Format version (`SHARDED_STATE_VERSION`).
     pub version: u32,
     /// The shard count (must equal `shard_states.len()`).
     pub shards: usize,

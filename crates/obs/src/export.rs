@@ -230,7 +230,8 @@ mod tests {
     #[test]
     fn jsonl_appends_deltas_and_resets() {
         let _guard = global_lock();
-        let path = tmpdir("jsonl").join("out.jsonl");
+        let dir = tmpdir("jsonl");
+        let path = dir.join("out.jsonl");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
         assert!(crate::enabled());
         crate::global().counter("export_jsonl_total").add(2);
@@ -259,13 +260,14 @@ mod tests {
             lines[0]
         );
         crate::set_enabled(false);
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prom_rewrites_cumulative() {
         let _guard = global_lock();
-        let path = tmpdir("prom").join("metrics.prom");
+        let dir = tmpdir("prom");
+        let path = dir.join("metrics.prom");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Prom).unwrap();
         crate::global().counter("export_prom_total").add(1);
         exp.record_window(&[]).unwrap();
@@ -279,13 +281,14 @@ mod tests {
             "rewritten, not appended"
         );
         crate::set_enabled(false);
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn jsonl_lines_survive_a_writer_killed_mid_stream() {
         let _guard = global_lock();
-        let path = tmpdir("kill").join("killed.jsonl");
+        let dir = tmpdir("kill");
+        let path = dir.join("killed.jsonl");
         let windows = 3u64;
         let writer = std::thread::spawn({
             let path = path.clone();
@@ -313,13 +316,14 @@ mod tests {
             assert_eq!(v["counters"]["export_kill_total"], serde_json::json!(i + 1));
         }
         crate::set_enabled(false);
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn finish_flushes_and_reports_errors_eagerly() {
         let _guard = global_lock();
-        let path = tmpdir("finish").join("finish.jsonl");
+        let dir = tmpdir("finish");
+        let path = dir.join("finish.jsonl");
         let mut exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
         crate::global().counter("export_finish_total").add(1);
         exp.record_window(&[]).unwrap();
@@ -327,11 +331,10 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         // Prometheus exporters have no buffered writer; finish is a no-op.
-        let mut prom =
-            MetricsExporter::create(tmpdir("finish").join("m.prom"), MetricsFormat::Prom).unwrap();
+        let mut prom = MetricsExporter::create(dir.join("m.prom"), MetricsFormat::Prom).unwrap();
         prom.finish().unwrap();
         crate::set_enabled(false);
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     fn dir_entries(dir: &Path) -> Vec<String> {
@@ -396,11 +399,12 @@ mod tests {
     #[test]
     fn create_makes_parent_dirs() {
         let _guard = global_lock();
-        let path = tmpdir("mkdir").join("nested/deeper/out.jsonl");
+        let dir = tmpdir("mkdir");
+        let path = dir.join("nested/deeper/out.jsonl");
         let exp = MetricsExporter::create(&path, MetricsFormat::Jsonl).unwrap();
         assert!(exp.path().parent().unwrap().is_dir());
         assert_eq!(exp.format(), MetricsFormat::Jsonl);
         crate::set_enabled(false);
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -243,7 +243,8 @@ mod tests {
     #[test]
     fn session_records_writes_and_disables() {
         let _guard = global_lock();
-        let path = tmpdir("session").join("out.json");
+        let dir = tmpdir("session");
+        let path = dir.join("out.json");
         let session = TraceSession::start(Some(path.clone()), true)
             .unwrap()
             .expect("session requested");
@@ -262,6 +263,6 @@ mod tests {
         let summary = String::from_utf8(summary).unwrap();
         assert!(summary.contains("trace_export_test_phase"));
         assert!(summary.starts_with("span"));
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 }

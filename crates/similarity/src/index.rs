@@ -11,15 +11,24 @@
 //! cluster-side indexing idea appears in the short-text-stream literature
 //! (Rakib et al. 2021; Karkali et al. 2014).
 //!
-//! # Bit-identity contract
+//! # The live vector of a K-means run
 //!
-//! For each cluster `q`, [`ClusterIndex::dot_all`] accumulates
-//! `weight(q,t)·φ[t]` in φ's term order — exactly the order
-//! [`ClusterRep::dot_doc`] uses — and every posting weight is maintained by
-//! the same scalar operations, in the same sequence, as the corresponding
-//! sparse-representative entry. The scores are therefore bit-identical to
-//! per-cluster dot products, which is what preserves the workspace's
-//! thread-count determinism contract end to end.
+//! Within a run the index *is* each cluster's vector: a step-1 move folds
+//! `±φ` into the two slots it touches, and the [`ClusterRep`]s are never
+//! edited. After any iteration that moved a document the run rebuilds the
+//! touched representatives exactly ([`crate::RepBuilder::exact`]) and the
+//! index from them ([`ClusterIndex::rebuild`]), shedding the moves' drift.
+//! [`ClusterIndex::dot_all`] accumulates `weight(q,t)·φ[t]` in φ's term
+//! order, as [`ClusterRep::dot_doc`] does, so right after a rebuild every
+//! score is bit-identical to `reps[q].dot_doc(φ)` — which preserves the
+//! workspace's thread-count determinism end to end.
+//!
+//! When a cluster's last member leaves, the cancelled weights need not sum
+//! to exactly `0.0`, so its slot may keep floating-point residue until the
+//! rebuild. The residue is never scored: an empty cluster's join delta is
+//! exactly `0.0` under both criteria whatever the dot product (see
+//! [`crate::RepStats::g_term_if_added_from_dot`]), and a document moves
+//! only on a delta strictly above `0.0`.
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyGauge, LazyHistogram};
 use nidc_textproc::{SparseVector, TermId};
@@ -35,20 +44,21 @@ static POSTINGS_TOUCHED: LazyCounter = LazyCounter::new("nidc_index_postings_tou
 static ADD_OPS: LazyCounter = LazyCounter::new("nidc_index_add_ops_total");
 /// Incremental `remove(cluster, φ)` maintenance operations.
 static REMOVE_OPS: LazyCounter = LazyCounter::new("nidc_index_remove_ops_total");
-/// Full rebuilds from the representatives (once per K-means iteration).
+/// Full rebuilds from the representatives (at the start of a K-means run
+/// and after each iteration that moved a document).
 static REBUILDS: LazyCounter = LazyCounter::new("nidc_index_rebuilds_total");
-/// Wall time of one full rebuild — re-mirroring every representative entry
+/// Wall time of one full rebuild — copying every representative entry
 /// into the postings spine. Fine buckets: a rebuild over a window-sized
 /// vocabulary runs in microseconds.
 static REBUILD_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_index_rebuild_seconds", buckets::FINE_SECONDS);
 /// Heap bytes held by the postings spine and lists, sampled after each
-/// rebuild (last-rebuild semantics — incremental add/remove drift between
-/// rebuilds is not tracked; the K-means loop rebuilds once per iteration).
+/// rebuild (last-rebuild semantics — growth from add/remove between
+/// rebuilds is not tracked).
 static POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes");
 
-/// An inverted postings map `TermId → [(cluster, weight)]` mirroring the
-/// sparse representatives of K clusters.
+/// An inverted postings map `TermId → [(cluster, weight)]` over the vectors
+/// of K clusters.
 ///
 /// The postings spine is a `Vec` indexed directly by term id — term ids are
 /// contiguous vocabulary indices, so the per-term lookup in the hot
@@ -57,9 +67,10 @@ static POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes
 /// swamped the postings savings). Spine memory is O(max term id), once per
 /// index, like the value array of a [`crate::RepBuilder`].
 ///
-/// Postings lists are kept sorted by cluster id; weights mirror the
-/// representatives' stored entries bit-exactly (entries that cancel to
-/// exactly `0.0` are pruned on both sides).
+/// Postings lists are kept sorted by cluster id. After a rebuild the weights
+/// are the representatives' stored entries, bit for bit; a weight that a
+/// move cancels to exactly `0.0` is pruned, as [`crate::RepBuilder::exact`]
+/// drops exact zeros.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
     k: usize,
@@ -103,7 +114,7 @@ impl ClusterIndex {
         self.postings.iter().all(Vec::is_empty)
     }
 
-    /// The mirrored weight of `(term, cluster)` (0.0 if absent).
+    /// The stored weight of `(term, cluster)` (0.0 if absent).
     pub fn weight(&self, t: TermId, cluster: usize) -> f64 {
         self.postings
             .get(t.index())
@@ -130,12 +141,9 @@ impl ClusterIndex {
             let list = &mut self.postings[idx];
             match list.binary_search_by_key(&q, |&(c, _)| c) {
                 Ok(i) => {
-                    // same scalar op as the sparse rep's axpy: a + scale·b
                     list[i].1 += scale * w;
                     if list[i].1 == 0.0 {
-                        // prune at the same condition the sparse rep prunes
-                        // its entries, so the two stay exact mirrors and an
-                        // emptied cluster returns to exact emptiness
+                        // no stored zeros, as in a built representative
                         list.remove(i);
                     }
                 }
@@ -149,30 +157,29 @@ impl ClusterIndex {
         }
     }
 
-    /// Mirrors `reps[cluster].add(φ)`: folds `+φ` into the cluster's
-    /// postings.
+    /// A document joins `cluster`: folds `+φ` into its postings.
     pub fn add(&mut self, cluster: usize, phi: &SparseVector) {
         ADD_OPS.inc();
         self.update(cluster, phi, 1.0);
     }
 
-    /// Mirrors `reps[cluster].remove(φ)`: folds `−φ` into the cluster's
-    /// postings. Expiration and step-1 reassignments both feed through here.
+    /// A document leaves `cluster`: folds `−φ` into its postings. An
+    /// emptied slot may keep residue until the next rebuild (see the
+    /// module docs).
     pub fn remove(&mut self, cluster: usize, phi: &SparseVector) {
         REMOVE_OPS.inc();
         self.update(cluster, phi, -1.0);
     }
 
-    /// Rebuilds all postings from the representatives' stored entries (used
-    /// after an exact recompute clears floating-point drift from the reps,
-    /// so index and reps stay bit-identical mirrors of each other).
+    /// Rebuilds all postings from the representatives' stored entries, which
+    /// replaces whatever the moves since the last rebuild folded in.
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild");
         let _timer = REBUILD_SECONDS.start_timer();
         self.k = reps.len();
         // keep the spine and list allocations; the K-means loop rebuilds
-        // once per iteration
+        // after every iteration that moved a document
         self.postings.iter_mut().for_each(Vec::clear);
         for (q, rep) in reps.iter().enumerate() {
             rep.for_each_entry(|t, w| {
@@ -196,8 +203,8 @@ impl ClusterIndex {
     /// `out[q] = c⃗_q · φ`, with `out` (length ≥ k) used as the scratch row.
     ///
     /// Cost: O(Σ_{t∈φ} |postings(t)|). Per cluster, contributions accumulate
-    /// in φ's term order, so each `out[q]` is bit-identical to
-    /// `reps[q].dot_doc(φ)`.
+    /// in φ's term order, so right after [`ClusterIndex::rebuild`] each
+    /// `out[q]` is bit-identical to `reps[q].dot_doc(φ)`.
     pub fn dot_all(&self, phi: &SparseVector, out: &mut [f64]) {
         debug_assert!(out.len() >= self.k, "scratch row shorter than k");
         out[..self.k].fill(0.0);
@@ -234,6 +241,7 @@ impl DeepSize for ClusterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RepBuilder;
 
     fn phi(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -249,46 +257,63 @@ mod tests {
         ]
     }
 
-    /// Mirrored reps + index, documents dealt round-robin over k clusters.
-    fn mirrored(k: usize) -> (Vec<ClusterRep>, ClusterIndex, Vec<SparseVector>) {
-        let ds = docs();
-        let mut reps = vec![ClusterRep::new(); k];
+    /// Exact reps of `ds` dealt round-robin over k clusters, skipping the
+    /// document at `skip`.
+    fn exact_reps(ds: &[SparseVector], k: usize, skip: Option<usize>) -> Vec<ClusterRep> {
+        let mut builder = RepBuilder::new();
+        (0..k)
+            .map(|q| {
+                let members = ds
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i % k == q && Some(i) != skip);
+                builder.exact(members.map(|(_, d)| d))
+            })
+            .collect()
+    }
+
+    /// The same round-robin deal folded into an index one `add` at a time.
+    fn folded(ds: &[SparseVector], k: usize) -> ClusterIndex {
         let mut index = ClusterIndex::new(k);
         for (i, d) in ds.iter().enumerate() {
-            reps[i % k].add(d);
             index.add(i % k, d);
         }
-        (reps, index, ds)
+        index
     }
 
     #[test]
     fn dot_all_is_bit_identical_to_per_cluster_dots() {
-        let (reps, index, ds) = mirrored(3);
+        let ds = docs();
+        let reps = exact_reps(&ds, 3, None);
+        let mut index = ClusterIndex::new(3);
+        index.rebuild(&reps);
         let mut row = vec![0.0; 3];
         for d in &ds {
             index.dot_all(d, &mut row);
             for (q, rep) in reps.iter().enumerate() {
-                assert_eq!(row[q], rep.dot_doc(d), "cluster {q}");
+                assert_eq!(row[q].to_bits(), rep.dot_doc(d).to_bits(), "cluster {q}");
             }
         }
     }
 
     #[test]
-    fn remove_mirrors_rep_remove() {
-        let (mut reps, mut index, ds) = mirrored(2);
-        reps[0].remove(&ds[0]);
+    fn remove_matches_an_exact_rebuild_of_the_rest() {
+        let ds = docs();
+        let mut index = folded(&ds, 2);
         index.remove(0, &ds[0]);
+        let rest = exact_reps(&ds, 2, Some(0));
         let mut row = vec![0.0; 2];
         for d in &ds {
             index.dot_all(d, &mut row);
-            assert_eq!(row[0], reps[0].dot_doc(d));
-            assert_eq!(row[1], reps[1].dot_doc(d));
+            for (q, rep) in rest.iter().enumerate() {
+                assert!((row[q] - rep.dot_doc(d)).abs() < 1e-12, "cluster {q}");
+            }
         }
     }
 
     #[test]
     fn removing_last_member_restores_exact_emptiness() {
-        // regression: the zeroing-on-empty invariant holds for the index too
+        // weights that cancel to exactly 0.0 are pruned
         let d = phi(&[(0, 0.3), (2, 0.7)]);
         let mut index = ClusterIndex::new(1);
         index.add(0, &d);
@@ -303,10 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_matches_incremental_postings() {
-        let (reps, index, ds) = mirrored(3);
+    fn rebuild_from_exact_reps_matches_folded_postings() {
+        // positive weights never cancel, so folding members in order sums
+        // each weight exactly as the builder does
+        let ds = docs();
+        let index = folded(&ds, 3);
         let mut rebuilt = ClusterIndex::new(3);
-        rebuilt.rebuild(&reps);
+        rebuilt.rebuild(&exact_reps(&ds, 3, None));
         assert_eq!(rebuilt.postings_len(), index.postings_len());
         assert_eq!(rebuilt.term_count(), index.term_count());
         let mut a = vec![0.0; 3];

@@ -27,14 +27,15 @@
 //!   O(|φ_d|) update instead of an O(|C_p|²) recomputation.
 //!
 //! [`DocVectors`] materialises the φ vectors from a repository snapshot;
-//! [`ClusterRep`] maintains `c⃗_p`, `cr_sim(C_p,C_p)`, `ss(C_p)` and `|C_p|`
-//! under O(|φ|) additions/removals and answers the "what if d joined/left"
-//! queries the extended K-means needs; [`RepBuilder`] builds whole
-//! representatives in one O(Σ nnz(φ)) pass.
+//! [`RepStats`] caches `cr_sim(C_p,C_p)`, `ss(C_p)` and `|C_p|` and answers
+//! the "what if d joined/left" queries the extended K-means needs from one
+//! dot product; [`RepBuilder`] builds a whole [`ClusterRep`] (`c⃗_p` plus
+//! its statistics) exactly in one O(Σ nnz(φ)) pass, and [`ClusterIndex`]
+//! dots a document against all K representatives at once.
 //!
 //! ```
 //! use nidc_forgetting::{DecayParams, Repository, Timestamp};
-//! use nidc_similarity::{ClusterRep, DocVectors};
+//! use nidc_similarity::{DocVectors, RepBuilder};
 //! use nidc_textproc::{DocId, SparseVector, TermId};
 //!
 //! let mut repo = Repository::new(DecayParams::from_spans(7.0, 14.0).unwrap());
@@ -47,9 +48,8 @@
 //! let s = vecs.sim(DocId(0), DocId(1)).unwrap();
 //! assert!(s > 0.0);
 //!
-//! let mut rep = ClusterRep::new();
-//! rep.add(vecs.phi(DocId(0)).unwrap());
-//! rep.add(vecs.phi(DocId(1)).unwrap());
+//! let members = [vecs.phi(DocId(0)).unwrap(), vecs.phi(DocId(1)).unwrap()];
+//! let rep = RepBuilder::new().exact(members);
 //! // eq. 24: avg_sim from the representative equals the pairwise average.
 //! assert!((rep.avg_sim() - s).abs() < 1e-12);
 //! ```
@@ -63,7 +63,7 @@ mod rep;
 
 pub use docvec::DocVectors;
 pub use index::ClusterIndex;
-pub use rep::{ClusterRep, RepBuilder};
+pub use rep::{ClusterRep, RepBuilder, RepStats};
 
 use nidc_forgetting::Repository;
 use nidc_textproc::DocId;

@@ -1,4 +1,6 @@
-//! Cluster representatives with O(|φ|) membership updates (paper §4.4).
+//! Cluster representatives and their cached statistics (paper §4.4): a
+//! membership update is O(1) given one dot product, and a whole
+//! representative is built exactly in one O(Σ nnz(φ)) pass.
 
 use nidc_obs::LazyCounter;
 use nidc_textproc::{SparseVector, TermId};
@@ -10,28 +12,186 @@ use nidc_textproc::{SparseVector, TermId};
 /// accompanying `debug_assert!`s compile out of release builds.
 static FP_RESIDUE_CLAMPS: LazyCounter = LazyCounter::new("nidc_fp_residue_clamps_total");
 
-/// A cluster representative `c⃗_p = Σ_{d∈C_p} φ_d` (eq. 19–20) together with
-/// the cached quantities of §4.4:
+/// The cached scalars of §4.4 for one cluster `C_p`:
 ///
 /// * `cr_self = cr_sim(C_p, C_p) = |c⃗_p|²` (eq. 21 with p = q),
 /// * `ss = ss(C_p) = Σ_{d∈C_p} sim(d, d)` (eq. 23),
-/// * `size = |C_p|`.
+/// * `size = |C_p|`,
 ///
-/// These make `avg_sim(C_p)` an O(1) read (eq. 24), and both the
-/// "what if d is appended" (eq. 26) and "what if d is removed" queries
-/// O(|φ_d|) — the efficiency trick that makes the extended K-means viable.
-///
-/// The representative vector is a sorted `Vec<(TermId, f64)>` (the
-/// [`SparseVector`] idiom): O(nnz) memory, O(log nnz) lookup, merge-join
-/// rep↔rep products, mirrored entry for entry by the term→cluster
-/// [`crate::ClusterIndex`]. Whole representatives are built in one pass by
-/// a [`RepBuilder`].
-#[derive(Debug, Clone)]
-pub struct ClusterRep {
-    vector: SparseVector,
+/// and the eq. 22–26 algebra over them. Given `cr_sim(C_p, {d}) = c⃗_p · φ_d`
+/// from the caller, both the "what if d is appended" (eq. 26) and "what if d
+/// is removed" previews are O(1), and so is the move itself
+/// ([`RepStats::join`], [`RepStats::leave`]) — the efficiency trick that makes
+/// the extended K-means viable. The dot product is the only per-(cluster,
+/// document) quantity, and the step-1 sweep reads it for all K clusters at
+/// once from a [`crate::ClusterIndex`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RepStats {
     size: usize,
     cr_self: f64,
     ss: f64,
+}
+
+impl RepStats {
+    /// Number of member documents `|C_p|`.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// `cr_sim(C_p, C_p)` (eq. 21/22).
+    pub fn cr_self(&self) -> f64 {
+        self.cr_self
+    }
+
+    /// `ss(C_p)` (eq. 23).
+    pub fn ss(&self) -> f64 {
+        self.ss
+    }
+
+    /// `avg_sim(C_p)` — the intra-cluster similarity, via eq. 24:
+    ///
+    /// ```text
+    /// avg_sim = (cr_sim(C,C) − ss(C)) / (|C|(|C|−1))
+    /// ```
+    ///
+    /// Defined as 0 for clusters with fewer than two members.
+    pub fn avg_sim(&self) -> f64 {
+        if self.size < 2 {
+            return 0.0;
+        }
+        let n = self.size as f64;
+        ((self.cr_self - self.ss) / (n * (n - 1.0))).max(0.0)
+    }
+
+    /// The cluster's contribution to the clustering index `G`:
+    /// `|C_p| · avg_sim(C_p)` (eq. 17).
+    pub fn g_term(&self) -> f64 {
+        self.size as f64 * self.avg_sim()
+    }
+
+    /// `avg_sim(C_p ∪ {d})` from `dot = cr_sim(C_p, {d})` (eq. 26):
+    ///
+    /// ```text
+    /// (cr_sim(C,C) + 2·cr_sim(C,{d}) − ss(C)) / (|C|(|C|+1))
+    /// ```
+    ///
+    /// Exactly 0 for an empty cluster (a singleton has no pairs), whatever
+    /// `dot` is.
+    pub fn avg_sim_if_added_from_dot(&self, dot: f64) -> f64 {
+        if self.size == 0 {
+            return 0.0;
+        }
+        let n = self.size as f64;
+        let num = self.cr_self + 2.0 * dot - self.ss;
+        (num / (n * (n + 1.0))).max(0.0)
+    }
+
+    /// `|C_p ∪ {d}|·avg_sim(C_p ∪ {d})` from `dot = cr_sim(C_p, {d})` — the
+    /// cluster's contribution to the clustering index `G` (eq. 17) if `d`
+    /// joined:
+    ///
+    /// ```text
+    /// (cr_sim(C,C) + 2·cr_sim(C,{d}) − ss(C)) / |C|      (|C| ≥ 1)
+    /// ```
+    ///
+    /// Exactly 0 for an empty cluster, whatever `dot` is. Assigning each
+    /// document to the cluster whose *G-term* increases the most greedily
+    /// maximises the paper's clustering index; see the discussion of the two
+    /// assignment criteria in `nidc-core`.
+    pub fn g_term_if_added_from_dot(&self, dot: f64) -> f64 {
+        if self.size == 0 {
+            return 0.0;
+        }
+        let n = self.size as f64;
+        ((self.cr_self + 2.0 * dot - self.ss) / n).max(0.0)
+    }
+
+    /// `avg_sim(C_p \ {d})` from `dot = cr_sim(C_p, {d})` and `norm_sq =
+    /// |φ_d|²` — the deletion analogue of eq. 26. `d` must be a current
+    /// member.
+    pub fn avg_sim_if_removed_from_dot(&self, dot: f64, norm_sq: f64) -> f64 {
+        if self.size <= 2 {
+            return 0.0;
+        }
+        let n = self.size as f64;
+        let cr_new = self.cr_self - 2.0 * dot + norm_sq;
+        let ss_new = self.ss - norm_sq;
+        ((cr_new - ss_new) / ((n - 1.0) * (n - 2.0))).max(0.0)
+    }
+
+    /// `d` joins the cluster, given `dot = c⃗_p · φ_d` before the join and
+    /// `norm_sq = |φ_d|²`:
+    ///
+    /// ```text
+    /// |c + φ|² = |c|² + 2 c·φ + |φ|²
+    /// ```
+    pub fn join(&mut self, dot: f64, norm_sq: f64) {
+        self.cr_self += 2.0 * dot + norm_sq;
+        self.ss += norm_sq;
+        self.size += 1;
+    }
+
+    /// `d` leaves the cluster (the deletion analogue the paper omits "for
+    /// simplicity"), given `dot = c⃗_p · φ_d` before the leave and `norm_sq =
+    /// |φ_d|²`:
+    ///
+    /// ```text
+    /// |c − φ|² = |c|² − 2 c·φ + |φ|²
+    /// ```
+    ///
+    /// The caller must ensure `d` is a current member; a non-member corrupts
+    /// the statistics (debug builds assert `size > 0`). The last member's
+    /// leave resets all three to exact zero, so drift cannot carry over into
+    /// the cluster's next use.
+    pub fn leave(&mut self, dot: f64, norm_sq: f64) {
+        debug_assert!(self.size > 0, "leave from empty cluster");
+        let mut clamps = 0u64;
+        self.cr_self += -2.0 * dot + norm_sq;
+        // Both clamps absorb only floating-point residue (|c−φ|² and ss are
+        // nonnegative by construction); a substantially negative value means
+        // a non-member left and must not be silently zeroed.
+        debug_assert!(
+            self.cr_self >= -1e-9 * (1.0 + 2.0 * dot.abs() + norm_sq),
+            "cr_self went negative beyond fp drift: {}",
+            self.cr_self
+        );
+        if self.cr_self < 0.0 {
+            self.cr_self = 0.0; // clamp fp drift
+            clamps += 1;
+        }
+        self.ss -= norm_sq;
+        debug_assert!(
+            self.ss >= -1e-9 * (1.0 + norm_sq),
+            "ss went negative beyond fp drift: {}",
+            self.ss
+        );
+        if self.ss < 0.0 {
+            self.ss = 0.0;
+            clamps += 1;
+        }
+        FP_RESIDUE_CLAMPS.add(clamps);
+        self.size -= 1;
+        if self.size == 0 {
+            *self = Self::default();
+        }
+    }
+}
+
+/// A cluster representative `c⃗_p = Σ_{d∈C_p} φ_d` (eq. 19–20) together with
+/// its cached [`RepStats`], which make `avg_sim(C_p)` an O(1) read (eq. 24).
+///
+/// The representative vector is a sorted `Vec<(TermId, f64)>` (the
+/// [`SparseVector`] idiom): O(nnz) memory, O(log nnz) lookup, merge-join
+/// rep↔rep products. Representatives are built, never edited: a
+/// [`RepBuilder`] builds each one from its member list in one pass, and
+/// [`ClusterRep::merge_from`] (the cross-shard stitch) is the only change
+/// to a stored vector. Inside a K-means run the live vectors are the
+/// [`crate::ClusterIndex`] slots; the run rebuilds a representative only
+/// after a document joined or left it.
+#[derive(Debug, Clone)]
+pub struct ClusterRep {
+    vector: SparseVector,
+    stats: RepStats,
 }
 
 impl Default for ClusterRep {
@@ -46,19 +206,6 @@ impl ClusterRep {
         Self::from_parts(Vec::new(), 0, 0.0, 0.0)
     }
 
-    /// Builds a representative from a set of member φ vectors by an `add`
-    /// chain ([`RepBuilder::add_chain`] gives the same result in one pass).
-    pub fn from_members<'a, I>(members: I) -> Self
-    where
-        I: IntoIterator<Item = &'a SparseVector>,
-    {
-        let mut rep = Self::new();
-        for phi in members {
-            rep.add(phi);
-        }
-        rep
-    }
-
     /// Rebuilds a representative from persisted parts: the stored non-zero
     /// entries (ascending term order, as [`ClusterRep::for_each_entry`]
     /// yields them) plus the cached statistics **verbatim**.
@@ -66,36 +213,35 @@ impl ClusterRep {
     /// This is the checkpoint-restore constructor: `cr_self` and `ss` are
     /// taken as given rather than recomputed, so a restored representative
     /// produces bit-identical similarity scores to the one that was saved
-    /// (recomputing `Σw²` could differ in the last bit from the
-    /// incrementally-maintained value).
+    /// (recomputing `Σw²` could differ in the last bit from a stitched
+    /// representative's merged value).
     pub fn from_parts(entries: Vec<(TermId, f64)>, size: usize, cr_self: f64, ss: f64) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Self {
             vector: SparseVector::from_sorted(entries),
-            size,
-            cr_self,
-            ss,
+            stats: RepStats { size, cr_self, ss },
         }
+    }
+
+    /// The cached statistics, by value — what the step-1 sweep updates
+    /// while the representative itself stays untouched.
+    pub fn stats(&self) -> RepStats {
+        self.stats
     }
 
     /// Number of member documents `|C_p|`.
     pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the cluster has no members.
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.stats.size
     }
 
     /// `cr_sim(C_p, C_p)` (eq. 21/22).
     pub fn cr_self(&self) -> f64 {
-        self.cr_self
+        self.stats.cr_self
     }
 
     /// `ss(C_p)` (eq. 23).
     pub fn ss(&self) -> f64 {
-        self.ss
+        self.stats.ss
     }
 
     /// Number of stored non-zero terms of `c⃗_p`.
@@ -122,7 +268,8 @@ impl ClusterRep {
     ///
     /// Accumulates `rep[t]·φ[t]` over φ's terms in term order (absent terms
     /// contribute an exact ±0.0), so the result is bit-identical to the
-    /// per-cluster rows of [`crate::ClusterIndex::dot_all`].
+    /// per-cluster rows of [`crate::ClusterIndex::dot_all`] over an index
+    /// rebuilt from this representative.
     pub fn dot_doc(&self, phi: &SparseVector) -> f64 {
         let mut acc = 0.0;
         for (t, w) in phi.iter() {
@@ -135,66 +282,6 @@ impl ClusterRep {
     /// merge-join over the stored entries, O(nnz_p + nnz_q).
     pub fn dot_rep(&self, other: &ClusterRep) -> f64 {
         self.vector.dot(&other.vector)
-    }
-
-    /// Adds document `φ` to the cluster, maintaining all cached quantities in
-    /// O(nnz(φ) + nnz(c⃗_p)) worst case (sparse merge).
-    pub fn add(&mut self, phi: &SparseVector) {
-        let dot = self.dot_doc(phi);
-        let norm_sq = phi.norm_sq();
-        // |c + φ|² = |c|² + 2 c·φ + |φ|²
-        self.cr_self += 2.0 * dot + norm_sq;
-        self.ss += norm_sq;
-        self.size += 1;
-        self.vector.axpy_in_place(phi, 1.0);
-    }
-
-    /// Removes document `φ` from the cluster (the deletion analogue the paper
-    /// omits "for simplicity"), in O(nnz(φ) + nnz(c⃗_p)):
-    ///
-    /// ```text
-    /// |c − φ|² = |c|² − 2 c·φ + |φ|²
-    /// ```
-    ///
-    /// The caller must ensure `φ` is a current member; removing a non-member
-    /// corrupts the cached statistics (debug builds assert `size > 0`).
-    pub fn remove(&mut self, phi: &SparseVector) {
-        debug_assert!(self.size > 0, "remove from empty cluster");
-        let mut clamps = 0u64;
-        let dot = self.dot_doc(phi);
-        let norm_sq = phi.norm_sq();
-        self.cr_self += -2.0 * dot + norm_sq;
-        // Both clamps absorb only floating-point residue (|c−φ|² and ss are
-        // nonnegative by construction); a substantially negative value means
-        // a non-member was removed and must not be silently zeroed.
-        debug_assert!(
-            self.cr_self >= -1e-9 * (1.0 + 2.0 * dot.abs() + norm_sq),
-            "cr_self went negative beyond fp drift: {}",
-            self.cr_self
-        );
-        if self.cr_self < 0.0 {
-            self.cr_self = 0.0; // clamp fp drift
-            clamps += 1;
-        }
-        self.ss -= norm_sq;
-        debug_assert!(
-            self.ss >= -1e-9 * (1.0 + norm_sq),
-            "ss went negative beyond fp drift: {}",
-            self.ss
-        );
-        if self.ss < 0.0 {
-            self.ss = 0.0;
-            clamps += 1;
-        }
-        FP_RESIDUE_CLAMPS.add(clamps);
-        self.size -= 1;
-        self.vector.axpy_in_place(phi, -1.0);
-        if self.size == 0 {
-            // restore exact emptiness so drift cannot accumulate across reuse
-            self.vector = SparseVector::new();
-            self.cr_self = 0.0;
-            self.ss = 0.0;
-        }
     }
 
     /// Merges another representative into this one — the cross-shard merge
@@ -213,97 +300,21 @@ impl ClusterRep {
     /// sets double-count the shared documents in every statistic.
     pub fn merge_from(&mut self, other: &ClusterRep) {
         let dot = self.dot_rep(other);
-        self.cr_self += 2.0 * dot + other.cr_self;
-        self.ss += other.ss;
-        self.size += other.size;
+        self.stats.cr_self += 2.0 * dot + other.stats.cr_self;
+        self.stats.ss += other.stats.ss;
+        self.stats.size += other.stats.size;
         self.vector.axpy_in_place(&other.vector, 1.0);
     }
 
-    /// `avg_sim(C_p)` — the intra-cluster similarity, via eq. 24:
-    ///
-    /// ```text
-    /// avg_sim = (cr_sim(C,C) − ss(C)) / (|C|(|C|−1))
-    /// ```
-    ///
-    /// Defined as 0 for clusters with fewer than two members.
+    /// `avg_sim(C_p)` (eq. 24; see [`RepStats::avg_sim`]).
     pub fn avg_sim(&self) -> f64 {
-        if self.size < 2 {
-            return 0.0;
-        }
-        let n = self.size as f64;
-        ((self.cr_self - self.ss) / (n * (n - 1.0))).max(0.0)
+        self.stats.avg_sim()
     }
 
     /// The cluster's contribution to the clustering index `G`:
     /// `|C_p| · avg_sim(C_p)` (eq. 17).
     pub fn g_term(&self) -> f64 {
-        self.size as f64 * self.avg_sim()
-    }
-
-    /// `avg_sim(C_p ∪ {d})` without mutating the cluster (eq. 26):
-    ///
-    /// ```text
-    /// (cr_sim(C,C) + 2·cr_sim(C,{d}) − ss(C)) / (|C|(|C|+1))
-    /// ```
-    ///
-    /// Returns 0 for an empty cluster (a singleton has no pairs).
-    pub fn avg_sim_if_added(&self, phi: &SparseVector) -> f64 {
-        self.avg_sim_if_added_from_dot(self.dot_doc(phi))
-    }
-
-    /// [`ClusterRep::avg_sim_if_added`] with `cr_sim(C,{d})` supplied by the
-    /// caller (e.g. from one [`crate::ClusterIndex::dot_all`] sweep).
-    pub fn avg_sim_if_added_from_dot(&self, dot: f64) -> f64 {
-        if self.size == 0 {
-            return 0.0;
-        }
-        let n = self.size as f64;
-        let num = self.cr_self + 2.0 * dot - self.ss;
-        (num / (n * (n + 1.0))).max(0.0)
-    }
-
-    /// `|C_p ∪ {d}|·avg_sim(C_p ∪ {d})` without mutating the cluster — the
-    /// cluster's contribution to the clustering index `G` (eq. 17) if `d`
-    /// joined:
-    ///
-    /// ```text
-    /// (cr_sim(C,C) + 2·cr_sim(C,{d}) − ss(C)) / |C|      (|C| ≥ 1)
-    /// ```
-    ///
-    /// Returns 0 for an empty cluster. Assigning each document to the
-    /// cluster whose *G-term* increases the most greedily maximises the
-    /// paper's clustering index; see the discussion of the two assignment
-    /// criteria in `nidc-core`.
-    pub fn g_term_if_added(&self, phi: &SparseVector) -> f64 {
-        self.g_term_if_added_from_dot(self.dot_doc(phi))
-    }
-
-    /// [`ClusterRep::g_term_if_added`] with `cr_sim(C,{d})` supplied by the
-    /// caller.
-    pub fn g_term_if_added_from_dot(&self, dot: f64) -> f64 {
-        if self.size == 0 {
-            return 0.0;
-        }
-        let n = self.size as f64;
-        ((self.cr_self + 2.0 * dot - self.ss) / n).max(0.0)
-    }
-
-    /// `avg_sim(C_p \ {d})` without mutating the cluster — the deletion
-    /// analogue of eq. 26. `φ` must be a current member.
-    pub fn avg_sim_if_removed(&self, phi: &SparseVector) -> f64 {
-        self.avg_sim_if_removed_from_dot(self.dot_doc(phi), phi.norm_sq())
-    }
-
-    /// [`ClusterRep::avg_sim_if_removed`] with `cr_sim(C,{d})` and `|φ|²`
-    /// supplied by the caller.
-    pub fn avg_sim_if_removed_from_dot(&self, dot: f64, norm_sq: f64) -> f64 {
-        if self.size <= 2 {
-            return 0.0;
-        }
-        let n = self.size as f64;
-        let cr_new = self.cr_self - 2.0 * dot + norm_sq;
-        let ss_new = self.ss - norm_sq;
-        ((cr_new - ss_new) / ((n - 1.0) * (n - 2.0))).max(0.0)
+        self.stats.g_term()
     }
 
     /// The `n` heaviest positive-weight terms of the representative,
@@ -338,11 +349,12 @@ impl nidc_obs::DeepSize for ClusterRep {
 
 /// A reusable sparse accumulator (SPA; Gilbert, Moler & Schreiber, SIAM J.
 /// Matrix Anal. Appl. 1992) that builds whole representatives in
-/// O(Σ nnz(φ)) — where an `add` chain pays an O(nnz(c⃗_p)) merge per member.
+/// O(Σ nnz(φ)) — where adding members one by one to a sorted vector pays an
+/// O(nnz(c⃗_p)) merge per member.
 ///
 /// It holds one value array over the term space, the list of terms the
-/// current cluster touched and a seen mark per term. Both builds leave every
-/// slot they touched at zero again, so one builder serves every cluster of a
+/// current cluster touched and a seen mark per term. A build leaves every
+/// slot it touched at zero again, so one builder serves every cluster of a
 /// run and costs O(max term id) memory once, not per cluster.
 #[derive(Debug, Default)]
 pub struct RepBuilder {
@@ -357,34 +369,11 @@ impl RepBuilder {
         Self::default()
     }
 
-    /// The representative an `add` chain over `members` produces, bit for
-    /// bit ([`ClusterRep::from_members`]): per member, the dot product
-    /// against the accumulator in φ's term order, then `cr_self += 2·dot +
-    /// |φ|²`, `ss += |φ|²` and `acc[t] += w` — the scalar operations of
-    /// [`ClusterRep::add`], in the same order.
-    pub fn add_chain<'a, I>(&mut self, members: I) -> ClusterRep
-    where
-        I: IntoIterator<Item = &'a SparseVector>,
-    {
-        let (mut size, mut cr_self, mut ss) = (0, 0.0, 0.0);
-        for phi in members {
-            let mut dot = 0.0;
-            for (t, w) in phi.iter() {
-                dot += self.values.get(t.index()).copied().unwrap_or(0.0) * w;
-            }
-            let norm_sq = phi.norm_sq();
-            cr_self += 2.0 * dot + norm_sq;
-            ss += norm_sq;
-            size += 1;
-            self.accumulate(phi);
-        }
-        ClusterRep::from_parts(self.drain(), size, cr_self, ss)
-    }
-
-    /// The representative recomputed exactly from `members`, shedding the
-    /// floating-point drift of long add/remove chains: each term's weight
-    /// is accumulated in member order, exact zeros are dropped, and
-    /// `cr_self = Σ w²` is summed in ascending term order.
+    /// The representative of `members`, computed exactly — a pure function
+    /// of the member list, so it carries no drift from earlier joins and
+    /// leaves: each term's weight is accumulated in member order, exact
+    /// zeros are dropped, and `cr_self = Σ w²` is summed in ascending term
+    /// order.
     pub fn exact<'a, I>(&mut self, members: I) -> ClusterRep
     where
         I: IntoIterator<Item = &'a SparseVector>,
@@ -442,6 +431,10 @@ mod tests {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
     }
 
+    fn exact(members: &[SparseVector]) -> ClusterRep {
+        RepBuilder::new().exact(members.iter())
+    }
+
     /// Brute-force pairwise avg_sim (eq. 18) for validation.
     fn brute_avg_sim(members: &[SparseVector]) -> f64 {
         let n = members.len();
@@ -471,7 +464,7 @@ mod tests {
     #[test]
     fn eq22_identity_cr_self_decomposition() {
         let members = sample_members();
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&members);
         let n = members.len() as f64;
         // eq. 22: cr_sim(C,C) = n(n−1)·avg_sim + ss
         let lhs = rep.cr_self();
@@ -482,52 +475,65 @@ mod tests {
     #[test]
     fn eq24_avg_sim_matches_brute_force() {
         let members = sample_members();
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&members);
         assert!((rep.avg_sim() - brute_avg_sim(&members)).abs() < 1e-12);
     }
 
     #[test]
-    fn eq26_append_preview_matches_actual_append() {
+    fn eq26_append_preview_and_join_match_the_exact_union() {
         let members = sample_members();
         let newcomer = phi(&[(1, 0.3), (2, 0.3)]);
-        let mut rep = ClusterRep::from_members(members.iter());
-        let predicted = rep.avg_sim_if_added(&newcomer);
-        rep.add(&newcomer);
-        assert!((predicted - rep.avg_sim()).abs() < 1e-12);
-        // and against brute force
+        let rep = exact(&members);
+        let dot = rep.dot_doc(&newcomer);
+        let predicted = rep.stats().avg_sim_if_added_from_dot(dot);
+        let mut joined = rep.stats();
+        joined.join(dot, newcomer.norm_sq());
         let mut all = members;
         all.push(newcomer);
-        assert!((rep.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12);
+        let union = exact(&all);
+        assert!((predicted - union.avg_sim()).abs() < 1e-12);
+        assert!((joined.avg_sim() - union.avg_sim()).abs() < 1e-12);
+        assert!((joined.cr_self() - union.cr_self()).abs() < 1e-12);
+        assert_eq!(joined.size(), union.size());
+        assert!((union.avg_sim() - brute_avg_sim(&all)).abs() < 1e-12);
     }
 
     #[test]
-    fn removal_preview_matches_actual_removal() {
+    fn removal_preview_and_leave_match_the_exact_rest() {
         let members = sample_members();
-        let mut rep = ClusterRep::from_members(members.iter());
-        let predicted = rep.avg_sim_if_removed(&members[1]);
-        rep.remove(&members[1]);
-        assert!((predicted - rep.avg_sim()).abs() < 1e-12);
+        let rep = exact(&members);
+        let (dot, norm_sq) = (rep.dot_doc(&members[1]), members[1].norm_sq());
+        let predicted = rep.stats().avg_sim_if_removed_from_dot(dot, norm_sq);
+        let mut left = rep.stats();
+        left.leave(dot, norm_sq);
         let remaining: Vec<_> = members
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != 1)
             .map(|(_, m)| m.clone())
             .collect();
-        assert!((rep.avg_sim() - brute_avg_sim(&remaining)).abs() < 1e-12);
+        let rest = exact(&remaining);
+        assert!((predicted - rest.avg_sim()).abs() < 1e-12);
+        assert!((left.avg_sim() - rest.avg_sim()).abs() < 1e-12);
+        assert!((left.ss() - rest.ss()).abs() < 1e-12);
+        assert_eq!(left.size(), rest.size());
+        assert!((rest.avg_sim() - brute_avg_sim(&remaining)).abs() < 1e-12);
     }
 
     #[test]
-    fn add_then_remove_is_identity() {
-        let members = sample_members();
-        let mut rep = ClusterRep::from_members(members.iter());
-        let before = (rep.size(), rep.cr_self(), rep.ss(), rep.avg_sim());
+    fn join_then_leave_is_identity() {
+        let rep = exact(&sample_members());
+        let before = rep.stats();
         let d = phi(&[(0, 0.9), (3, 0.1)]);
-        rep.add(&d);
-        rep.remove(&d);
-        assert_eq!(rep.size(), before.0);
-        assert!((rep.cr_self() - before.1).abs() < 1e-12);
-        assert!((rep.ss() - before.2).abs() < 1e-12);
-        assert!((rep.avg_sim() - before.3).abs() < 1e-12);
+        let (dot, norm_sq) = (rep.dot_doc(&d), d.norm_sq());
+        let mut stats = before;
+        stats.join(dot, norm_sq);
+        // after the join, c⃗·φ has gained φ·φ
+        stats.leave(dot + norm_sq, norm_sq);
+        assert_eq!(stats.size(), before.size());
+        assert!((stats.cr_self() - before.cr_self()).abs() < 1e-12);
+        assert!((stats.ss() - before.ss()).abs() < 1e-12);
+        assert!((stats.avg_sim() - before.avg_sim()).abs() < 1e-12);
     }
 
     #[test]
@@ -535,8 +541,8 @@ mod tests {
         // avg_sim(C_p ∪ C_q) from representative quantities, two disjoint sets.
         let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
         let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
-        let p = ClusterRep::from_members(p_members.iter());
-        let q = ClusterRep::from_members(q_members.iter());
+        let p = exact(&p_members);
+        let q = exact(&q_members);
         let np = p.size() as f64;
         let nq = q.size() as f64;
         let merged_avg = (p.cr_self() + 2.0 * p.dot_rep(&q) + q.cr_self() - p.ss() - q.ss())
@@ -547,15 +553,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_matches_from_members() {
+    fn merge_from_matches_exact_on_the_union() {
         let p_members = vec![phi(&[(0, 0.4)]), phi(&[(0, 0.2), (1, 0.5)])];
         let q_members = vec![phi(&[(1, 0.3), (2, 0.2)]), phi(&[(2, 0.6)])];
-        let mut merged = ClusterRep::from_members(p_members.iter());
-        let q = ClusterRep::from_members(q_members.iter());
-        merged.merge_from(&q);
+        let mut merged = exact(&p_members);
+        merged.merge_from(&exact(&q_members));
         let mut all = p_members;
         all.extend(q_members);
-        let reference = ClusterRep::from_members(all.iter());
+        let reference = exact(&all);
         assert_eq!(merged.size(), reference.size());
         assert!((merged.cr_self() - reference.cr_self()).abs() < 1e-12);
         assert_eq!(merged.ss(), reference.ss());
@@ -567,8 +572,7 @@ mod tests {
 
     #[test]
     fn merge_from_empty_is_identity_and_into_empty_is_copy() {
-        let members = sample_members();
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&sample_members());
         let mut with_empty = rep.clone();
         with_empty.merge_from(&ClusterRep::new());
         assert_eq!(with_empty.size(), rep.size());
@@ -584,62 +588,57 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_clusters() {
-        let mut rep = ClusterRep::new();
-        assert_eq!(rep.avg_sim(), 0.0);
-        assert_eq!(rep.g_term(), 0.0);
-        assert_eq!(rep.avg_sim_if_added(&phi(&[(0, 1.0)])), 0.0);
-        rep.add(&phi(&[(0, 1.0)]));
-        assert_eq!(rep.size(), 1);
-        assert_eq!(rep.avg_sim(), 0.0); // singleton: no pairs
+        let empty = ClusterRep::new();
+        assert_eq!(empty.avg_sim(), 0.0);
+        assert_eq!(empty.g_term(), 0.0);
+        assert_eq!(empty.stats().avg_sim_if_added_from_dot(1.0), 0.0);
+        let single = exact(&[phi(&[(0, 1.0)])]);
+        assert_eq!(single.size(), 1);
+        assert_eq!(single.avg_sim(), 0.0); // singleton: no pairs
     }
 
     #[test]
-    fn removing_last_member_restores_exact_emptiness() {
+    fn last_leave_resets_stats_to_exact_zero() {
         let d = phi(&[(0, 0.3), (2, 0.7)]);
-        let mut rep = ClusterRep::new();
-        rep.add(&d);
-        rep.remove(&d);
-        assert!(rep.is_empty());
-        assert_eq!(rep.cr_self(), 0.0);
-        assert_eq!(rep.ss(), 0.0);
-        assert_eq!(rep.nnz(), 0, "stored weights must be zeroed");
-        let mut seen = 0;
-        rep.for_each_entry(|_, _| seen += 1);
-        assert_eq!(seen, 0);
+        let rep = exact(std::slice::from_ref(&d));
+        let mut stats = rep.stats();
+        stats.leave(rep.dot_doc(&d), d.norm_sq());
+        assert_eq!(stats.size(), 0);
+        assert_eq!(stats.cr_self().to_bits(), 0.0f64.to_bits());
+        assert_eq!(stats.ss().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn dot_doc_handles_terms_beyond_stored_range() {
-        let rep = ClusterRep::from_members([phi(&[(0, 1.0)])].iter());
+        let rep = exact(&[phi(&[(0, 1.0)])]);
         // φ mentions term 5, beyond the rep's support: contributes 0.
         assert_eq!(rep.dot_doc(&phi(&[(0, 2.0), (5, 3.0)])), 2.0);
     }
 
     #[test]
-    fn add_grows_support_on_demand() {
-        let mut rep = ClusterRep::new();
-        rep.add(&phi(&[(4, 1.5)]));
+    fn weight_is_zero_off_support() {
+        let rep = exact(&[phi(&[(4, 1.5)])]);
         assert_eq!(rep.nnz(), 1);
         assert_eq!(rep.weight(TermId(4)), 1.5);
         assert_eq!(rep.weight(TermId(3)), 0.0);
     }
 
     #[test]
-    fn builder_exact_matches_incremental() {
+    fn join_chain_matches_exact() {
         let members = sample_members();
-        let mut rep = ClusterRep::new();
-        for m in &members {
-            rep.add(m);
+        let mut stats = RepStats::default();
+        for (i, m) in members.iter().enumerate() {
+            stats.join(exact(&members[..i]).dot_doc(m), m.norm_sq());
         }
-        let exact = RepBuilder::new().exact(members.iter());
-        assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-12);
-        assert!((rep.ss() - exact.ss()).abs() < 1e-12);
-        assert_eq!(rep.size(), exact.size());
+        let exact = exact(&members);
+        assert!((stats.cr_self() - exact.cr_self()).abs() < 1e-12);
+        assert!((stats.ss() - exact.ss()).abs() < 1e-12);
+        assert_eq!(stats.size(), exact.size());
     }
 
     #[test]
     fn top_terms_are_sorted_descending() {
-        let rep = ClusterRep::from_members([phi(&[(0, 0.1), (1, 0.9), (2, 0.5)])].iter());
+        let rep = exact(&[phi(&[(0, 0.1), (1, 0.9), (2, 0.5)])]);
         let top = rep.top_terms(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, TermId(1));
@@ -651,8 +650,12 @@ mod tests {
         // A sparse rep whose largest term id is in the tens of millions must
         // not allocate or scan a vocabulary-sized buffer: the candidate list
         // is bounded by nnz, not by the term-id range.
-        let mut rep = ClusterRep::new();
-        rep.add(&phi(&[(30_000_000, 1.0), (5, 3.0), (17_000_000, 2.0)]));
+        let entries = vec![
+            (TermId(5), 3.0),
+            (TermId(17_000_000), 2.0),
+            (TermId(30_000_000), 1.0),
+        ];
+        let rep = ClusterRep::from_parts(entries, 1, 0.0, 0.0);
         assert_eq!(rep.nnz(), 3);
         let all = rep.top_terms(usize::MAX);
         assert_eq!(all.len(), 3, "candidate list must be nnz-bounded");
@@ -661,39 +664,39 @@ mod tests {
     }
 
     #[test]
-    fn g_term_if_added_preview_matches_actual() {
+    fn g_term_if_added_preview_matches_the_exact_union() {
         let members = sample_members();
         let newcomer = phi(&[(0, 0.2), (2, 0.4)]);
-        let mut rep = ClusterRep::from_members(members.iter());
-        let preview = rep.g_term_if_added(&newcomer);
-        rep.add(&newcomer);
-        assert!((preview - rep.g_term()).abs() < 1e-12);
+        let rep = exact(&members);
+        let preview = rep.stats().g_term_if_added_from_dot(rep.dot_doc(&newcomer));
+        let mut all = members;
+        all.push(newcomer);
+        assert!((preview - exact(&all).g_term()).abs() < 1e-12);
     }
 
     #[test]
     fn g_term_if_added_to_empty_is_zero() {
-        let rep = ClusterRep::new();
-        assert_eq!(rep.g_term_if_added(&phi(&[(0, 1.0)])), 0.0);
+        assert_eq!(RepStats::default().g_term_if_added_from_dot(1.0), 0.0);
     }
 
     #[test]
     fn g_term_if_added_to_singleton_is_twice_sim() {
         let seed = phi(&[(0, 0.6), (1, 0.2)]);
-        let rep = ClusterRep::from_members([seed.clone()].iter());
+        let rep = exact(std::slice::from_ref(&seed));
         let d = phi(&[(0, 0.5), (1, 0.5)]);
-        assert!((rep.g_term_if_added(&d) - 2.0 * seed.dot(&d)).abs() < 1e-12);
+        let preview = rep.stats().g_term_if_added_from_dot(rep.dot_doc(&d));
+        assert!((preview - 2.0 * seed.dot(&d)).abs() < 1e-12);
     }
 
     #[test]
     fn g_term_is_size_times_avg_sim() {
-        let members = sample_members();
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&sample_members());
         assert!((rep.g_term() - 4.0 * rep.avg_sim()).abs() < 1e-12);
     }
 
     #[test]
     fn from_parts_round_trips_entries_and_stats_verbatim() {
-        let rep = ClusterRep::from_members(sample_members().iter());
+        let rep = exact(&sample_members());
         let mut entries = Vec::new();
         rep.for_each_entry(|t, w| entries.push((t, w)));
         let restored = ClusterRep::from_parts(entries, rep.size(), rep.cr_self(), rep.ss());
@@ -707,7 +710,7 @@ mod tests {
     #[test]
     fn deep_size_reflects_storage() {
         use nidc_obs::DeepSize;
-        let sparse = ClusterRep::from_members(sample_members().iter());
+        let sparse = exact(&sample_members());
         // 4 nnz × 16 bytes minimum
         assert!(sparse.deep_size_bytes() >= 4 * 16);
         assert_eq!(ClusterRep::new().deep_size_bytes(), 0);

@@ -1,6 +1,7 @@
-//! Property tests for the cluster-representative algebra (§4.4): the O(|φ|)
-//! incremental formulas must agree with brute-force pairwise computation for
-//! arbitrary clusters and arbitrary add/remove sequences.
+//! Property tests for the cluster-representative algebra (§4.4): the O(1)
+//! join/leave formulas over `RepStats` must agree with exact builds and
+//! brute-force pairwise computation for arbitrary clusters and arbitrary
+//! join/leave sequences.
 
 use std::collections::BTreeMap;
 
@@ -60,6 +61,10 @@ fn entry_bits(rep: &ClusterRep) -> Vec<(TermId, u64)> {
     e
 }
 
+fn exact(members: &[SparseVector]) -> ClusterRep {
+    RepBuilder::new().exact(members.iter())
+}
+
 fn brute_avg_sim(members: &[SparseVector]) -> f64 {
     let n = members.len();
     if n < 2 {
@@ -82,55 +87,81 @@ proptest! {
     /// eq. 24: representative-based avg_sim equals pairwise avg_sim.
     #[test]
     fn avg_sim_matches_brute_force(members in prop::collection::vec(phi_strategy(), 0..12)) {
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&members);
         let brute = brute_avg_sim(&members);
         prop_assert!((rep.avg_sim() - brute).abs() < 1e-9,
             "rep={} brute={brute}", rep.avg_sim());
     }
 
-    /// eq. 26: the append preview equals the post-append value.
+    /// eq. 26: the append preview, and the stats after the join, equal the
+    /// exact build over the members plus the newcomer.
     #[test]
     fn append_preview_is_exact(
         members in prop::collection::vec(phi_strategy(), 1..10),
         newcomer in phi_strategy(),
     ) {
-        let mut rep = ClusterRep::from_members(members.iter());
-        let preview = rep.avg_sim_if_added(&newcomer);
-        rep.add(&newcomer);
-        prop_assert!((preview - rep.avg_sim()).abs() < 1e-9);
+        let rep = exact(&members);
+        let dot = rep.dot_doc(&newcomer);
+        let preview = rep.stats().avg_sim_if_added_from_dot(dot);
+        let mut joined = rep.stats();
+        joined.join(dot, newcomer.norm_sq());
+        let mut all = members;
+        all.push(newcomer);
+        let union = exact(&all);
+        prop_assert!((preview - union.avg_sim()).abs() < 1e-9);
+        prop_assert!((joined.avg_sim() - union.avg_sim()).abs() < 1e-9);
+        prop_assert!((joined.cr_self() - union.cr_self()).abs() < 1e-9);
+        prop_assert_eq!(joined.size(), union.size());
     }
 
-    /// Deletion analogue of eq. 26: the removal preview equals the
-    /// post-removal value.
+    /// Deletion analogue of eq. 26: the removal preview, and the stats after
+    /// the leave, equal the exact build over the remaining members.
     #[test]
     fn removal_preview_is_exact(
         members in prop::collection::vec(phi_strategy(), 3..10),
         idx in 0usize..3,
     ) {
-        let mut rep = ClusterRep::from_members(members.iter());
-        let preview = rep.avg_sim_if_removed(&members[idx]);
-        rep.remove(&members[idx]);
-        prop_assert!((preview - rep.avg_sim()).abs() < 1e-9);
+        let rep = exact(&members);
+        let (dot, norm_sq) = (rep.dot_doc(&members[idx]), members[idx].norm_sq());
+        let preview = rep.stats().avg_sim_if_removed_from_dot(dot, norm_sq);
+        let mut left = rep.stats();
+        left.leave(dot, norm_sq);
+        let mut rest = members;
+        rest.remove(idx);
+        let rest = exact(&rest);
+        prop_assert!((preview - rest.avg_sim()).abs() < 1e-9);
+        prop_assert!((left.avg_sim() - rest.avg_sim()).abs() < 1e-9);
+        prop_assert!((left.cr_self() - rest.cr_self()).abs() < 1e-9);
+        prop_assert_eq!(left.size(), rest.size());
     }
 
-    /// Long interleaved add/remove chains do not drift from exact recompute.
+    /// Long interleaved join/leave chains — stats updated from the dots of a
+    /// live index slot, as the step-1 sweep does — do not drift from the
+    /// exact build.
     #[test]
     fn incremental_chain_has_bounded_drift(
         initial in prop::collection::vec(phi_strategy(), 1..8),
         churn in prop::collection::vec(phi_strategy(), 0..20),
     ) {
-        let mut rep = ClusterRep::from_members(initial.iter());
-        // add every churn doc then remove them again, in reverse
+        let rep = exact(&initial);
+        let mut stats = rep.stats();
+        let mut index = ClusterIndex::new(1);
+        index.rebuild(std::slice::from_ref(&rep));
+        let mut dot = [0.0];
+        // join every churn doc then let them leave again, in reverse
         for d in &churn {
-            rep.add(d);
+            index.dot_all(d, &mut dot);
+            stats.join(dot[0], d.norm_sq());
+            index.add(0, d);
         }
         for d in churn.iter().rev() {
-            rep.remove(d);
+            index.dot_all(d, &mut dot);
+            stats.leave(dot[0], d.norm_sq());
+            index.remove(0, d);
         }
-        let exact = RepBuilder::new().exact(initial.iter());
-        prop_assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-8);
-        prop_assert!((rep.ss() - exact.ss()).abs() < 1e-8);
-        prop_assert_eq!(rep.size(), exact.size());
+        prop_assert!((stats.cr_self() - rep.cr_self()).abs() < 1e-8);
+        prop_assert!((stats.ss() - rep.ss()).abs() < 1e-8);
+        prop_assert_eq!(stats.size(), rep.size());
     }
 
     /// cr_sim between disjoint clusters obeys the merge identity (eq. 25).
@@ -139,8 +170,8 @@ proptest! {
         p_members in prop::collection::vec(phi_strategy(), 1..6),
         q_members in prop::collection::vec(phi_strategy(), 1..6),
     ) {
-        let p = ClusterRep::from_members(p_members.iter());
-        let q = ClusterRep::from_members(q_members.iter());
+        let p = exact(&p_members);
+        let q = exact(&q_members);
         let np = p.size() as f64;
         let nq = q.size() as f64;
         if np + nq < 2.0 {
@@ -156,45 +187,48 @@ proptest! {
     /// avg_sim is never negative and g_term is consistent.
     #[test]
     fn invariants(members in prop::collection::vec(phi_strategy(), 0..10)) {
-        let rep = ClusterRep::from_members(members.iter());
+        let rep = exact(&members);
         prop_assert!(rep.avg_sim() >= 0.0);
         prop_assert!((rep.g_term() - rep.size() as f64 * rep.avg_sim()).abs() < 1e-12);
     }
 
-    /// A representative and its mirror slot in a [`ClusterIndex`] stay
-    /// **bit-identical** (not merely close) through arbitrary interleaved
-    /// add/remove churn: every dot product the step-1 sweep reads from the
-    /// index, and every mirrored weight, equals the representative's own.
+    /// An index slot churned through arbitrary interleaved add/remove
+    /// stays close to the exact build of its present members — removals
+    /// may empty the slot, leaving residue — and a rebuild from that exact
+    /// build is **bit-identical** to it (not merely close): every dot
+    /// product the step-1 sweep reads from the index, and every stored
+    /// weight, equals the representative's own.
     #[test]
     fn backends_bit_identical_under_churn(
         initial in prop::collection::vec(phi_strategy(), 0..8),
         churn in prop::collection::vec((phi_strategy(), prop::bool::ANY), 0..24),
         probe in phi_strategy(),
     ) {
-        let mut rep = ClusterRep::new();
         let mut index = ClusterIndex::new(1);
         for d in &initial {
-            rep.add(d);
             index.add(0, d);
         }
-        // removals only target documents currently in the cluster (mirrors
-        // the algorithm), and never its last one: an emptied representative
-        // resets to exact zero, while the index slot keeps whatever residue
-        // the cancelled weights left
-        let mut present: Vec<&SparseVector> = initial.iter().collect();
+        // removals only target documents currently in the cluster, as in
+        // the algorithm, and may take its last one
+        let mut present: Vec<SparseVector> = initial.clone();
         for (d, is_add) in &churn {
-            if *is_add || present.len() < 2 {
-                rep.add(d);
+            if *is_add || present.is_empty() {
                 index.add(0, d);
-                present.push(d);
+                present.push(d.clone());
             } else {
                 let victim = present.remove(present.len() / 2);
-                rep.remove(victim);
-                index.remove(0, victim);
+                index.remove(0, &victim);
             }
         }
+        let rep = exact(&present);
         let mut row = [0.0];
-        for d in present.iter().copied().chain([&probe]) {
+        for d in present.iter().chain([&probe]) {
+            index.dot_all(d, &mut row);
+            prop_assert!((row[0] - rep.dot_doc(d)).abs() < 1e-9,
+                "churned dot: index {} vs exact {}", row[0], rep.dot_doc(d));
+        }
+        index.rebuild(std::slice::from_ref(&rep));
+        for d in present.iter().chain([&probe]) {
             index.dot_all(d, &mut row);
             prop_assert!(row[0].to_bits() == rep.dot_doc(d).to_bits(),
                 "dot: index {} vs rep {}", row[0], rep.dot_doc(d));
@@ -202,23 +236,6 @@ proptest! {
         prop_assert_eq!(index.postings_len(), rep.nnz());
         for t in 0..DIM {
             prop_assert_eq!(index.weight(TermId(t), 0).to_bits(), rep.weight(TermId(t)).to_bits());
-        }
-    }
-
-    /// `RepBuilder::add_chain` is the `add` chain of `from_members`, bit
-    /// for bit — entries, `cr_self`, `ss`, `size` — including weights that
-    /// cancel to exactly 0.0 and get pruned. One builder serves every
-    /// cluster, so state left over from the previous one would show.
-    #[test]
-    fn add_chain_equals_from_members(clusters in clusters_strategy()) {
-        let mut builder = RepBuilder::new();
-        for members in &clusters {
-            let built = builder.add_chain(members.iter());
-            let chain = ClusterRep::from_members(members.iter());
-            prop_assert_eq!(entry_bits(&built), entry_bits(&chain));
-            prop_assert_eq!(built.cr_self().to_bits(), chain.cr_self().to_bits());
-            prop_assert_eq!(built.ss().to_bits(), chain.ss().to_bits());
-            prop_assert_eq!(built.size(), chain.size());
         }
     }
 

@@ -97,7 +97,7 @@ pub mod prelude {
         MARKING_THRESHOLD,
     };
     pub use nidc_forgetting::{DecayParams, Repository, StatsSnapshot, Timestamp};
-    pub use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors};
+    pub use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder};
     pub use nidc_textproc::{
         DocId, Pipeline, PorterStemmer, SparseVector, TermCounts, TermId, Tokenizer, Vocabulary,
     };

@@ -1,7 +1,9 @@
 //! Step-1 sweep equivalence: the extended K-means scores documents through
-//! the term→cluster [`ClusterIndex`], which mirrors the [`ClusterRep`]s
-//! entry for entry. Its dot products must agree **bitwise** with each
-//! representative's own `dot_doc`, not merely closely, so the index is an
+//! the term→cluster [`ClusterIndex`], the live vector of each cluster, whose
+//! slots a move updates in place. Where no weight cancels, a slot folded one
+//! member at a time holds the same weights as the [`ClusterRep`] built
+//! exactly from those members, so its dot products agree **bitwise** with
+//! the representative's own `dot_doc`, not merely closely: the index is an
 //! exact accelerator and never shows in a result.
 
 use std::collections::BTreeMap;
@@ -37,22 +39,24 @@ fn repo_from(docs: &[Vec<(u32, f64)>]) -> Repository {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The step-1 scoring sweep in isolation: for every document, the
-    /// inverted-index row (`ClusterIndex::dot_all`) and the per-cluster
-    /// `ClusterRep::dot_doc` agree bitwise, so the argmax winner is the
-    /// same document by document.
+    /// The step-1 scoring sweep in isolation: for every document, the row of
+    /// an index folded member by member (`ClusterIndex::add`, then
+    /// `ClusterIndex::dot_all`) and the per-cluster `ClusterRep::dot_doc` of
+    /// exact builds agree bitwise, so the argmax winner is the same
+    /// document by document.
     #[test]
     fn step1_winner_is_backend_invariant(docs in doc_stream(), k in 2usize..6) {
         let repo = repo_from(&docs);
         let vecs = DocVectors::build(&repo);
         let ids = vecs.ids();
-        // deal documents round-robin into k clusters, mirrored two ways
-        let mut reps = vec![ClusterRep::new(); k];
+        // deal documents round-robin into k clusters, built two ways
+        let mut builder = RepBuilder::new();
+        let reps: Vec<ClusterRep> = (0..k)
+            .map(|q| builder.exact(ids.iter().skip(q).step_by(k).map(|&d| vecs.phi(d).unwrap())))
+            .collect();
         let mut index = ClusterIndex::new(k);
         for (i, &d) in ids.iter().enumerate() {
-            let phi = vecs.phi(d).unwrap();
-            reps[i % k].add(phi);
-            index.add(i % k, phi);
+            index.add(i % k, vecs.phi(d).unwrap());
         }
         let mut row = vec![0.0; k];
         for &d in &ids {
