@@ -12,9 +12,10 @@
 //!   `moved`/`outliered`, died earlier in the same window), and nothing is
 //!   heard from a lineage after its `death`;
 //! * `split`/`merge` conserve members: `1 ≤ from_parent ≤` the parent's
-//!   last recorded size, `1 ≤ from_absorbed ≤` the absorbed lineage's
-//!   `last_size`, and a `death`'s `last_size` equals the size the lineage
-//!   last reported;
+//!   size in the previous window (its continuation in the same window is
+//!   reported first and may already carry the new size), `1 ≤
+//!   from_absorbed ≤` the absorbed lineage's size in the previous window,
+//!   and a `death`'s `last_size` equals the size the lineage last reported;
 //! * `drift` is a finite number in `[0, 1]`.
 //!
 //! With `--metrics FILE` (the matching `--metrics` JSONL export of the same
@@ -52,6 +53,22 @@ struct Lineage {
     state: Liveness,
     /// Member count the lineage last reported (birth/split/continuation).
     last_size: usize,
+    /// The window of that report.
+    reported_in: u64,
+    /// The member count before that report (0 for a new lineage).
+    size_before_report: usize,
+}
+
+impl Lineage {
+    /// The member count at the end of the window before `window` — what a
+    /// `split` or `merge` in `window` draws its members from.
+    fn size_before(&self, window: u64) -> usize {
+        if self.reported_in == window {
+            self.size_before_report
+        } else {
+            self.last_size
+        }
+    }
 }
 
 #[derive(Default)]
@@ -125,6 +142,8 @@ impl Validator {
             Lineage {
                 state: Liveness::Alive,
                 last_size: size,
+                reported_in: self.window,
+                size_before_report: 0,
             },
         );
         Ok(())
@@ -155,11 +174,11 @@ impl Validator {
                 let size = field_u64(v, "size", ctx)? as usize;
                 let from_parent = field_u64(v, "from_parent", ctx)? as usize;
                 field_str(v, "cluster", ctx)?;
-                let parent_size = self.alive(parent, ctx)?.last_size;
+                let parent_size = self.alive(parent, ctx)?.size_before(window);
                 if from_parent < 1 || from_parent > parent_size {
                     return Err(format!(
                         "{ctx}: split takes {from_parent} members from parent {parent} \
-                         which last had {parent_size}"
+                         which had {parent_size} last window"
                     ));
                 }
                 if from_parent > size {
@@ -184,19 +203,22 @@ impl Validator {
                     return Err(format!("{ctx}: drift {drift} outside [0, 1]"));
                 }
                 self.alive(lineage, ctx)?;
-                self.lineages.get_mut(&lineage).expect("alive").last_size = size;
+                let l = self.lineages.get_mut(&lineage).expect("alive");
+                l.size_before_report = l.size_before(window);
+                l.last_size = size;
+                l.reported_in = window;
                 self.counts.continuations += 1;
             }
             "merge" => {
                 let absorbed = field_u64(v, "absorbed", ctx)?;
                 let into = field_u64(v, "into", ctx)?;
                 let from_absorbed = field_u64(v, "from_absorbed", ctx)? as usize;
-                let absorbed_size = self.alive(absorbed, ctx)?.last_size;
+                let absorbed_size = self.alive(absorbed, ctx)?.size_before(window);
                 self.alive(into, ctx)?;
                 if from_absorbed < 1 || from_absorbed > absorbed_size {
                     return Err(format!(
                         "{ctx}: merge moves {from_absorbed} members out of lineage {absorbed} \
-                         which last had {absorbed_size}"
+                         which had {absorbed_size} last window"
                     ));
                 }
                 self.counts.merges += 1;
@@ -364,5 +386,30 @@ fn main() -> ExitCode {
             eprintln!("check_events: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_stream;
+
+    /// A parent that shrank from 5 to 2 members this window, reported
+    /// before the split that took 3 of its 5 previous members.
+    fn parent_then_split(from_parent: u64) -> String {
+        format!(
+            "{{\"schema\":\"nidc-events\",\"v\":1}}\n\
+             {{\"kind\":\"birth\",\"window\":0,\"lineage\":0,\"cluster\":\"0:0\",\"size\":5}}\n\
+             {{\"kind\":\"continuation\",\"window\":1,\"lineage\":0,\"cluster\":\"0:0\",\
+             \"size\":2,\"drift\":0.1,\"joined\":0,\"left\":3}}\n\
+             {{\"kind\":\"split\",\"window\":1,\"lineage\":1,\"parent\":0,\"cluster\":\"0:1\",\
+             \"size\":6,\"from_parent\":{from_parent}}}\n"
+        )
+    }
+
+    #[test]
+    fn split_is_bounded_by_the_parents_previous_window_size() {
+        assert!(check_stream(&parent_then_split(3)).is_ok());
+        assert!(check_stream(&parent_then_split(5)).is_ok());
+        assert!(check_stream(&parent_then_split(6)).is_err());
     }
 }

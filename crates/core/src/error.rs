@@ -39,6 +39,9 @@ pub enum Error {
         /// The offending field: `"rep_entries"` or `"members"`.
         field: &'static str,
     },
+    /// A persisted lineage state lists its universe of live documents out
+    /// of strictly ascending order.
+    MalformedLineageUniverse,
 }
 
 impl std::fmt::Display for Error {
@@ -64,6 +67,9 @@ impl std::fmt::Display for Error {
             }
             Error::MalformedLineageSlot { slot, field } => {
                 write!(f, "lineage slot {slot}: {field} are not strictly ascending")
+            }
+            Error::MalformedLineageUniverse => {
+                write!(f, "lineage universe is not strictly ascending")
             }
         }
     }

@@ -80,6 +80,7 @@ mod lineage;
 mod merge;
 mod persist;
 mod pipeline;
+mod rep_dot;
 mod shard;
 
 pub use algorithm::{cluster_batch, cluster_with_initial, InitialState};

@@ -55,9 +55,10 @@
 //! where no consumer happened to be attached — but event *serialisation* is
 //! gated on [`nidc_obs::events::enabled`] and gauge computation on
 //! [`nidc_obs::enabled`], so the disabled cost per window is two relaxed
-//! loads plus the matching itself.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! loads plus the matching itself: one postings pass over the current
+//! representatives (O(Σ nnz + max term id)), one multiply-add per term each
+//! previous × current pair shares, and merge walks over `DocId`-sorted
+//! ownership vectors (O(N log K) for N live documents).
 
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +67,7 @@ use nidc_similarity::ClusterRep;
 use nidc_textproc::{DocId, TermId};
 
 use crate::merge::GlobalClusterId;
+use crate::rep_dot::RepPostings;
 use crate::{Clustering, Error, Result};
 
 static LIFECYCLE_BIRTHS: LazyCounter = LazyCounter::new("nidc_lifecycle_births_total");
@@ -358,7 +360,8 @@ pub struct LineageTracker {
     next_lineage: u64,
     window: u64,
     prev: Vec<LineageSlot>,
-    prev_universe: BTreeSet<DocId>,
+    /// Every document alive last window, strictly ascending.
+    prev_universe: Vec<DocId>,
 }
 
 impl Default for LineageTracker {
@@ -376,7 +379,7 @@ impl LineageTracker {
             next_lineage: 0,
             window: 0,
             prev: Vec::new(),
-            prev_universe: BTreeSet::new(),
+            prev_universe: Vec::new(),
         }
     }
 
@@ -430,32 +433,48 @@ impl LineageTracker {
         g: f64,
     ) -> Vec<LifecycleEvent> {
         let window = self.window;
+        let (kp, kc) = (self.prev.len(), clusters.len());
 
-        let outlier_set: BTreeSet<DocId> = outliers.iter().copied().collect();
-        let mut universe: BTreeSet<DocId> = outlier_set.clone();
-        for c in clusters {
-            universe.extend(c.members.iter().copied());
-        }
-
-        // Previous ownership and member flows between windows.
-        let mut prev_owner: BTreeMap<DocId, usize> = BTreeMap::new();
-        for (i, slot) in self.prev.iter().enumerate() {
-            for &d in &slot.members {
-                prev_owner.insert(d, i);
+        // Ownership as `DocId`-sorted `(doc, cluster)` lists, walked by
+        // merge below. Each list concatenates ascending member runs, which
+        // the stable sort merges rather than re-sorts. A document listed
+        // twice belongs to its last cluster, as with a map insert.
+        let mut prev_owner: Vec<(DocId, usize)> = owners(self.prev.iter().map(|s| &s.members[..]));
+        prev_owner.dedup_by(|later, kept| {
+            let twice = later.0 == kept.0;
+            if twice {
+                kept.1 = later.1;
             }
-        }
-        let mut overlap: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut cur_owner: BTreeMap<DocId, usize> = BTreeMap::new();
-        for (j, c) in clusters.iter().enumerate() {
-            for &d in c.members {
-                cur_owner.insert(d, j);
-                if let Some(&i) = prev_owner.get(&d) {
-                    *overlap.entry((i, j)).or_insert(0) += 1;
+            twice
+        });
+        let cur_owner = owners(clusters.iter().map(|c| c.members));
+        let mut outlier_set = outliers.to_vec();
+        outlier_set.sort_unstable();
+        outlier_set.dedup();
+        let mut universe: Vec<DocId> = outlier_set.clone();
+        universe.extend(cur_owner.iter().map(|&(d, _)| d));
+        universe.sort();
+        universe.dedup();
+
+        // Member flows between windows: `overlap[i·kc + j]` members of
+        // previous cluster i sit in current cluster j.
+        let mut overlap = vec![0usize; kp * kc];
+        let mut prev_docs = prev_owner.iter().peekable();
+        for &(d, j) in &cur_owner {
+            while prev_docs.next_if(|&&(e, _)| e < d).is_some() {}
+            if let Some(&&(e, i)) = prev_docs.peek() {
+                if e == d {
+                    overlap[i * kc + j] += 1;
                 }
             }
         }
 
-        // Candidate scores: normalized cr_sim, positive pairs only.
+        // Candidate scores: normalized cr_sim, positive pairs only. Every
+        // previous × current product comes from one postings pass.
+        let prev_reps: Vec<Option<&ClusterRep>> = self.prev.iter().map(|s| Some(&s.rep)).collect();
+        let cur_reps: Vec<Option<&ClusterRep>> = clusters.iter().map(|c| Some(c.rep)).collect();
+        let cur_postings = RepPostings::new(&cur_reps);
+        let dots = cur_postings.dot_rows(&prev_reps);
         let mut candidates: Vec<(f64, usize, usize, usize)> = Vec::new();
         for (i, slot) in self.prev.iter().enumerate() {
             for (j, c) in clusters.iter().enumerate() {
@@ -463,10 +482,9 @@ impl LineageTracker {
                 if denom <= 0.0 {
                     continue;
                 }
-                let sim = slot.rep.dot_rep(c.rep) / denom.sqrt();
+                let sim = dots[i * kc + j] / denom.sqrt();
                 if sim > 0.0 {
-                    let ov = overlap.get(&(i, j)).copied().unwrap_or(0);
-                    candidates.push((sim, ov, i, j));
+                    candidates.push((sim, overlap[i * kc + j], i, j));
                 }
             }
         }
@@ -498,16 +516,8 @@ impl LineageTracker {
             if let Some(i) = cur_match[j] {
                 let slot = &self.prev[i];
                 cur_lineage[j] = slot.lineage;
-                let joined = c
-                    .members
-                    .iter()
-                    .filter(|d| slot.members.binary_search(d).is_err())
-                    .count();
-                let left = slot
-                    .members
-                    .iter()
-                    .filter(|d| c.members.binary_search(d).is_err())
-                    .count();
+                let joined = count_missing(c.members, &slot.members);
+                let left = count_missing(&slot.members, c.members);
                 let drift = (1.0 - cur_sim[j]).clamp(0.0, 1.0);
                 drift_max = drift_max.max(drift);
                 events.push(LifecycleEvent::Continuation {
@@ -535,11 +545,10 @@ impl LineageTracker {
             cur_lineage[j] = lineage;
             // Largest donor of members, ties to the lowest previous index.
             let mut parent: Option<(usize, usize)> = None; // (count, i)
-            for i in 0..self.prev.len() {
-                if let Some(&n) = overlap.get(&(i, j)) {
-                    if parent.is_none_or(|(best, _)| n > best) {
-                        parent = Some((n, i));
-                    }
+            for i in 0..kp {
+                let n = overlap[i * kc + j];
+                if n > 0 && parent.is_none_or(|(best, _)| n > best) {
+                    parent = Some((n, i));
                 }
             }
             match parent {
@@ -577,11 +586,9 @@ impl LineageTracker {
             // Largest recipient among current clusters, ties to the lowest
             // current index.
             let mut absorber: Option<(usize, usize)> = None; // (count, j)
-            for j in 0..clusters.len() {
-                if let Some(&n) = overlap.get(&(i, j)) {
-                    if absorber.is_none_or(|(best, _)| n > best) {
-                        absorber = Some((n, j));
-                    }
+            for (j, &n) in overlap[i * kc..(i + 1) * kc].iter().enumerate() {
+                if n > 0 && absorber.is_none_or(|(best, _)| n > best) {
+                    absorber = Some((n, j));
                 }
             }
             let cause = match absorber {
@@ -595,7 +602,7 @@ impl LineageTracker {
                     });
                     DeathCause::Absorbed
                 }
-                None if slot.members.iter().any(|d| universe.contains(d)) => {
+                None if count_missing(&slot.members, &universe) < slot.members.len() => {
                     // Survivors sit on the outlier list only: the documents
                     // live on but no cluster absorbed them.
                     DeathCause::Absorbed
@@ -614,9 +621,18 @@ impl LineageTracker {
         let mut moved = 0usize;
         let mut outliered = 0usize;
         let mut surviving = 0usize;
-        for (&d, &i) in &prev_owner {
+        let mut cur_docs = cur_owner.iter().peekable();
+        let mut outlier_docs = outlier_set.iter().peekable();
+        for &(d, i) in &prev_owner {
             let from = self.prev[i].lineage;
-            if let Some(&j) = cur_owner.get(&d) {
+            let mut owner = None;
+            while let Some(&(e, j)) = cur_docs.next_if(|&&(e, _)| e <= d) {
+                if e == d {
+                    owner = Some(j);
+                }
+            }
+            while outlier_docs.next_if(|&&e| e < d).is_some() {}
+            if let Some(j) = owner {
                 surviving += 1;
                 if cur_lineage[j] != from {
                     moved += 1;
@@ -627,7 +643,7 @@ impl LineageTracker {
                         to: cur_lineage[j],
                     });
                 }
-            } else if outlier_set.contains(&d) {
+            } else if outlier_docs.peek() == Some(&&d) {
                 surviving += 1;
                 outliered += 1;
                 events.push(LifecycleEvent::Outliered {
@@ -640,7 +656,7 @@ impl LineageTracker {
         }
 
         // Lifecycle counters (internally gated) and quality gauges (guarded
-        // here because separation is an O(k²) rep-similarity scan).
+        // here because separation reads a K² rep-similarity matrix).
         LIFECYCLE_BIRTHS.add(births);
         LIFECYCLE_DEATHS.add(deaths);
         LIFECYCLE_SPLITS.add(splits);
@@ -652,8 +668,8 @@ impl LineageTracker {
             let ss: f64 = clusters.iter().map(|c| c.rep.ss()).sum();
             QUALITY_COHESION.set(if ss > 0.0 { g / ss } else { 0.0 });
             let assigned: usize = clusters.iter().map(|c| c.members.len()).sum();
-            QUALITY_SEPARATION.set(separation(clusters));
-            let novel = universe.difference(&self.prev_universe).count();
+            QUALITY_SEPARATION.set(separation(clusters, &cur_postings.dot_pairs()));
+            let novel = count_missing(&universe, &self.prev_universe);
             let novelty_rate = if universe.is_empty() {
                 0.0
             } else {
@@ -734,9 +750,13 @@ impl LineageTracker {
     ///
     /// # Errors
     /// [`Error::MalformedLineageSlot`] if a slot's representative term ids
-    /// or its members are not strictly ascending — the order every
-    /// merge-join over them relies on.
+    /// or its members are not strictly ascending, and
+    /// [`Error::MalformedLineageUniverse`] if the universe is not — the
+    /// order every merge-join over them relies on.
     pub fn from_state(state: &LineageState) -> Result<Self> {
+        if !strictly_ascending(state.universe.iter().copied()) {
+            return Err(Error::MalformedLineageUniverse);
+        }
         let prev = state
             .slots
             .iter()
@@ -782,17 +802,42 @@ fn strictly_ascending(ids: impl IntoIterator<Item = u64>) -> bool {
     ids.into_iter().all(|id| last.replace(id) < Some(id))
 }
 
+/// `(member, cluster index)` over every cluster's ascending member list,
+/// sorted by member.
+fn owners<'a>(members: impl Iterator<Item = &'a [DocId]>) -> Vec<(DocId, usize)> {
+    let mut owners: Vec<(DocId, usize)> = members
+        .enumerate()
+        .flat_map(|(k, m)| m.iter().map(move |&d| (d, k)))
+        .collect();
+    owners.sort();
+    owners
+}
+
+/// How many entries of the ascending `a` are absent from the ascending `b`:
+/// one merge walk.
+fn count_missing(a: &[DocId], b: &[DocId]) -> usize {
+    let mut rest = b.iter().peekable();
+    a.iter()
+        .filter(|&&d| {
+            while rest.next_if(|&&e| e < d).is_some() {}
+            rest.peek() != Some(&&d)
+        })
+        .count()
+}
+
 /// `1 −` the maximum pairwise normalized rep similarity between distinct
-/// clusters; 1.0 for fewer than two clusters. Higher = better separated.
-fn separation(clusters: &[ObservedCluster<'_>]) -> f64 {
+/// clusters, read from their symmetric dot matrix `dot`; 1.0 for fewer
+/// than two clusters. Higher = better separated.
+fn separation(clusters: &[ObservedCluster<'_>], dot: &[f64]) -> f64 {
+    let n = clusters.len();
     let mut max_sim = 0.0f64;
     for (a_idx, a) in clusters.iter().enumerate() {
-        for b in clusters.iter().skip(a_idx + 1) {
+        for (b_idx, b) in clusters.iter().enumerate().skip(a_idx + 1) {
             let denom = a.rep.cr_self() * b.rep.cr_self();
             if denom <= 0.0 {
                 continue;
             }
-            max_sim = max_sim.max(a.rep.dot_rep(b.rep) / denom.sqrt());
+            max_sim = max_sim.max(dot[a_idx * n + b_idx] / denom.sqrt());
         }
     }
     (1.0 - max_sim).clamp(0.0, 1.0)
@@ -801,6 +846,7 @@ fn separation(clusters: &[ObservedCluster<'_>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A hand-built representative whose entries act as plain vectors:
     /// `cr_self` is the self dot product, so normalized similarities are

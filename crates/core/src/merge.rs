@@ -37,6 +37,7 @@ use nidc_similarity::ClusterRep;
 use nidc_textproc::DocId;
 
 use crate::clustering::doc_ids_bytes;
+use crate::rep_dot::RepPostings;
 use crate::{Cluster, Clustering};
 
 /// Stitching passes executed (one per [`MergedClustering::stitch`] call).
@@ -331,8 +332,9 @@ impl StitchedCluster {
 /// clear τ; the threshold, not the topology, governs.
 ///
 /// Complexity: the representative dot matrix up front, built from term
-/// postings in Σ_t |postings(t)|² / 2 multiply-adds (the private
-/// `stitch_dot_matrix` kernel), plus an O(N²) scan per merge, N = Σ_shards K.
+/// postings in Σ_t |postings(t)|² / 2 multiply-adds plus O(Σ nnz + max
+/// term id) to file them (the crate's rep × rep kernel, shared with
+/// lineage matching), plus an O(N²) scan per merge, N = Σ_shards K.
 /// Merging `j` into `i` updates the cached dot row additively
 /// (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so no dot product is ever
 /// recomputed. The pass is sequential and therefore
@@ -472,7 +474,7 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
             .iter()
             .map(|c| (!c.is_empty()).then_some(&c.rep))
             .collect();
-        let mut dot = stitch_dot_matrix(&reps);
+        let mut dot = RepPostings::new(&reps).dot_pairs();
         loop {
             // best surviving pair, strict `>` in (i, j) scan order so ties
             // resolve to the first pair — the GAC baseline's idiom
@@ -551,72 +553,6 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
         input_clusters,
         merges,
     }
-}
-
-/// The stitch's dot matrix: `dot[i·n + j] = c⃗_i·c⃗_j` over `n = reps.len()`
-/// slots, row-major and symmetric with a zero diagonal; `None` (empty)
-/// slots get zero rows and columns.
-///
-/// Built from term postings instead of N² merge-joins. A counting sort
-/// files every stored entry under its term as a `(slot, weight)` posting —
-/// slots visited in ascending order, so each list is slot-sorted — then each
-/// term, in ascending order, adds `w_i·w_j` into `dot[i][j]` for every pair
-/// `i < j` on its list, and the upper triangle is mirrored. Every entry is
-/// thus summed from `0.0` over the shared terms in ascending term order,
-/// exactly as [`nidc_textproc::SparseVector::dot`] sums a merge-join: the
-/// matrix is bit-identical to the pairwise [`ClusterRep::dot_rep`] one, so
-/// no merge decision changes.
-///
-/// Cost: Σ_t |postings(t)|² / 2 multiply-adds plus O(Σ nnz + max term id)
-/// for the sort, against N²/2 merge-joins of O(nnz_i + nnz_j) each. This
-/// is a private kernel, not the K-means [`nidc_similarity::ClusterIndex`],
-/// so it records none of the index's counters.
-fn stitch_dot_matrix(reps: &[Option<&ClusterRep>]) -> Vec<f64> {
-    let n = reps.len();
-    // postings per term, then their offsets into one flat buffer
-    let mut start: Vec<usize> = Vec::new();
-    for rep in reps.iter().flatten() {
-        rep.for_each_entry(|t, _| {
-            if t.index() >= start.len() {
-                start.resize(t.index() + 1, 0);
-            }
-            start[t.index()] += 1;
-        });
-    }
-    let mut total = 0usize;
-    for slot in &mut start {
-        let len = *slot;
-        *slot = total;
-        total += len;
-    }
-    start.push(total);
-    let mut cursor = start.clone();
-    let mut postings = vec![(0usize, 0.0f64); total];
-    for (slot, rep) in reps.iter().enumerate() {
-        if let Some(rep) = rep {
-            rep.for_each_entry(|t, w| {
-                postings[cursor[t.index()]] = (slot, w);
-                cursor[t.index()] += 1;
-            });
-        }
-    }
-
-    let mut dot = vec![0.0f64; n * n];
-    for bounds in start.windows(2) {
-        let list = &postings[bounds[0]..bounds[1]];
-        for (a, &(i, wi)) in list.iter().enumerate() {
-            let row = &mut dot[i * n..(i + 1) * n];
-            for &(j, wj) in &list[a + 1..] {
-                row[j] += wi * wj;
-            }
-        }
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            dot[j * n + i] = dot[i * n + j];
-        }
-    }
-    dot
 }
 
 #[cfg(test)]
@@ -915,7 +851,7 @@ mod tests {
             let reps: Vec<Option<&ClusterRep>> = built.iter().map(Option::as_ref).collect();
             let bits = |m: Vec<f64>| m.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             prop_assert_eq!(
-                bits(stitch_dot_matrix(&reps)),
+                bits(RepPostings::new(&reps).dot_pairs()),
                 bits(pairwise_dot_matrix(&reps))
             );
         }

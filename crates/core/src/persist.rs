@@ -177,8 +177,9 @@ impl ShardedPipeline {
     /// [`Error::StateVersionMismatch`] if the state was written by an
     /// incompatible format version, [`Error::ShardCountMismatch`] if the
     /// declared topology disagrees with the per-shard states carried,
-    /// [`Error::MalformedLineageSlot`] for a lineage slot out of order, plus
-    /// any repository-restore failure.
+    /// [`Error::MalformedLineageSlot`] for a lineage slot out of order,
+    /// [`Error::MalformedLineageUniverse`] for a lineage universe out of
+    /// order, plus any repository-restore failure.
     pub fn from_state(state: &ShardedPipelineState) -> Result<ShardedPipeline> {
         if state.version != SHARDED_STATE_VERSION {
             return Err(Error::StateVersionMismatch {
@@ -394,6 +395,42 @@ mod tests {
                 matches!(
                     ShardedPipeline::from_state(&bad),
                     Err(Error::MalformedLineageSlot { slot: s, .. }) if s == slot
+                ),
+                "{what} was accepted"
+            );
+            let mut json = Vec::new();
+            serde_json::to_writer(&mut json, &bad).unwrap();
+            let err = ShardedPipeline::load_json(json.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
+    }
+
+    /// A checkpoint whose universe of live documents is out of order, which
+    /// the tracker's merge walks would misread, is refused as `InvalidData`.
+    #[test]
+    fn malformed_lineage_universe_is_rejected() {
+        let state = running_sharded(3).to_state();
+        assert!(
+            state
+                .lineage
+                .as_ref()
+                .expect("lineage observed")
+                .universe
+                .len()
+                >= 2
+        );
+        type Corrupt = fn(&mut Vec<u64>);
+        let cases: [(&str, Corrupt); 2] = [
+            ("reversed universe", |u| u.reverse()),
+            ("duplicated universe entry", |u| u.insert(1, u[0])),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = state.clone();
+            corrupt(&mut bad.lineage.as_mut().unwrap().universe);
+            assert!(
+                matches!(
+                    ShardedPipeline::from_state(&bad),
+                    Err(Error::MalformedLineageUniverse)
                 ),
                 "{what} was accepted"
             );
