@@ -112,8 +112,66 @@ fn member_phis<'a>(
         .map(|d| vecs.phi(*d).expect("member has a vector"))
 }
 
-/// Runs the extended K-means from an explicit [`InitialState`].
+/// Runs the extended K-means from an explicit [`InitialState`], on a
+/// workspace of its own. A caller that runs K-means window after window
+/// (a [`crate::NoveltyPipeline`] does) lends one [`KMeansWorkspace`] to
+/// every run through [`cluster_with_workspace`] instead; the result is
+/// bit-identical.
 pub fn cluster_with_initial(
+    vecs: &DocVectors,
+    config: &ClusteringConfig,
+    initial: InitialState,
+) -> Result<Clustering> {
+    cluster_with_workspace(&mut KMeansWorkspace::new(), vecs, config, initial)
+}
+
+/// The scratch of extended K-means runs, reused from one run to the next:
+/// the sparse accumulator that builds every representative
+/// ([`RepBuilder`]), the term→cluster index that is each cluster's live
+/// vector during step 1 ([`ClusterIndex`]) and the K-wide score row.
+///
+/// A run leaves nothing behind that the next one reads: the builder resets
+/// every slot it touches and an index rebuild refiles every term, so a run
+/// on a reused workspace is bit-identical to one on a fresh workspace, and
+/// costs O(window) instead of first-touching arrays over the whole term
+/// space. The workspace holds the builder's and the index's term-indexed
+/// arrays (21 B per term id) and the index's postings arena
+/// ([`DeepSize`](nidc_obs::DeepSize) reports it in O(1)). It is never
+/// persisted: a clone starts empty, as does a restored pipeline.
+#[derive(Debug, Default)]
+pub struct KMeansWorkspace {
+    builder: RepBuilder,
+    index: ClusterIndex,
+    dots: Vec<f64>,
+}
+
+impl KMeansWorkspace {
+    /// An empty workspace; its arrays grow to the largest term id and K
+    /// they meet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Clone for KMeansWorkspace {
+    /// An empty workspace: scratch is never copied.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl nidc_obs::DeepSize for KMeansWorkspace {
+    fn deep_size_bytes(&self) -> u64 {
+        let dots = self.dots.capacity() * std::mem::size_of::<f64>();
+        self.builder.deep_size_bytes() + self.index.deep_size_bytes() + dots as u64
+    }
+}
+
+/// Runs the extended K-means from an explicit [`InitialState`] on a
+/// workspace lent by the caller — what [`cluster_with_initial`] does on a
+/// fresh one.
+pub fn cluster_with_workspace(
+    workspace: &mut KMeansWorkspace,
     vecs: &DocVectors,
     config: &ClusteringConfig,
     initial: InitialState,
@@ -177,7 +235,11 @@ pub fn cluster_with_initial(
     // One sparse accumulator builds every representative of the run, each
     // exactly from its member list: the initial ones here, and the ones a
     // document joined or left at the end of each iteration.
-    let mut builder = RepBuilder::new();
+    let KMeansWorkspace {
+        builder,
+        index,
+        dots,
+    } = workspace;
     let mut reps: Vec<ClusterRep> = member_lists(&assign, k)
         .iter()
         .map(|m| builder.exact(member_phis(vecs, m)))
@@ -187,7 +249,6 @@ pub fn cluster_with_initial(
     // vectors in the term→cluster index; `reps` stays as built until the
     // end of the iteration.
     let mut stats: Vec<RepStats> = reps.iter().map(ClusterRep::stats).collect();
-    let mut index = ClusterIndex::new(k);
     index.rebuild(&reps);
     // Clusters a document joined or left since their last build.
     let mut dirty = vec![false; k];
@@ -197,7 +258,9 @@ pub fn cluster_with_initial(
     // --- Repetition process ----------------------------------------------
     let mut outliers: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
-    let mut dots = vec![0.0; k];
+    if dots.len() < k {
+        dots.resize(k, 0.0);
+    }
     loop {
         iterations += 1;
         // Span first, timer second: drop order closes the span *after* the
@@ -234,10 +297,10 @@ pub fn cluster_with_initial(
             // this keeps converged iterations cheap, which is what makes
             // warm restarts (§5.2) fast.
             STEP1_CANDIDATES.add(k as u64);
-            index.dot_all(phi, &mut dots);
+            index.dot_all(phi, dots);
             let norm_sq = phi.norm_sq();
             let mut best: Option<(usize, f64)> = None;
-            for (q, (s, &dot)) in stats.iter().zip(&dots).enumerate() {
+            for (q, (s, &dot)) in stats.iter().zip(dots.iter()).enumerate() {
                 let delta = assignment_delta_from_dot(
                     config.criterion,
                     s,

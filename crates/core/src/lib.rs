@@ -83,7 +83,9 @@ mod pipeline;
 mod rep_dot;
 mod shard;
 
-pub use algorithm::{cluster_batch, cluster_with_initial, InitialState};
+pub use algorithm::{
+    cluster_batch, cluster_with_initial, cluster_with_workspace, InitialState, KMeansWorkspace,
+};
 pub use clustering::{Cluster, Clustering};
 pub use config::{ClusteringConfig, Criterion};
 pub use error::Error;

@@ -1,8 +1,9 @@
 //! The per-shard engine of the on-line pipeline: ingest → decay/expire →
 //! (incrementally) recluster (paper §5.2).
 //!
-//! [`NoveltyPipeline`] owns one repository, its warm-start assignment and
-//! its last clustering. Lineage, checkpoints and the `nidc_mem_*` gauges
+//! [`NoveltyPipeline`] owns one repository, its warm-start assignment, its
+//! last clustering and the K-means workspace it lends to every re-clustering
+//! ([`KMeansWorkspace`]). Lineage, checkpoints and the `nidc_mem_*` gauges
 //! are deployment concerns of the stream as a whole, so they live one
 //! level up, in [`crate::ShardedPipeline`].
 
@@ -13,7 +14,9 @@ use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_similarity::DocVectors;
 use nidc_textproc::{DocId, SparseVector};
 
-use crate::{cluster_with_initial, Clustering, ClusteringConfig, InitialState, Result};
+use crate::{
+    cluster_with_workspace, Clustering, ClusteringConfig, InitialState, KMeansWorkspace, Result,
+};
 
 /// Wall-clock seconds per `ingest`/`ingest_batch` call (§5.1 incremental
 /// statistics update). Single-document ingests run in microseconds, so
@@ -47,12 +50,18 @@ static RECLUSTERS: LazyCounter = LazyCounter::new("nidc_pipeline_reclusters_tota
 ///
 /// A stream runs through [`crate::ShardedPipeline`], which drives one
 /// engine per shard and adds lineage, checkpoints and memory gauges.
+///
+/// Every re-clustering runs on the pipeline's one [`KMeansWorkspace`], so a
+/// window costs in proportion to the window, not to the vocabulary. The
+/// workspace is scratch, not state: it is never saved, and a clone or a
+/// restored pipeline starts with an empty one.
 #[derive(Debug, Clone)]
 pub struct NoveltyPipeline {
     repo: Repository,
     config: ClusteringConfig,
     previous: Option<BTreeMap<DocId, usize>>,
     last: Option<Clustering>,
+    workspace: KMeansWorkspace,
 }
 
 impl NoveltyPipeline {
@@ -92,6 +101,7 @@ impl NoveltyPipeline {
             config,
             previous,
             last: None,
+            workspace: KMeansWorkspace::new(),
         }
     }
 
@@ -187,7 +197,7 @@ impl NoveltyPipeline {
         } else {
             self.warm_start(vecs.len())
         };
-        let clustering = cluster_with_initial(&vecs, &self.config, initial)?;
+        let clustering = cluster_with_workspace(&mut self.workspace, &vecs, &self.config, initial)?;
         self.previous = Some(clustering.assignment());
         self.last = Some(clustering.clone());
         timer.stop();
@@ -236,6 +246,13 @@ impl NoveltyPipeline {
             .as_ref()
             .map_or(0, |prev| nidc_obs::btree_map_size_bytes(prev, |_| 0));
         (repo, reps, warm)
+    }
+
+    /// Heap bytes the K-means workspace holds between re-clusterings (its
+    /// term-indexed arrays and postings arena), from capacities in O(1).
+    /// Not part of [`NoveltyPipeline::mem_sample`], which counts state.
+    pub(crate) fn workspace_bytes(&self) -> u64 {
+        self.workspace.deep_size_bytes()
     }
 
     /// One info-level summary line per re-clustering.

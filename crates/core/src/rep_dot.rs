@@ -18,38 +18,46 @@ pub(crate) struct RepPostings {
     /// Column count, `None` slots included.
     cols: usize,
     /// Term `t`'s postings are `postings[start[t]..start[t + 1]]`.
-    start: Vec<usize>,
+    start: Vec<u32>,
     /// `(column, weight)`, column-ascending within each term.
     postings: Vec<(usize, f64)>,
+    /// The terms with at least one posting, ascending.
+    terms: Vec<TermId>,
 }
 
 impl RepPostings {
     /// Files every stored entry of `cols` under its term by a counting
     /// sort: O(Σ nnz + max term id).
     pub(crate) fn new(cols: &[Option<&ClusterRep>]) -> Self {
-        let mut start: Vec<usize> = Vec::new();
+        let mut start: Vec<u32> = Vec::new();
+        let mut distinct = 0;
         for rep in cols.iter().flatten() {
             rep.for_each_entry(|t, _| {
                 if t.index() >= start.len() {
                     start.resize(t.index() + 1, 0);
                 }
+                distinct += usize::from(start[t.index()] == 0);
                 start[t.index()] += 1;
             });
         }
         // counts → each term's run end; filling back to front then leaves
         // every run at its start, column-ascending
-        let mut total = 0usize;
-        for slot in &mut start {
+        let mut terms = Vec::with_capacity(distinct);
+        let mut total = 0u32;
+        for (t, slot) in start.iter_mut().enumerate() {
+            if *slot > 0 {
+                terms.push(TermId(t as u32));
+            }
             total += *slot;
             *slot = total;
         }
         start.push(total);
-        let mut postings = vec![(0usize, 0.0f64); total];
+        let mut postings = vec![(0usize, 0.0f64); total as usize];
         for (col, rep) in cols.iter().enumerate().rev() {
             if let Some(rep) = rep {
                 rep.for_each_entry(|t, w| {
                     start[t.index()] -= 1;
-                    postings[start[t.index()]] = (col, w);
+                    postings[start[t.index()] as usize] = (col, w);
                 });
             }
         }
@@ -57,12 +65,13 @@ impl RepPostings {
             cols: cols.len(),
             start,
             postings,
+            terms,
         }
     }
 
     fn list(&self, t: TermId) -> &[(usize, f64)] {
         match self.start.get(t.index()..t.index() + 2) {
-            Some(&[from, to]) => &self.postings[from..to],
+            Some(&[from, to]) => &self.postings[from as usize..to as usize],
             _ => &[],
         }
     }
@@ -89,14 +98,15 @@ impl RepPostings {
     }
 
     /// The symmetric `cols × cols` product with a zero diagonal, row-major.
-    /// Each term, in ascending order, adds `w_i·w_j` into `dot[i][j]` for
-    /// every pair `i < j` on its list, and the upper triangle is mirrored:
-    /// Σ_t |postings(t)|² / 2 multiply-adds.
+    /// Each filed term, in ascending order, adds `w_i·w_j` into `dot[i][j]`
+    /// for every pair `i < j` on its list, and the upper triangle is
+    /// mirrored: Σ_t |postings(t)|² / 2 multiply-adds, visiting no term
+    /// without postings.
     pub(crate) fn dot_pairs(&self) -> Vec<f64> {
         let n = self.cols;
         let mut dot = vec![0.0f64; n * n];
-        for bounds in self.start.windows(2) {
-            let list = &self.postings[bounds[0]..bounds[1]];
+        for &t in &self.terms {
+            let list = self.list(t);
             for (a, &(i, wi)) in list.iter().enumerate() {
                 let row = &mut dot[i * n..(i + 1) * n];
                 for &(j, wj) in &list[a + 1..] {

@@ -3,7 +3,8 @@
 //! Within one pipeline a window runs sequentially; this module shards
 //! *across* the stream, and the shards are the unit of parallelism. Each
 //! [`StreamShard`] owns a [`NoveltyPipeline`] engine — its own forgetting
-//! [`Repository`], warm-start assignment, and last clustering — and a
+//! [`Repository`], warm-start assignment, last clustering and K-means
+//! workspace — and a
 //! [`ShardedPipeline`] fans `ingest_batch` / `advance_to` / `recluster_*`
 //! out across the shards via `nidc-parallel`. Each re-clustering merges the per-shard
 //! results into one [`MergedClustering`], stitched once when τ applies,
@@ -62,6 +63,9 @@ static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
 /// Heap bytes held by the shards' warm-start assignment maps, carried
 /// between incremental re-clusterings.
 static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes");
+/// Heap bytes held between windows by the shards' K-means workspaces: each
+/// one's term-indexed run table and builder arrays plus its postings arena.
+static MEM_INDEX_POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes");
 
 /// Registers every sharded metric at zero so per-window snapshots carry the
 /// full schema. Called at construction and again at each re-clustering:
@@ -75,6 +79,7 @@ fn register_sharded_metrics() {
     MEM_REPOSITORY_BYTES.touch();
     MEM_REPS_BYTES.touch();
     MEM_WARMSTART_BYTES.touch();
+    MEM_INDEX_POSTINGS_BYTES.touch();
     crate::merge::register_stitch_metrics();
     crate::lineage::register_lifecycle_metrics();
 }
@@ -481,23 +486,26 @@ impl ShardedPipeline {
     /// Publishes the memory gauges as whole-stream figures: cross-shard
     /// sums, with the reps gauge also counting the held window view — its
     /// copy of every shard's clustering plus the stitched clusters — which
-    /// lives until the next window. The walk is O(live docs), so it runs
-    /// only while recording is on.
+    /// lives until the next window; the index gauge sums the K-means
+    /// workspaces' held scratch, O(1) per shard. The walk is O(live docs),
+    /// so it runs only while recording is on.
     fn publish_mem_gauges(&self) {
         if !nidc_obs::enabled() {
             return;
         }
-        let (mut repo, mut reps, mut warm) = (0u64, 0u64, 0u64);
+        let (mut repo, mut reps, mut warm, mut workspace) = (0u64, 0u64, 0u64, 0u64);
         for s in &self.shards {
             let (r, c, w) = s.pipeline().mem_sample();
             repo += r;
             reps += c;
             warm += w;
+            workspace += s.pipeline().workspace_bytes();
         }
         reps += self.merged.deep_size_bytes();
         MEM_REPOSITORY_BYTES.set(repo);
         MEM_REPS_BYTES.set(reps);
         MEM_WARMSTART_BYTES.set(warm);
+        MEM_INDEX_POSTINGS_BYTES.set(workspace);
     }
 
     /// Feeds the window's merged view to the lineage tracker. Stitched ids

@@ -354,8 +354,10 @@ impl nidc_obs::DeepSize for ClusterRep {
 ///
 /// It holds one value array over the term space, the list of terms the
 /// current cluster touched and a seen mark per term. A build leaves every
-/// slot it touched at zero again, so one builder serves every cluster of a
-/// run and costs O(max term id) memory once, not per cluster.
+/// slot it touched at zero again, so one builder serves every cluster of
+/// every run it is lent to — a shard's K-means workspace keeps one across
+/// windows — and holds O(max term id) memory (9 B per term id) once, not
+/// per cluster or per run.
 #[derive(Debug, Default)]
 pub struct RepBuilder {
     values: Vec<f64>,
@@ -420,6 +422,16 @@ impl RepBuilder {
         }
         self.touched.clear();
         entries
+    }
+}
+
+impl nidc_obs::DeepSize for RepBuilder {
+    /// Heap footprint from capacities, O(1): the value and seen arrays over
+    /// the term space and the touched list.
+    fn deep_size_bytes(&self) -> u64 {
+        let values = self.values.capacity() * std::mem::size_of::<f64>();
+        let touched = self.touched.capacity() * std::mem::size_of::<TermId>();
+        (values + self.seen.capacity() + touched) as u64
     }
 }
 
