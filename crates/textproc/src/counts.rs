@@ -1,14 +1,13 @@
 //! Term-frequency bags (`f_ik` in the paper's eq. 8).
 
-use std::collections::BTreeMap;
-
 use crate::{SparseVector, TermId};
 
 /// A bag of term counts for one document: `term → frequency`.
 ///
-/// Backed by a `BTreeMap` so iteration is already in term-id order, which
-/// lets [`TermCounts::to_sparse`] build a valid [`SparseVector`] without
-/// re-sorting.
+/// Backed by a `Vec` of `(term, count)` pairs sorted by term id, with no
+/// zero counts, so iteration is already in term-id order, which lets
+/// [`TermCounts::to_sparse`] build a valid [`SparseVector`] without
+/// re-sorting, and equal bags compare equal.
 ///
 /// ```
 /// use nidc_textproc::{TermCounts, TermId};
@@ -23,7 +22,7 @@ use crate::{SparseVector, TermId};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TermCounts {
-    counts: BTreeMap<TermId, u32>,
+    counts: Vec<(TermId, u32)>,
     total: u64,
 }
 
@@ -43,13 +42,34 @@ impl TermCounts {
         if n == 0 {
             return;
         }
-        *self.counts.entry(term).or_insert(0) += n;
+        match self.counts.binary_search_by_key(&term, |&(t, _)| t) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => self.counts.insert(i, (term, n)),
+        }
         self.total += u64::from(n);
+    }
+
+    /// Counts a document's term occurrences in one sort: the ids are sorted
+    /// in place and each run of equal ids becomes one `(term, count)` entry.
+    pub(crate) fn from_ids(mut ids: Vec<TermId>) -> Self {
+        ids.sort_unstable();
+        let distinct = ids.chunk_by(|a, b| a == b).count();
+        let mut counts = Vec::with_capacity(distinct);
+        counts.extend(ids.chunk_by(|a, b| a == b).map(|run| {
+            let n = u32::try_from(run.len()).expect("term count exceeds u32::MAX");
+            (run[0], n)
+        }));
+        Self {
+            counts,
+            total: ids.len() as u64,
+        }
     }
 
     /// The count of `term` (0 if absent).
     pub fn get(&self, term: TermId) -> u32 {
-        self.counts.get(&term).copied().unwrap_or(0)
+        self.counts
+            .binary_search_by_key(&term, |&(t, _)| t)
+            .map_or(0, |i| self.counts[i].1)
     }
 
     /// Total number of token occurrences, `len_i = Σ_l f_il` (eq. 15).
@@ -69,7 +89,7 @@ impl TermCounts {
 
     /// Iterates `(term, count)` in term-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, u32)> + '_ {
-        self.counts.iter().map(|(&t, &c)| (t, c))
+        self.counts.iter().copied()
     }
 
     /// Converts the raw counts into a [`SparseVector`] of `f64` frequencies.
@@ -77,7 +97,7 @@ impl TermCounts {
         SparseVector::from_sorted(
             self.counts
                 .iter()
-                .map(|(&t, &c)| (t, f64::from(c)))
+                .map(|&(t, c)| (t, f64::from(c)))
                 .collect(),
         )
     }
@@ -85,11 +105,7 @@ impl TermCounts {
 
 impl FromIterator<TermId> for TermCounts {
     fn from_iter<I: IntoIterator<Item = TermId>>(iter: I) -> Self {
-        let mut c = TermCounts::new();
-        for t in iter {
-            c.add(t);
-        }
-        c
+        Self::from_ids(iter.into_iter().collect())
     }
 }
 

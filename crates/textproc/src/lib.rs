@@ -6,7 +6,7 @@
 //! This crate provides everything needed to go from raw text to those vectors:
 //!
 //! * [`Tokenizer`] — configurable word tokenizer (lower-casing, length and
-//!   alphabetic filters),
+//!   digit filters),
 //! * [`stopwords`] — a standard English stop-word list and a user-extensible
 //!   [`stopwords::StopWords`] filter,
 //! * [`PorterStemmer`] — a full implementation of the Porter (1980) stemming
@@ -35,6 +35,7 @@
 
 mod counts;
 mod docid;
+mod hash;
 mod pipeline;
 mod sparse;
 mod stemmer;

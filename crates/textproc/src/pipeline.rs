@@ -69,31 +69,47 @@ impl Pipeline {
     /// interned into `vocab`, and counted. With bigrams enabled, each pair
     /// of consecutive surviving terms is additionally counted as a
     /// `first_second` term.
+    ///
+    /// A token costs no heap allocation: it is lower-cased into one buffer
+    /// reused for the whole call and stemmed there in place, looked up by
+    /// `&str`, and its id pushed onto a list sized up front; the list is
+    /// sorted and run-length encoded into the counts at the end. Only a
+    /// non-ASCII token (its lower-casing) and the vocabulary's geometric
+    /// growth allocate.
     pub fn analyze(&self, text: &str, vocab: &mut Vocabulary) -> TermCounts {
-        let mut counts = TermCounts::new();
-        let mut prev: Option<String> = None;
-        for token in self.tokenizer.tokenize(text) {
-            if self.stopwords.contains(&token) {
-                prev = None; // stop words break bigram adjacency
+        let per_token = if self.bigrams { 2 } else { 1 };
+        let mut ids = Vec::with_capacity(per_token * self.tokenizer.max_tokens(text));
+        // an ASCII token is at most `max_len` bytes, and stemming never
+        // lengthens it
+        let mut term = String::with_capacity(self.tokenizer.config().max_len.min(text.len()));
+        // the previous surviving term followed by '_'; empty when the next
+        // term starts no bigram
+        let mut bigram = String::new();
+        for token in self.tokenizer.tokens(text) {
+            self.tokenizer.normalize(token, &mut term);
+            if self.stopwords.contains(&term) {
+                bigram.clear(); // stop words break bigram adjacency
                 continue;
             }
-            let term = match &self.stemmer {
-                Some(s) => s.stem(&token),
-                None => token,
-            };
+            if let Some(s) = &self.stemmer {
+                s.stem_in_place(&mut term);
+            }
             if term.is_empty() {
-                prev = None;
+                bigram.clear();
                 continue;
             }
-            counts.add(vocab.intern(&term));
+            ids.push(vocab.intern(&term));
             if self.bigrams {
-                if let Some(p) = &prev {
-                    counts.add(vocab.intern(&format!("{p}_{term}")));
+                if !bigram.is_empty() {
+                    bigram.push_str(&term);
+                    ids.push(vocab.intern(&bigram));
+                    bigram.clear();
                 }
-                prev = Some(term);
+                bigram.push_str(&term);
+                bigram.push('_');
             }
         }
-        counts
+        TermCounts::from_ids(ids)
     }
 
     /// Analyses a batch of texts, sharing one vocabulary.

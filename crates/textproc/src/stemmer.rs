@@ -34,19 +34,26 @@ impl PorterStemmer {
     /// are returned unchanged (standard practice — Porter leaves 1–2 letter
     /// words alone and the algorithm is defined over a–z only).
     pub fn stem(&self, word: &str) -> String {
-        if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-            return word.to_owned();
+        let mut w = word.to_owned();
+        self.stem_in_place(&mut w);
+        w
+    }
+
+    /// Stems `word` in place, as [`PorterStemmer::stem`] does. Every step
+    /// only truncates the word or appends ASCII letters, and no step leaves
+    /// it longer than it was, so a buffer sized for the token never grows.
+    pub(crate) fn stem_in_place(&self, w: &mut String) {
+        if w.len() <= 2 || !w.bytes().all(|b| b.is_ascii_lowercase()) {
+            return;
         }
-        let mut w: Vec<u8> = word.as_bytes().to_vec();
-        step_1a(&mut w);
-        step_1b(&mut w);
-        step_1c(&mut w);
-        step_2(&mut w);
-        step_3(&mut w);
-        step_4(&mut w);
-        step_5a(&mut w);
-        step_5b(&mut w);
-        String::from_utf8(w).expect("stem is ASCII")
+        step_1a(w);
+        step_1b(w);
+        step_1c(w);
+        step_2(w);
+        step_3(w);
+        step_4(w);
+        step_5a(w);
+        step_5b(w);
     }
 }
 
@@ -117,159 +124,159 @@ fn ends_cvc(w: &[u8], len: usize) -> bool {
         && !matches!(w[c], b'w' | b'x' | b'y')
 }
 
-fn ends_with(w: &[u8], suffix: &[u8]) -> bool {
-    w.len() >= suffix.len() && &w[w.len() - suffix.len()..] == suffix
-}
-
 /// If `w` ends with `suffix` and the stem before it has measure > `min_m`,
 /// replace the suffix with `replacement` and return true.
-fn replace_if_m(w: &mut Vec<u8>, suffix: &[u8], replacement: &[u8], min_m: usize) -> bool {
-    if !ends_with(w, suffix) {
+fn replace_if_m(w: &mut String, suffix: &str, replacement: &str, min_m: usize) -> bool {
+    if !w.ends_with(suffix) {
         return false;
     }
     let stem_len = w.len() - suffix.len();
-    if measure(w, stem_len) > min_m {
+    if measure(w.as_bytes(), stem_len) > min_m {
         w.truncate(stem_len);
-        w.extend_from_slice(replacement);
+        w.push_str(replacement);
         true
     } else {
         false
     }
 }
 
-fn step_1a(w: &mut Vec<u8>) {
-    if ends_with(w, b"sses") {
+fn step_1a(w: &mut String) {
+    if w.ends_with("sses") {
         w.truncate(w.len() - 2); // sses -> ss
-    } else if ends_with(w, b"ies") {
+    } else if w.ends_with("ies") {
         w.truncate(w.len() - 2); // ies -> i
-    } else if ends_with(w, b"ss") {
+    } else if w.ends_with("ss") {
         // unchanged
-    } else if ends_with(w, b"s") {
+    } else if w.ends_with('s') {
         w.truncate(w.len() - 1);
     }
 }
 
-fn step_1b(w: &mut Vec<u8>) {
-    if ends_with(w, b"eed") {
+fn step_1b(w: &mut String) {
+    if w.ends_with("eed") {
         let stem_len = w.len() - 3;
-        if measure(w, stem_len) > 0 {
+        if measure(w.as_bytes(), stem_len) > 0 {
             w.truncate(w.len() - 1); // eed -> ee
         }
         return;
     }
-    let stripped = if ends_with(w, b"ed") && has_vowel(w, w.len() - 2) {
+    let stripped = if w.ends_with("ed") && has_vowel(w.as_bytes(), w.len() - 2) {
         w.truncate(w.len() - 2);
         true
-    } else if ends_with(w, b"ing") && has_vowel(w, w.len() - 3) {
+    } else if w.ends_with("ing") && has_vowel(w.as_bytes(), w.len() - 3) {
         w.truncate(w.len() - 3);
         true
     } else {
         false
     };
     if stripped {
-        if ends_with(w, b"at") || ends_with(w, b"bl") || ends_with(w, b"iz") {
-            w.push(b'e');
-        } else if ends_double_consonant(w, w.len()) && !matches!(w[w.len() - 1], b'l' | b's' | b'z')
-        {
-            w.truncate(w.len() - 1);
-        } else if measure(w, w.len()) == 1 && ends_cvc(w, w.len()) {
-            w.push(b'e');
+        let b = w.as_bytes();
+        let n = b.len();
+        if w.ends_with("at") || w.ends_with("bl") || w.ends_with("iz") {
+            w.push('e');
+        } else if ends_double_consonant(b, n) && !matches!(b[n - 1], b'l' | b's' | b'z') {
+            w.truncate(n - 1);
+        } else if measure(b, n) == 1 && ends_cvc(b, n) {
+            w.push('e');
         }
     }
 }
 
-fn step_1c(w: &mut [u8]) {
-    if ends_with(w, b"y") && has_vowel(w, w.len() - 1) {
-        let n = w.len();
-        w[n - 1] = b'i';
+fn step_1c(w: &mut String) {
+    if w.ends_with('y') && has_vowel(w.as_bytes(), w.len() - 1) {
+        w.pop();
+        w.push('i');
     }
 }
 
-fn step_2(w: &mut Vec<u8>) {
-    const RULES: &[(&[u8], &[u8])] = &[
-        (b"ational", b"ate"),
-        (b"tional", b"tion"),
-        (b"enci", b"ence"),
-        (b"anci", b"ance"),
-        (b"izer", b"ize"),
-        (b"abli", b"able"),
-        (b"alli", b"al"),
-        (b"entli", b"ent"),
-        (b"eli", b"e"),
-        (b"ousli", b"ous"),
-        (b"ization", b"ize"),
-        (b"ation", b"ate"),
-        (b"ator", b"ate"),
-        (b"alism", b"al"),
-        (b"iveness", b"ive"),
-        (b"fulness", b"ful"),
-        (b"ousness", b"ous"),
-        (b"aliti", b"al"),
-        (b"iviti", b"ive"),
-        (b"biliti", b"ble"),
+fn step_2(w: &mut String) {
+    const RULES: &[(&str, &str)] = &[
+        ("ational", "ate"),
+        ("tional", "tion"),
+        ("enci", "ence"),
+        ("anci", "ance"),
+        ("izer", "ize"),
+        ("abli", "able"),
+        ("alli", "al"),
+        ("entli", "ent"),
+        ("eli", "e"),
+        ("ousli", "ous"),
+        ("ization", "ize"),
+        ("ation", "ate"),
+        ("ator", "ate"),
+        ("alism", "al"),
+        ("iveness", "ive"),
+        ("fulness", "ful"),
+        ("ousness", "ous"),
+        ("aliti", "al"),
+        ("iviti", "ive"),
+        ("biliti", "ble"),
     ];
     for &(suffix, replacement) in RULES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             replace_if_m(w, suffix, replacement, 0);
             return;
         }
     }
 }
 
-fn step_3(w: &mut Vec<u8>) {
-    const RULES: &[(&[u8], &[u8])] = &[
-        (b"icate", b"ic"),
-        (b"ative", b""),
-        (b"alize", b"al"),
-        (b"iciti", b"ic"),
-        (b"ical", b"ic"),
-        (b"ful", b""),
-        (b"ness", b""),
+fn step_3(w: &mut String) {
+    const RULES: &[(&str, &str)] = &[
+        ("icate", "ic"),
+        ("ative", ""),
+        ("alize", "al"),
+        ("iciti", "ic"),
+        ("ical", "ic"),
+        ("ful", ""),
+        ("ness", ""),
     ];
     for &(suffix, replacement) in RULES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             replace_if_m(w, suffix, replacement, 0);
             return;
         }
     }
 }
 
-fn step_4(w: &mut Vec<u8>) {
-    const SUFFIXES: &[&[u8]] = &[
-        b"al", b"ance", b"ence", b"er", b"ic", b"able", b"ible", b"ant", b"ement", b"ment", b"ent",
-        b"ou", b"ism", b"ate", b"iti", b"ous", b"ive", b"ize",
+fn step_4(w: &mut String) {
+    const SUFFIXES: &[&str] = &[
+        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ou",
+        "ism", "ate", "iti", "ous", "ive", "ize",
     ];
     for &suffix in SUFFIXES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             let stem_len = w.len() - suffix.len();
-            if measure(w, stem_len) > 1 {
+            if measure(w.as_bytes(), stem_len) > 1 {
                 w.truncate(stem_len);
             }
             return;
         }
     }
     // (m>1 and (*S or *T)) ION ->
-    if ends_with(w, b"ion") {
+    if w.ends_with("ion") {
         let stem_len = w.len() - 3;
-        if measure(w, stem_len) > 1 && stem_len > 0 && matches!(w[stem_len - 1], b's' | b't') {
+        let b = w.as_bytes();
+        if measure(b, stem_len) > 1 && stem_len > 0 && matches!(b[stem_len - 1], b's' | b't') {
             w.truncate(stem_len);
         }
     }
 }
 
-fn step_5a(w: &mut Vec<u8>) {
-    if ends_with(w, b"e") {
+fn step_5a(w: &mut String) {
+    if w.ends_with('e') {
         let stem_len = w.len() - 1;
-        let m = measure(w, stem_len);
-        if m > 1 || (m == 1 && !ends_cvc(w, stem_len)) {
+        let m = measure(w.as_bytes(), stem_len);
+        if m > 1 || (m == 1 && !ends_cvc(w.as_bytes(), stem_len)) {
             w.truncate(stem_len);
         }
     }
 }
 
-fn step_5b(w: &mut Vec<u8>) {
-    if measure(w, w.len()) > 1 && ends_double_consonant(w, w.len()) && w[w.len() - 1] == b'l' {
-        w.truncate(w.len() - 1);
+fn step_5b(w: &mut String) {
+    let b = w.as_bytes();
+    let n = b.len();
+    if measure(b, n) > 1 && ends_double_consonant(b, n) && b[n - 1] == b'l' {
+        w.truncate(n - 1);
     }
 }
 

@@ -6,6 +6,8 @@
 
 use std::collections::HashSet;
 
+use crate::hash::TermHash;
+
 /// The built-in English stop-word list (lower-case).
 pub const ENGLISH: &[&str] = &[
     "a",
@@ -208,7 +210,7 @@ pub const ENGLISH: &[&str] = &[
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StopWords {
-    words: HashSet<String>,
+    words: HashSet<String, TermHash>,
 }
 
 impl StopWords {
@@ -251,7 +253,12 @@ impl StopWords {
             return true;
         }
         // fall back to a lowercase probe only when needed
-        word.chars().any(|c| c.is_uppercase()) && self.words.contains(&word.to_lowercase())
+        let has_upper = if word.is_ascii() {
+            word.bytes().any(|b| b.is_ascii_uppercase())
+        } else {
+            word.chars().any(char::is_uppercase)
+        };
+        has_upper && self.words.contains(&word.to_lowercase())
     }
 
     /// Number of stop words in the set.

@@ -32,9 +32,12 @@ impl Default for TokenizerConfig {
 
 /// Splits raw text into word tokens.
 ///
-/// A token is a maximal run of alphanumeric characters; apostrophes and
-/// hyphens *inside* a word are kept (so "don't" and "co-operate" survive as
-/// single tokens), while all other punctuation separates tokens.
+/// A token is a maximal run of alphanumeric characters, apostrophes, hyphens
+/// and full stops, trimmed of the apostrophes, hyphens and full stops at its
+/// edges: those *inside* a word are kept (so "don't", "co-operate" and
+/// "u.s" survive as single tokens), while all other punctuation separates
+/// tokens. The length bounds count the characters of the token as written,
+/// before lower-casing.
 ///
 /// ```
 /// use nidc_textproc::Tokenizer;
@@ -61,31 +64,48 @@ impl Tokenizer {
 
     /// Tokenises `text`, yielding owned tokens.
     pub fn tokenize<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
+        self.tokens(text).map(|tok| {
+            let mut out = String::new();
+            self.normalize(tok, &mut out);
+            out
+        })
+    }
+
+    /// The tokens of `text` as written, borrowed: split, edge-trimmed and
+    /// filtered by length and digits, but not yet lower-cased.
+    pub(crate) fn tokens<'a>(&'a self, text: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         let cfg = &self.config;
         text.split(|c: char| !(c.is_alphanumeric() || c == '\'' || c == '-' || c == '.'))
-            .flat_map(|chunk| {
-                // trim joining punctuation from the edges
-                let trimmed = chunk.trim_matches(|c: char| c == '\'' || c == '-' || c == '.');
-                if trimmed.is_empty() {
-                    None
-                } else {
-                    Some(trimmed)
-                }
+            // trim joining punctuation from the edges
+            .map(|chunk| chunk.trim_matches(|c: char| c == '\'' || c == '-' || c == '.'))
+            .filter(move |tok| {
+                !tok.is_empty()
+                    && (cfg.min_len..=cfg.max_len).contains(&tok.chars().count())
+                    && !(cfg.drop_numeric && tok.bytes().any(|b| b.is_ascii_digit()))
             })
-            .filter_map(move |tok| {
-                let n_chars = tok.chars().count();
-                if n_chars < cfg.min_len || n_chars > cfg.max_len {
-                    return None;
-                }
-                if cfg.drop_numeric && tok.chars().any(|c| c.is_ascii_digit()) {
-                    return None;
-                }
-                Some(if cfg.lowercase {
-                    tok.to_lowercase()
-                } else {
-                    tok.to_owned()
-                })
-            })
+    }
+
+    /// Writes `token` into `out`, replacing its contents: lower-cased when
+    /// the configuration asks for it, as written otherwise.
+    pub(crate) fn normalize(&self, token: &str, out: &mut String) {
+        out.clear();
+        if !self.config.lowercase {
+            out.push_str(token);
+        } else if token.is_ascii() {
+            out.push_str(token);
+            out.make_ascii_lowercase();
+        } else {
+            // `str::to_lowercase` knows context rules (a word-final 'Σ'
+            // becomes 'ς') that char-by-char lowering does not
+            out.push_str(&token.to_lowercase());
+        }
+    }
+
+    /// An upper bound on the number of tokens in `text`: each token holds at
+    /// least `max(min_len, 1)` bytes and all but the last are followed by a
+    /// separator.
+    pub(crate) fn max_tokens(&self, text: &str) -> usize {
+        (text.len() + 1) / (self.config.min_len.max(1) + 1)
     }
 }
 

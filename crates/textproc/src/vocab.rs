@@ -5,8 +5,10 @@
 //! and make the per-term statistics of the forgetting model (`Pr(t_k)`,
 //! eq. 10 of the paper) indexable by plain `Vec`s.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
+
+use crate::hash::TermHash;
 
 /// Identifier of an interned term.
 ///
@@ -31,6 +33,12 @@ impl fmt::Display for TermId {
 
 /// A bidirectional mapping between term strings and dense [`TermId`]s.
 ///
+/// The vocabulary is the single owner of its term strings: they sit end to
+/// end in one buffer, in id order, and the lookup table holds only ids, so a
+/// new term costs no heap allocation of its own (the buffer and the table
+/// grow geometrically). Ids follow first-seen order only; the table hashes
+/// with an unkeyed hasher, which never affects ids.
+///
 /// ```
 /// use nidc_textproc::Vocabulary;
 ///
@@ -44,8 +52,33 @@ impl fmt::Display for TermId {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
-    by_term: HashMap<String, TermId>,
-    by_id: Vec<String>,
+    /// Every term, concatenated in id order.
+    text: String,
+    /// `ends[i]` is where term `i` ends in `text`; it starts where term
+    /// `i - 1` ends.
+    ends: Vec<usize>,
+    /// Open-addressing table over the ids, probed linearly from a term's
+    /// hash; a power of two in length, at most half full.
+    slots: Vec<Slot>,
+}
+
+/// One table slot: a term id and the low half of its hash, which rules out
+/// most non-matching slots without touching the term's bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: u32,
+}
+
+impl Slot {
+    const FREE: Slot = Slot {
+        tag: 0,
+        id: u32::MAX,
+    };
+}
+
+fn hash(term: &str) -> u64 {
+    TermHash::default().hash_one(term)
 }
 
 impl Vocabulary {
@@ -56,50 +89,99 @@ impl Vocabulary {
 
     /// Creates an empty vocabulary with room for `cap` terms.
     pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            by_term: HashMap::with_capacity(cap),
-            by_id: Vec::with_capacity(cap),
-        }
+        let mut v = Self {
+            text: String::new(),
+            ends: Vec::with_capacity(cap),
+            slots: Vec::new(),
+        };
+        v.rehash((2 * cap).next_power_of_two());
+        v
     }
 
     /// Interns `term`, returning its id. Existing terms keep their id.
     pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.by_term.get(term) {
-            return id;
+        if self.slots.is_empty() {
+            self.rehash(16);
         }
-        let id =
-            TermId(u32::try_from(self.by_id.len()).expect("vocabulary exceeded u32::MAX terms"));
-        self.by_id.push(term.to_owned());
-        self.by_term.insert(term.to_owned(), id);
-        id
+        let h = hash(term);
+        let i = self.find(term, h);
+        if self.slots[i].id != Slot::FREE.id {
+            return TermId(self.slots[i].id);
+        }
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != Slot::FREE.id)
+            .expect("vocabulary exceeded u32::MAX - 1 terms");
+        self.text.push_str(term);
+        self.ends.push(self.text.len());
+        self.slots[i] = Slot { tag: h as u32, id };
+        if 2 * self.ends.len() > self.slots.len() {
+            self.rehash(2 * self.slots.len());
+        }
+        TermId(id)
     }
 
     /// Looks up the id of `term` without interning it.
     pub fn get(&self, term: &str) -> Option<TermId> {
-        self.by_term.get(term).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = self.slots[self.find(term, hash(term))];
+        (slot.id != Slot::FREE.id).then_some(TermId(slot.id))
+    }
+
+    /// The slot holding `term`, or the free slot where it belongs.
+    fn find(&self, term: &str, h: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> 32) as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s.id == Slot::FREE.id || (s.tag == h as u32 && self.str_of(s.id) == term) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Rebuilds the table with `len` slots, rehashing every term (one pass
+    /// over the contiguous term text).
+    fn rehash(&mut self, len: usize) {
+        self.slots = vec![Slot::FREE; len];
+        let mask = len - 1;
+        for id in 0..self.ends.len() as u32 {
+            let h = hash(self.str_of(id));
+            let mut i = (h >> 32) as usize & mask;
+            while self.slots[i].id != Slot::FREE.id {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Slot { tag: h as u32, id };
+        }
+    }
+
+    fn str_of(&self, id: u32) -> &str {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
     }
 
     /// Returns the string for `id`, if `id` was issued by this vocabulary.
     pub fn term(&self, id: TermId) -> Option<&str> {
-        self.by_id.get(id.index()).map(String::as_str)
+        (id.index() < self.ends.len()).then(|| self.str_of(id.0))
     }
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.ends.len()
     }
 
     /// Whether no terms have been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(TermId, &str)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &str)> {
-        self.by_id
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (TermId(i as u32), s.as_str()))
+        (0..self.ends.len() as u32).map(|id| (TermId(id), self.str_of(id)))
     }
 }
 
@@ -157,6 +239,34 @@ mod tests {
                 (2, "z".to_owned())
             ]
         );
+    }
+
+    #[test]
+    fn ids_and_strings_survive_table_growth() {
+        let mut v = Vocabulary::with_capacity(3);
+        let terms: Vec<String> = (0..5000).map(|i| format!("term{i}")).collect();
+        for (i, t) in terms.iter().enumerate() {
+            assert_eq!(v.intern(t), TermId(i as u32));
+        }
+        for (i, t) in terms.iter().enumerate() {
+            assert_eq!(v.get(t), Some(TermId(i as u32)));
+            assert_eq!(v.term(TermId(i as u32)), Some(t.as_str()));
+        }
+        assert_eq!(v.get("term5000"), None);
+        assert_eq!(v.len(), 5000);
+    }
+
+    #[test]
+    fn prefixes_and_the_empty_term_are_distinct_terms() {
+        let mut v = Vocabulary::new();
+        assert_eq!(v.get(""), None);
+        let ids: Vec<_> = ["ab", "a", "", "abc", "b"]
+            .iter()
+            .map(|t| v.intern(t))
+            .collect();
+        assert_eq!(ids, (0..5).map(TermId).collect::<Vec<_>>());
+        assert_eq!(v.term(TermId(2)), Some(""));
+        assert_eq!(v.term(TermId(3)), Some("abc"));
     }
 
     #[test]
