@@ -111,7 +111,9 @@ fn main() {
                 ..ClusteringConfig::default()
             };
             let mut pipeline = ShardedPipeline::new(decay, config, shards).expect("shards >= 1");
-            pipeline.set_stitch(Some(tau));
+            pipeline
+                .set_stitch(Some(tau))
+                .expect("NIDC_STITCH_TAU must be a non-negative number");
             let mut run = Run {
                 shards,
                 rounds: 0,

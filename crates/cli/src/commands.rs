@@ -386,7 +386,9 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     // --stitch on|off / --stitch-threshold: applies to fresh and restored
     // pipelines alike (stitching shapes each window's view, not pipeline
     // state).
-    pipeline.set_stitch(stitch_from(args)?);
+    pipeline
+        .set_stitch(stitch_from(args)?)
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     let resume_day = pipeline.now().days();
     let mut topic_of = BTreeMap::new();
     let mut next_report = (resume_day / every).floor() * every + every;
@@ -531,7 +533,9 @@ fn eval<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     if shards > 1 {
         let mut pipeline = ShardedPipeline::new(decay, config, shards)
             .map_err(|e| CliError::Usage(e.to_string()))?;
-        pipeline.set_stitch(stitch_from(args)?);
+        pipeline
+            .set_stitch(stitch_from(args)?)
+            .map_err(|e| CliError::Usage(e.to_string()))?;
         for &i in &w.article_indices {
             let a = &corpus.articles()[i];
             pipeline

@@ -42,6 +42,10 @@ pub enum Error {
     /// A persisted lineage state lists its universe of live documents out
     /// of strictly ascending order.
     MalformedLineageUniverse,
+    /// A stitching threshold τ was NaN or negative. NaN compares false
+    /// with every `sim`, so it would merge every window into one cluster;
+    /// +∞ is valid and never merges.
+    InvalidStitchThreshold(f64),
 }
 
 impl std::fmt::Display for Error {
@@ -70,6 +74,12 @@ impl std::fmt::Display for Error {
             }
             Error::MalformedLineageUniverse => {
                 write!(f, "lineage universe is not strictly ascending")
+            }
+            Error::InvalidStitchThreshold(tau) => {
+                write!(
+                    f,
+                    "stitch threshold must be a non-negative number, got {tau}"
+                )
             }
         }
     }
@@ -121,5 +131,7 @@ mod tests {
         };
         assert!(c.to_string().contains('4') && c.to_string().contains('2'));
         assert!(v.source().is_none());
+        let t = Error::InvalidStitchThreshold(f64::NAN);
+        assert!(t.to_string().contains("NaN"), "{t}");
     }
 }

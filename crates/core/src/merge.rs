@@ -11,10 +11,20 @@
 //!
 //! The pipeline builds one [`MergedClustering`] per window — stitched when
 //! τ applies — and holds it; readers borrow that view
-//! ([`crate::ShardedPipeline::last_merged`]) instead of re-merging. The
-//! stitch's representative dot matrix is built from term postings, costing
-//! Σ_t |postings(t)|² / 2 multiply-adds rather than N² merge-joins of
-//! O(nnz) each.
+//! ([`crate::ShardedPipeline::last_merged`]) instead of re-merging.
+//!
+//! # Stitch cost
+//!
+//! The stitch's representative dot matrix is built from term postings,
+//! costing Σ_t |postings(t)|² / 2 multiply-adds rather than N² merge-joins
+//! of O(nnz) each. After that, each merge costs O(N): the greedy pair
+//! choice reads every row's cached best partner instead of rescanning the
+//! N²/2 pairs. The invariant: a live row `x` holds the first `y > x` with
+//! the row's largest normalized `cr_sim` (strict `>`), so scanning the
+//! rows in order with strict `>` picks the lexicographically first maximum
+//! pair, as a full rescan does. A fold is one merge-join of the two
+//! representatives ([`ClusterRep::merge_from`]), and folded fragments are
+//! read in place, never copied.
 //!
 //! # Id stability
 //!
@@ -30,6 +40,7 @@
 //! `stitched_clusters_keep_the_lowest_shard_major_source_id` in
 //! `tests/shard_determinism.rs`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
@@ -231,7 +242,11 @@ impl MergedClustering {
 
     /// Runs the cross-shard stitching pass (see [`StitchedClustering`]) at
     /// threshold τ and returns the result without attaching it.
+    ///
+    /// τ must not be NaN: no `sim < τ` holds for it, so the pass would
+    /// merge until one cluster is left. τ = +∞ never merges.
     pub fn stitch(&self, threshold: f64) -> StitchedClustering {
+        debug_assert!(!threshold.is_nan(), "stitch threshold is NaN");
         stitch_shards(&self.shards, threshold)
     }
 
@@ -334,10 +349,12 @@ impl StitchedCluster {
 /// Complexity: the representative dot matrix up front, built from term
 /// postings in Σ_t |postings(t)|² / 2 multiply-adds plus O(Σ nnz + max
 /// term id) to file them (the crate's rep × rep kernel, shared with
-/// lineage matching), plus an O(N²) scan per merge, N = Σ_shards K.
-/// Merging `j` into `i` updates the cached dot row additively
-/// (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so no dot product is ever
-/// recomputed. The pass is sequential and therefore
+/// lineage matching), then O(N) per merge, N = Σ_shards K: the pick reads
+/// each row's cached best partner, and only a row whose best was one of
+/// the two folded slots rescans, in O(N). Merging `j` into `i` updates the
+/// cached dot row additively (`c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x + c⃗_j·c⃗_x`), so
+/// no dot product is ever recomputed, and folds the representatives in one
+/// O(nnz_i + nnz_j) merge-join. The pass is sequential and therefore
 /// trivially thread-count invariant.
 #[derive(Debug, Clone)]
 pub struct StitchedClustering {
@@ -451,86 +468,72 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
     let _timer = STITCH_SECONDS.start_timer();
     STITCH_RUNS.inc();
 
-    let mut clusters: Vec<StitchedCluster> = Vec::new();
-    for (s, clustering) in shards.iter().enumerate() {
-        for (local, cl) in clustering.clusters().iter().enumerate() {
-            let id = GlobalClusterId { shard: s, local };
-            clusters.push(StitchedCluster {
-                id,
-                sources: vec![id],
-                members: cl.members().to_vec(),
-                rep: cl.rep().clone(),
-            });
-        }
-    }
-    let input_clusters = clusters.iter().filter(|c| !c.is_empty()).count();
+    // every input K-slot, shard-major; fragments are read in place, and
+    // only a slot that absorbs another owns a copy of its representative
+    let slots: Vec<(GlobalClusterId, &Cluster)> = shards
+        .iter()
+        .enumerate()
+        .flat_map(|(s, clustering)| {
+            clustering
+                .clusters()
+                .iter()
+                .enumerate()
+                .map(move |(local, cl)| (GlobalClusterId { shard: s, local }, cl))
+        })
+        .collect();
+    let n = slots.len();
+    let input_clusters = slots.iter().filter(|(_, cl)| !cl.is_empty()).count();
+    // `None` once the slot is folded into another
+    let mut reps: Vec<Option<Cow<'_, ClusterRep>>> = slots
+        .iter()
+        .map(|(_, cl)| Some(Cow::Borrowed(cl.rep())))
+        .collect();
+    // each group is a chain of slots from its survivor: `next` links the
+    // chain, `last` is a survivor's chain end
+    let mut next: Vec<Option<usize>> = vec![None; n];
+    let mut last: Vec<usize> = (0..n).collect();
 
     let mut merges = 0usize;
     if shards.len() > 1 {
-        let n = clusters.len();
-        let mut alive = vec![true; n];
-        // full dot matrix up front; empty slots never participate
-        let reps: Vec<Option<&ClusterRep>> = clusters
+        // empty slots never participate
+        let entrants: Vec<Option<&ClusterRep>> = slots
             .iter()
-            .map(|c| (!c.is_empty()).then_some(&c.rep))
+            .map(|(_, cl)| (!cl.is_empty()).then_some(cl.rep()))
             .collect();
-        let mut dot = RepPostings::new(&reps).dot_pairs();
-        loop {
-            // best surviving pair, strict `>` in (i, j) scan order so ties
-            // resolve to the first pair — the GAC baseline's idiom
-            let mut best: Option<(usize, usize, f64)> = None;
-            for i in 0..n {
-                if !alive[i] || clusters[i].is_empty() {
-                    continue;
-                }
-                let cr_i = clusters[i].rep.cr_self();
-                for j in (i + 1)..n {
-                    if !alive[j] || clusters[j].is_empty() {
-                        continue;
-                    }
-                    let denom = (cr_i * clusters[j].rep.cr_self()).sqrt();
-                    if denom <= 0.0 {
-                        continue;
-                    }
-                    let sim = dot[i * n + j] / denom;
-                    if best.is_none_or(|(_, _, b)| sim > b) {
-                        best = Some((i, j, sim));
-                    }
-                }
-            }
-            let Some((i, j, sim)) = best else { break };
+        let mut pairs = PairChoice::new(&entrants);
+        while let Some((i, j, sim)) = pairs.pick() {
             if sim < threshold {
                 break;
             }
             // fold slot j into slot i (i < j: the survivor keeps the lower,
             // therefore stable, global id)
-            let (left, right) = clusters.split_at_mut(j);
-            left[i].rep.merge_from(&right[0].rep);
-            let moved_members = std::mem::take(&mut right[0].members);
-            left[i].members.extend(moved_members);
-            let moved_sources = std::mem::take(&mut right[0].sources);
-            left[i].sources.extend(moved_sources);
-            // dot products are linear in the reps: c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x
-            // + c⃗_j·c⃗_x — update row i additively, no recomputation
-            for x in 0..n {
-                if x == i || x == j {
-                    continue;
-                }
-                dot[i * n + x] += dot[j * n + x];
-                dot[x * n + i] = dot[i * n + x];
-            }
-            alive[j] = false;
+            let folded = reps[j].take().expect("the pair choice offers live slots");
+            let survivor = reps[i].as_mut().expect("the pair choice offers live slots");
+            survivor.to_mut().merge_from(&folded);
+            pairs.fold(i, j, survivor.cr_self());
+            next[last[i]] = Some(j);
+            last[i] = last[j];
             merges += 1;
         }
-        clusters = clusters
-            .into_iter()
-            .zip(alive)
-            .filter_map(|(c, keep)| keep.then_some(c))
-            .collect();
     }
-    for c in &mut clusters {
-        c.members.sort_unstable();
-        c.sources.sort_unstable();
+
+    let mut clusters = Vec::with_capacity(n - merges);
+    for (x, rep) in reps.into_iter().enumerate() {
+        let Some(rep) = rep else { continue };
+        let group = || std::iter::successors(Some(x), |&y| next[y]).map(|y| slots[y]);
+        let mut sources: Vec<GlobalClusterId> = group().map(|(id, _)| id).collect();
+        let mut members = Vec::with_capacity(group().map(|(_, cl)| cl.len()).sum());
+        for (_, cl) in group() {
+            members.extend_from_slice(cl.members());
+        }
+        members.sort_unstable();
+        sources.sort_unstable();
+        clusters.push(StitchedCluster {
+            id: slots[x].0,
+            sources,
+            members,
+            rep: rep.into_owned(),
+        });
     }
 
     let mut outliers: Vec<DocId> = shards
@@ -552,6 +555,130 @@ fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
         threshold,
         input_clusters,
         merges,
+    }
+}
+
+/// The stitch's greedy pair choice: the normalized `cr_sim` of every live
+/// pair, read through each row's cached best partner.
+///
+/// Row `x`'s best is the first `y > x` holding the row's largest `sim`
+/// (strict `>` in ascending `y`), so scanning the rows in ascending `x`
+/// with strict `>` yields the lexicographically first maximum pair — the
+/// pair a full O(N²) rescan would pick. A fold touches one row's values
+/// and drops another, so it keeps every best current in O(N) plus one
+/// O(N) recompute per row whose best was one of the two folded slots.
+struct PairChoice {
+    n: usize,
+    /// `n × n` representative dots, row-major; a survivor's row is the sum
+    /// of its fragments' rows.
+    dot: Vec<f64>,
+    /// `cr_self` per slot.
+    cr: Vec<f64>,
+    /// Non-empty and not yet folded away.
+    live: Vec<bool>,
+    /// Per live row: its best partner and that `sim` (`None`: no partner).
+    best: Vec<Option<(usize, f64)>>,
+}
+
+impl PairChoice {
+    /// The dot matrix from term postings (Σ_t |postings(t)|² / 2
+    /// multiply-adds) and every row's best partner; `None` slots are empty.
+    fn new(reps: &[Option<&ClusterRep>]) -> Self {
+        let n = reps.len();
+        let mut pairs = Self {
+            n,
+            dot: RepPostings::new(reps).dot_pairs(),
+            cr: reps
+                .iter()
+                .map(|r| r.map_or(0.0, |r| r.cr_self()))
+                .collect(),
+            live: reps.iter().map(Option::is_some).collect(),
+            best: vec![None; n],
+        };
+        for x in 0..n {
+            if pairs.live[x] {
+                pairs.best[x] = pairs.row_best(x);
+            }
+        }
+        pairs
+    }
+
+    /// `sim(x, y)` for `x < y` (eq. 21 normalized), `None` when either
+    /// representative has no magnitude.
+    fn sim(&self, x: usize, y: usize) -> Option<f64> {
+        let denom = (self.cr[x] * self.cr[y]).sqrt();
+        if denom <= 0.0 {
+            None
+        } else {
+            Some(self.dot[x * self.n + y] / denom)
+        }
+    }
+
+    /// Row `x`'s best partner, by a scan of every live `y > x`.
+    fn row_best(&self, x: usize) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for y in (x + 1)..self.n {
+            if !self.live[y] {
+                continue;
+            }
+            if let Some(sim) = self.sim(x, y) {
+                if best.is_none_or(|(_, b)| sim > b) {
+                    best = Some((y, sim));
+                }
+            }
+        }
+        best
+    }
+
+    /// The lexicographically first live pair with the largest `sim`.
+    fn pick(&self) -> Option<(usize, usize, f64)> {
+        let mut pick: Option<(usize, usize, f64)> = None;
+        for x in 0..self.n {
+            if let (true, Some((y, sim))) = (self.live[x], self.best[x]) {
+                if pick.is_none_or(|(_, _, b)| sim > b) {
+                    pick = Some((x, y, sim));
+                }
+            }
+        }
+        pick
+    }
+
+    /// Records that slot `j` was folded into slot `i < j`, whose
+    /// representative now has `cr_self = cr_i`.
+    fn fold(&mut self, i: usize, j: usize, cr_i: f64) {
+        let n = self.n;
+        // dot products are linear in the reps: c⃗_{i∪j}·c⃗_x = c⃗_i·c⃗_x
+        // + c⃗_j·c⃗_x — update row i additively, no recomputation
+        for x in 0..n {
+            if x == i || x == j {
+                continue;
+            }
+            self.dot[i * n + x] += self.dot[j * n + x];
+            self.dot[x * n + i] = self.dot[i * n + x];
+        }
+        self.cr[i] = cr_i;
+        self.live[j] = false;
+        self.best[j] = None;
+        self.best[i] = self.row_best(i);
+        // only the sims against i moved and those against j are gone: a row
+        // that lost its best rescans, a row before i weighs its new sim(x, i)
+        for x in 0..n {
+            if !self.live[x] || x == i {
+                continue;
+            }
+            match self.best[x] {
+                Some((b, _)) if b == i || b == j => self.best[x] = self.row_best(x),
+                Some((b, v)) if x < i => {
+                    if let Some(sim) = self.sim(x, i) {
+                        if sim > v || (sim == v && i < b) {
+                            self.best[x] = Some((i, sim));
+                        }
+                    }
+                }
+                None if x < i => self.best[x] = self.row_best(x),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -855,6 +982,272 @@ mod tests {
                 bits(pairwise_dot_matrix(&reps))
             );
         }
+    }
+
+    /// The agglomeration the row-maximum cache replaces, kept as the
+    /// oracle: a full rescan of every live pair before each merge, and
+    /// folds by `dot_rep` followed by `axpy_in_place`.
+    fn reference_stitch(shards: &[Clustering], threshold: f64) -> StitchedClustering {
+        fn fold(rep: &mut ClusterRep, other: &ClusterRep) {
+            let entries = |r: &ClusterRep| {
+                let mut e = Vec::new();
+                r.for_each_entry(|t, w| e.push((t, w)));
+                SparseVector::from_sorted(e)
+            };
+            let dot = rep.dot_rep(other);
+            let mut vector = entries(rep);
+            vector.axpy_in_place(&entries(other), 1.0);
+            let mut cr_self = rep.cr_self();
+            cr_self += 2.0 * dot + other.cr_self();
+            let mut ss = rep.ss();
+            ss += other.ss();
+            *rep = ClusterRep::from_parts(
+                vector.entries().to_vec(),
+                rep.size() + other.size(),
+                cr_self,
+                ss,
+            );
+        }
+        let mut clusters: Vec<StitchedCluster> = Vec::new();
+        for (s, clustering) in shards.iter().enumerate() {
+            for (local, cl) in clustering.clusters().iter().enumerate() {
+                let id = GlobalClusterId { shard: s, local };
+                clusters.push(StitchedCluster {
+                    id,
+                    sources: vec![id],
+                    members: cl.members().to_vec(),
+                    rep: cl.rep().clone(),
+                });
+            }
+        }
+        let input_clusters = clusters.iter().filter(|c| !c.is_empty()).count();
+        let mut merges = 0usize;
+        if shards.len() > 1 {
+            let n = clusters.len();
+            let mut alive = vec![true; n];
+            let reps: Vec<Option<&ClusterRep>> = clusters
+                .iter()
+                .map(|c| (!c.is_empty()).then_some(&c.rep))
+                .collect();
+            let mut dot = RepPostings::new(&reps).dot_pairs();
+            loop {
+                let mut best: Option<(usize, usize, f64)> = None;
+                for i in 0..n {
+                    if !alive[i] || clusters[i].is_empty() {
+                        continue;
+                    }
+                    let cr_i = clusters[i].rep.cr_self();
+                    for j in (i + 1)..n {
+                        if !alive[j] || clusters[j].is_empty() {
+                            continue;
+                        }
+                        let denom = (cr_i * clusters[j].rep.cr_self()).sqrt();
+                        if denom <= 0.0 {
+                            continue;
+                        }
+                        let sim = dot[i * n + j] / denom;
+                        if best.is_none_or(|(_, _, b)| sim > b) {
+                            best = Some((i, j, sim));
+                        }
+                    }
+                }
+                let Some((i, j, sim)) = best else { break };
+                if sim < threshold {
+                    break;
+                }
+                let (left, right) = clusters.split_at_mut(j);
+                fold(&mut left[i].rep, &right[0].rep);
+                let moved_members = std::mem::take(&mut right[0].members);
+                left[i].members.extend(moved_members);
+                let moved_sources = std::mem::take(&mut right[0].sources);
+                left[i].sources.extend(moved_sources);
+                for x in 0..n {
+                    if x == i || x == j {
+                        continue;
+                    }
+                    dot[i * n + x] += dot[j * n + x];
+                    dot[x * n + i] = dot[i * n + x];
+                }
+                alive[j] = false;
+                merges += 1;
+            }
+            clusters = clusters
+                .into_iter()
+                .zip(alive)
+                .filter_map(|(c, keep)| keep.then_some(c))
+                .collect();
+        }
+        for c in &mut clusters {
+            c.members.sort_unstable();
+            c.sources.sort_unstable();
+        }
+        let mut outliers: Vec<DocId> = shards
+            .iter()
+            .flat_map(|c| c.outliers().iter().copied())
+            .collect();
+        outliers.sort_unstable();
+        let g: f64 = clusters.iter().map(|c| c.rep.g_term()).sum();
+        StitchedClustering {
+            clusters,
+            outliers,
+            g,
+            threshold,
+            input_clusters,
+            merges,
+        }
+    }
+
+    /// One stitched cluster with every float as its bits.
+    type ClusterBits = (
+        GlobalClusterId,
+        Vec<GlobalClusterId>,
+        Vec<DocId>,
+        Vec<(TermId, u64)>,
+        [u64; 3],
+    );
+
+    /// Everything a stitch reports, floats as bits.
+    fn stitch_bits(s: &StitchedClustering) -> (Vec<ClusterBits>, Vec<DocId>, [u64; 4]) {
+        let clusters = s
+            .clusters()
+            .iter()
+            .map(|c| {
+                let mut entries = Vec::new();
+                c.rep()
+                    .for_each_entry(|t, w| entries.push((t, w.to_bits())));
+                let r = c.rep();
+                let stats = [r.cr_self().to_bits(), r.ss().to_bits(), r.size() as u64];
+                (
+                    c.id(),
+                    c.sources().to_vec(),
+                    c.members().to_vec(),
+                    entries,
+                    stats,
+                )
+            })
+            .collect();
+        let totals = [
+            s.g().to_bits(),
+            s.threshold().to_bits(),
+            s.merges() as u64,
+            s.input_clusters() as u64,
+        ];
+        (clusters, s.outliers().to_vec(), totals)
+    }
+
+    /// One member φ for the stitch oracle: weights mostly from a few
+    /// values (sums and `sim`s tie exactly), some signed so that dots
+    /// cancel, over a nine-term vocabulary.
+    fn oracle_phi() -> impl Strategy<Value = Vec<(u32, f64)>> {
+        const STEPS: [f64; 6] = [-1.0, 0.5, 1.0, 1.0, 2.0, 3.0];
+        let weight = (0u32..4, 0..STEPS.len(), 0.01f64..2.0).prop_map(|(kind, step, w)| {
+            if kind < 3 {
+                STEPS[step]
+            } else {
+                w
+            }
+        });
+        prop::collection::vec((0u32..9, weight), 1..4)
+    }
+
+    /// Per-shard clusterings whose slots are empty or hold one fragment:
+    /// slot value `k < 4` is [`TIE`]`[k]`, then the random `pool`, and
+    /// anything past it an empty slot. The same fragment in several shards
+    /// gives identical representatives and so exact `sim` ties. Doc ids
+    /// are handed out shard-major, so member sets stay disjoint.
+    fn oracle_shards(
+        pool: &[Vec<Vec<(u32, f64)>>],
+        layout: &[(Vec<usize>, usize)],
+    ) -> Vec<Clustering> {
+        let mut builder = RepBuilder::new();
+        let mut next_doc = 0u64;
+        let mut doc = || {
+            next_doc += 1;
+            DocId(next_doc)
+        };
+        layout
+            .iter()
+            .map(|(slots, outliers)| {
+                let clusters: Vec<Cluster> = slots
+                    .iter()
+                    .map(|&k| {
+                        let phis: Vec<SparseVector> = match k.checked_sub(TIE.len()) {
+                            None => vec![tf(TIE[k])],
+                            Some(p) => pool
+                                .get(p)
+                                .map_or(Vec::new(), |f| f.iter().map(|phi| tf(phi)).collect()),
+                        };
+                        let members = phis.iter().map(|_| doc()).collect();
+                        Cluster::new(members, builder.exact(&phis))
+                    })
+                    .collect();
+                let g = clusters.iter().map(|c| c.rep().g_term()).sum();
+                let outliers = (0..*outliers).map(|_| doc()).collect();
+                Clustering::new(clusters, outliers, g, 1)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The row-maximum stitch makes the full rescan's every decision:
+        /// the same merges in the same order, so the same ids, sources,
+        /// members and representative bits, and the same `G`.
+        #[test]
+        fn stitch_matches_the_full_rescan_oracle_bit_for_bit(
+            pool in prop::collection::vec(prop::collection::vec(oracle_phi(), 1..4), 1..6),
+            layout in prop::collection::vec((prop::collection::vec(0usize..14, 1..6), 0usize..3), 2..9),
+            tau in 0usize..4,
+        ) {
+            let threshold = [0.0, DEFAULT_STITCH_THRESHOLD, 0.5, f64::INFINITY][tau];
+            let shards = oracle_shards(&pool, &layout);
+            let merged = MergedClustering::new(shards);
+            prop_assert_eq!(
+                stitch_bits(&merged.stitch(threshold)),
+                stitch_bits(&reference_stitch(merged.shards(), threshold))
+            );
+        }
+    }
+
+    /// Four one-document fragments `x`, `i`, `b`, `j` with an exact tie
+    /// that only a fold creates: `(i, j)` is their best pair, the fold
+    /// cancels `i`'s term 2, and then `sim(x, i ∪ j) = sim(x, b) = 1/√2`
+    /// bit for bit. In slot order `x, i, b, j` the row of `x` must switch
+    /// to `i`, and at τ = 0.2 the two choices end in different clusters.
+    const TIE: [&[(u32, f64)]; 4] = [
+        &[(0, 1.0), (1, 1.0)],
+        &[(1, 2.0), (2, 0.5)],
+        &[(0, 1.0)],
+        &[(1, 2.0), (2, -0.5)],
+    ];
+
+    /// After a fold, a row whose best partner ties exactly with its new
+    /// `sim` to the survivor takes the survivor when it comes first, as
+    /// the full rescan's lexicographic order does ([`TIE`]).
+    #[test]
+    fn an_equal_sim_to_an_earlier_survivor_takes_the_row() {
+        let cluster = |id: u64, phi: &[(u32, f64)]| {
+            Cluster::new(vec![DocId(id)], RepBuilder::new().exact([&tf(phi)]))
+        };
+        let shard = |clusters: Vec<Cluster>| {
+            let g = clusters.iter().map(|c| c.rep().g_term()).sum();
+            Clustering::new(clusters, Vec::new(), g, 1)
+        };
+        // slots x = 0:0, i = 0:1, b = 1:0, j = 1:1
+        let m = MergedClustering::new(vec![
+            shard(vec![cluster(1, TIE[0]), cluster(2, TIE[1])]),
+            shard(vec![cluster(3, TIE[2]), cluster(4, TIE[3])]),
+        ]);
+        let s = m.stitch(DEFAULT_STITCH_THRESHOLD);
+        assert_eq!(
+            s.member_lists(),
+            vec![vec![DocId(1), DocId(2), DocId(4)], vec![DocId(3)]]
+        );
+        assert_eq!(
+            stitch_bits(&s),
+            stitch_bits(&reference_stitch(m.shards(), DEFAULT_STITCH_THRESHOLD))
+        );
     }
 
     #[test]

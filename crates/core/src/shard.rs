@@ -276,13 +276,22 @@ impl ShardedPipeline {
     /// [`ShardedPipeline::last_merged`] never disagrees with the
     /// configuration. Lineage is not re-observed: it saw the window as it
     /// was clustered.
-    pub fn set_stitch(&mut self, threshold: Option<f64>) {
+    ///
+    /// # Errors
+    /// [`Error::InvalidStitchThreshold`] for a NaN or negative τ, leaving
+    /// the setting and the held view as they were. τ = +∞ is accepted and
+    /// never merges.
+    pub fn set_stitch(&mut self, threshold: Option<f64>) -> Result<()> {
+        if let Some(tau) = threshold.filter(|tau| tau.is_nan() || *tau < 0.0) {
+            return Err(Error::InvalidStitchThreshold(tau));
+        }
         self.stitch = threshold;
         let effective = self.effective_stitch();
         if let Some(view) = self.merged.as_mut() {
             view.restitch(effective);
             self.publish_mem_gauges();
         }
+        Ok(())
     }
 
     /// The configured stitching threshold (`None` = disabled).
@@ -703,20 +712,48 @@ mod tests {
         let default = stitched(&p).expect("stitching defaults on for 2 shards");
         assert_eq!(default.threshold(), crate::merge::DEFAULT_STITCH_THRESHOLD);
 
-        p.set_stitch(None);
+        p.set_stitch(None).unwrap();
         assert!(stitched(&p).is_none(), "stitching off unstitches the view");
 
         // φ weights are nonnegative, so τ = 0 folds everything into one
-        p.set_stitch(Some(0.0));
+        p.set_stitch(Some(0.0)).unwrap();
         let all = stitched(&p).expect("re-stitched at the new τ");
         assert_eq!(all.threshold(), 0.0);
         assert_eq!(all.non_empty_clusters(), 1);
 
         // back to the default: the same view the window produced
-        p.set_stitch(Some(crate::merge::DEFAULT_STITCH_THRESHOLD));
+        p.set_stitch(Some(crate::merge::DEFAULT_STITCH_THRESHOLD))
+            .unwrap();
         let again = stitched(&p).unwrap();
         assert_eq!(again.member_lists(), default.member_lists());
         assert_eq!(again.g().to_bits(), default.g().to_bits());
+    }
+
+    #[test]
+    fn set_stitch_refuses_nan_and_negative_thresholds() {
+        let mut p = ShardedPipeline::new(decay(), config(), 2).unwrap();
+        seed_two_topics(&mut p, 0.0, 0);
+        p.recluster_incremental().unwrap();
+        let held = |p: &ShardedPipeline| {
+            let s = p.last_merged().unwrap().stitched().unwrap();
+            (s.threshold(), s.member_lists(), s.g().to_bits())
+        };
+        let before = held(&p);
+        for tau in [f64::NAN, -0.1, f64::NEG_INFINITY] {
+            let err = p.set_stitch(Some(tau)).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidStitchThreshold(t) if t.to_bits() == tau.to_bits())
+            );
+            assert_eq!(
+                p.stitch_threshold(),
+                Some(crate::merge::DEFAULT_STITCH_THRESHOLD)
+            );
+            assert_eq!(held(&p), before, "the held view was left as it was");
+        }
+        // +∞ is a valid τ: stitching stays on and merges nothing
+        p.set_stitch(Some(f64::INFINITY)).unwrap();
+        let never = p.last_merged().unwrap().stitched().unwrap();
+        assert_eq!(never.merges(), 0);
     }
 
     #[test]

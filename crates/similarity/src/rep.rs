@@ -294,16 +294,18 @@ impl ClusterRep {
     /// ```
     ///
     /// (the eq. 21/25 identity validated by the `merge_formula_eq25` test).
-    /// Cost: one rep↔rep dot plus one vector add, O(nnz_p + nnz_q).
+    /// Cost: one merge-join over both stored vectors, O(nnz_p + nnz_q),
+    /// that sums `cr_sim(C_p, C_q)` over the shared terms exactly as
+    /// [`ClusterRep::dot_rep`] does while it writes `c⃗_p + c⃗_q` into a
+    /// new buffer ([`SparseVector::fold_in`]).
     ///
     /// The caller must ensure the two clusters share no member; overlapping
     /// sets double-count the shared documents in every statistic.
     pub fn merge_from(&mut self, other: &ClusterRep) {
-        let dot = self.dot_rep(other);
+        let dot = self.vector.fold_in(&other.vector);
         self.stats.cr_self += 2.0 * dot + other.stats.cr_self;
         self.stats.ss += other.stats.ss;
         self.stats.size += other.stats.size;
-        self.vector.axpy_in_place(&other.vector, 1.0);
     }
 
     /// `avg_sim(C_p)` (eq. 24; see [`RepStats::avg_sim`]).

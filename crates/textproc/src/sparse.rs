@@ -257,6 +257,53 @@ impl SparseVector {
         }
     }
 
+    /// Adds `other` into `self` and returns `self · other` as it was before
+    /// the add — [`SparseVector::dot`] followed by
+    /// [`SparseVector::axpy_in_place`]`(other, 1.0)`, bit for bit, in one
+    /// merge-join instead of two passes.
+    ///
+    /// The dot is summed from `0.0` over the shared terms in ascending
+    /// order, as `dot` sums it. The union is written into one new buffer:
+    /// `a + b` on shared terms, `b` on terms new to `self`, exact zeros
+    /// dropped.
+    pub fn fold_in(&mut self, other: &SparseVector) -> f64 {
+        if other.is_empty() {
+            return 0.0;
+        }
+        let (a, b) = (&self.entries, &other.entries);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let mut dot = 0.0;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((ta, wa), (tb, wb)) = (a[i], b[j]);
+            match ta.cmp(&tb) {
+                std::cmp::Ordering::Less => {
+                    out.push((ta, wa));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    if wb != 0.0 {
+                        out.push((tb, wb));
+                    }
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    dot += wa * wb;
+                    let w = wa + wb;
+                    if w != 0.0 {
+                        out.push((ta, w));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend(b[j..].iter().filter(|&&(_, w)| w != 0.0));
+        self.entries = out;
+        dot
+    }
+
     /// Returns the vector scaled by `factor`.
     pub fn scaled(&self, factor: f64) -> SparseVector {
         if factor == 0.0 {

@@ -5,6 +5,21 @@
 use nidc_textproc::{Pipeline, PorterStemmer, SparseVector, TermId, Tokenizer, Vocabulary};
 use proptest::prelude::*;
 
+/// A weight that is usually one of a few signed values (so sums cancel to
+/// exact zeros) and otherwise any value in (−2, 2).
+fn weight_strategy() -> impl Strategy<Value = f64> {
+    const STEPS: [f64; 7] = [-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0];
+    (0u32..4, 0..STEPS.len(), -2.0f64..2.0).prop_map(
+        |(kind, step, w)| {
+            if kind < 3 {
+                STEPS[step]
+            } else {
+                w
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -84,6 +99,37 @@ proptest! {
         let e = v.entries();
         prop_assert!(e.windows(2).all(|w| w[0].0 < w[1].0), "not sorted/unique");
         prop_assert!(e.iter().all(|&(_, w)| w != 0.0), "stored zero");
+    }
+
+    /// `fold_in` equals `dot` followed by `axpy_in_place(…, 1.0)` bit for
+    /// bit — the returned dot, every stored entry, and the zeros both
+    /// prune — along a chain of folds into one survivor. Weights are drawn
+    /// mostly from a few signed values, so shared terms cancel to exact
+    /// zeros often.
+    #[test]
+    fn fold_in_is_dot_then_axpy_bit_for_bit(
+        chain in prop::collection::vec(
+            prop::collection::vec((0u32..12, weight_strategy()), 0..10),
+            1..7,
+        ),
+    ) {
+        let vecs: Vec<SparseVector> = chain
+            .into_iter()
+            .map(|e| SparseVector::from_entries(e.into_iter().map(|(t, w)| (TermId(t), w)).collect()))
+            .collect();
+        let bits = |v: &SparseVector| -> Vec<(TermId, u64)> {
+            v.iter().map(|(t, w)| (t, w.to_bits())).collect()
+        };
+        let mut fused = vecs[0].clone();
+        let mut reference = vecs[0].clone();
+        for other in &vecs[1..] {
+            let expected_dot = reference.dot(other);
+            reference.axpy_in_place(other, 1.0);
+            let dot = fused.fold_in(other);
+            prop_assert_eq!(dot.to_bits(), expected_dot.to_bits());
+            prop_assert_eq!(bits(&fused), bits(&reference));
+            prop_assert!(fused.iter().all(|(_, w)| w != 0.0), "stored zero");
+        }
     }
 
     /// Normalising any non-zero vector yields unit norm.

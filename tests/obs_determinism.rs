@@ -701,7 +701,7 @@ fn held_window_view_is_counted_in_the_reps_gauge() {
     assert!(held > 0);
     assert_eq!(gauge(), shard_reps(&pipeline) + held);
 
-    pipeline.set_stitch(None);
+    pipeline.set_stitch(None).unwrap();
     let unstitched = pipeline.last_merged().unwrap().deep_size_bytes();
     assert!(unstitched < held, "the stitched clusters were counted");
     assert_eq!(gauge(), shard_reps(&pipeline) + unstitched);
