@@ -453,6 +453,60 @@ mod tests {
         }
     }
 
+    /// A pipeline over `docs` (each a list of `(term, count)` pairs, one
+    /// document every 0.1 day), reclustered once when `recluster` is set, so
+    /// its checkpoint carries lineage.
+    fn random_sharded(shards: usize, docs: &[Vec<(u32, u32)>], recluster: bool) -> ShardedPipeline {
+        let decay = DecayParams::from_spans(7.0, 21.0).unwrap();
+        let config = ClusteringConfig {
+            k: 3,
+            seed: 5,
+            ..ClusteringConfig::default()
+        };
+        let mut p = ShardedPipeline::new(decay, config, shards).unwrap();
+        for (i, doc) in docs.iter().enumerate() {
+            let counts: Vec<(u32, f64)> = doc.iter().map(|&(t, c)| (t, f64::from(c))).collect();
+            p.ingest(DocId(i as u64), Timestamp(0.1 * i as f64), tf(&counts))
+                .unwrap();
+        }
+        if recluster {
+            p.recluster_incremental().unwrap();
+        }
+        p
+    }
+
+    proptest::proptest! {
+        /// `save_json` prints straight from the typed state; its bytes
+        /// equal printing the state's `Value` tree, the path it replaced.
+        #[test]
+        fn save_json_bytes_equal_the_value_tree_path(
+            shards in proptest::prop_oneof![proptest::strategy::Just(1usize), proptest::strategy::Just(3)],
+            docs in proptest::collection::vec(
+                proptest::collection::vec((0u32..40, 1u32..6), 1..8),
+                1..24,
+            ),
+            recluster in proptest::bool::ANY,
+        ) {
+            let p = random_sharded(shards, &docs, recluster);
+            let mut saved = Vec::new();
+            p.save_json(&mut saved).unwrap();
+            let tree = serde_json::to_value(&p.to_state()).unwrap();
+            let oracle = serde_json::to_string(&tree).unwrap();
+            proptest::prop_assert_eq!(p.to_state().lineage.is_some(), recluster);
+            proptest::prop_assert!(saved == oracle.as_bytes());
+        }
+    }
+
+    /// Input nested far past the parser's depth limit is refused as
+    /// `InvalidData`, not a stack overflow.
+    #[test]
+    fn deeply_nested_checkpoint_is_invalid_data() {
+        for input in ["[".repeat(1_000_000), r#"{"shard_states":"#.repeat(100_000)] {
+            let err = ShardedPipeline::load_json(input.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
     #[test]
     fn sharded_state_topology_mismatch_is_rejected() {
         let p = running_sharded(2);
