@@ -135,7 +135,7 @@ pub fn cluster_with_initial(
 /// on a reused workspace is bit-identical to one on a fresh workspace, and
 /// costs O(window) instead of first-touching arrays over the whole term
 /// space. The workspace holds the builder's and the index's term-indexed
-/// arrays (21 B per term id) and the index's postings arena
+/// arrays (13 B per term id) and the index's K-wide term rows
 /// ([`DeepSize`](nidc_obs::DeepSize) reports it in O(1)). It is never
 /// persisted: a clone starts empty, as does a restored pipeline.
 #[derive(Debug, Default)]
@@ -287,8 +287,8 @@ pub fn cluster_with_workspace(
             }
             // step 1(a): preview every cluster's intra-cluster similarity
             // with d appended (eq. 26 / its G-term variant). One `dot_all`
-            // pass over φ's terms gives all K dot products at once —
-            // O(Σ_t |postings(t)|), not O(K·nnz(φ)) — and they stay in
+            // pass over φ's terms gives all K dot products at once, in
+            // 8-wide blocks of each term's row, and they stay in
             // `dots` for the move below. Conceptually d is first removed
             // from its current cluster (§4.4 speaks of documents being
             // removed and appended during this step); for the current

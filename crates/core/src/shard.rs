@@ -64,7 +64,7 @@ static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
 /// between incremental re-clusterings.
 static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes");
 /// Heap bytes held between windows by the shards' K-means workspaces: each
-/// one's term-indexed run table and builder arrays plus its postings arena.
+/// one's term-indexed row table and builder arrays plus its term rows.
 static MEM_INDEX_POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes");
 
 /// Registers every sharded metric at zero so per-window snapshots carry the

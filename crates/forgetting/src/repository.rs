@@ -248,7 +248,13 @@ impl Repository {
         // S_k += Pr(t_k|d) for each term.
         for (term, f) in tf.iter() {
             let idx = term.index();
-            if idx >= self.term_num.len() {
+            let dim = self.term_num.len();
+            if idx >= dim {
+                if idx >= self.term_num.capacity() {
+                    // grow by at least an eighth, not `resize`'s doubling:
+                    // amortised O(1) still, with at most 12.5 % slack
+                    self.term_num.reserve_exact((idx + 1 - dim).max(dim / 8));
+                }
                 self.term_num.resize(idx + 1, 0.0);
             }
             self.term_num[idx] += f / len;
@@ -410,17 +416,24 @@ impl Repository {
     /// Freezes the current probabilities into a [`StatsSnapshot`] for the
     /// similarity machinery (idf table + per-document selection
     /// probabilities).
+    ///
+    /// Only the terms of live documents get an idf, in O(live tokens); every
+    /// other entry of the table is 0.0 — among them a term whose documents
+    /// have all expired, although its numerator may keep floating-point
+    /// residue from the removals.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let idf: Vec<f64> = (0..self.term_num.len())
-            .map(|k| {
-                let p = self.pr_term(TermId(k as u32));
-                if p > 0.0 {
-                    1.0 / p.sqrt() // eq. 14: idf_k = 1/√Pr(t_k)
-                } else {
-                    0.0
+        let mut idf = vec![0.0; self.term_num.len()];
+        for entry in self.docs.values() {
+            for (term, _) in entry.tf.iter() {
+                let slot = &mut idf[term.index()];
+                if *slot == 0.0 {
+                    let p = self.pr_term(term);
+                    if p > 0.0 {
+                        *slot = 1.0 / p.sqrt(); // eq. 14: idf_k = 1/√Pr(t_k)
+                    }
                 }
-            })
-            .collect();
+            }
+        }
         let pr_doc = self
             .docs
             .iter()
@@ -646,6 +659,47 @@ mod tests {
         assert!((snap.pr_doc(DocId(0)).unwrap() - 0.5).abs() < 1e-12);
         assert!(snap.pr_doc(DocId(7)).is_none());
         assert_eq!(snap.num_docs(), 2);
+    }
+
+    #[test]
+    fn snapshot_gives_idf_to_live_terms_only() {
+        let mut r = Repository::new(params());
+        r.insert(DocId(0), Timestamp(0.0), tf(&[(0, 1.0), (1, 1.0)]))
+            .unwrap();
+        r.insert(DocId(1), Timestamp(2.0), tf(&[(0, 2.0), (2, 2.0)]))
+            .unwrap();
+        r.insert(DocId(2), Timestamp(20.0), tf(&[(2, 1.0), (3, 1.0)]))
+            .unwrap();
+        r.insert(DocId(3), Timestamp(20.0), tf(&[(3, 3.0), (5, 1.0)]))
+            .unwrap();
+        assert_eq!(r.expire(), vec![DocId(0), DocId(1)]);
+        let snap = r.snapshot();
+        // live terms: bit for bit the formula over the whole table
+        for k in [2, 3, 5] {
+            let want = 1.0 / r.pr_term(TermId(k)).sqrt();
+            assert_eq!(snap.idf(TermId(k)).to_bits(), want.to_bits(), "term {k}");
+        }
+        // term 0 left only removal residue behind, which must not score
+        assert!(r.pr_term(TermId(0)) > 0.0, "the removals leave residue");
+        for k in [0, 1, 4] {
+            assert_eq!(snap.idf(TermId(k)), 0.0, "term {k}");
+        }
+        assert_eq!(snap.idf_table().len(), r.vocab_dim());
+    }
+
+    #[test]
+    fn term_table_grows_with_bounded_slack() {
+        let mut r = Repository::new(params());
+        let mut grown = 0;
+        for i in 0..2000u32 {
+            let cap = r.term_num.capacity();
+            r.insert(DocId(u64::from(i)), Timestamp(0.0), tf(&[(i, 1.0)]))
+                .unwrap();
+            grown += usize::from(r.term_num.capacity() != cap);
+            assert!(r.term_num.capacity() <= r.term_num.len() + r.term_num.len() / 8);
+        }
+        // amortised: each growth adds an eighth, so 2000 terms take ~50
+        assert!(grown <= 60, "{grown} reallocations");
     }
 
     #[test]

@@ -1,30 +1,33 @@
-//! Term→cluster inverted index over the K cluster representatives.
+//! Term→cluster index over the K cluster representatives.
 //!
 //! The extended K-means spends almost all of its time in the step-1 scoring
-//! sweep, where every document is dotted against every representative. With
-//! per-cluster dot products that costs O(K·nnz(φ_d)) lookups per document.
-//! The [`ClusterIndex`] turns the sweep inside out: one postings run per
-//! term, `TermId → [(cluster, weight)]`, so a single pass over φ_d's terms
-//! accumulates `c⃗_q · φ_d` for **all** K clusters at once into a scratch
-//! row — O(Σ_t |postings(t)|) work, which for topical vocabularies is far
-//! below K·nnz (most terms live in few clusters' representatives). The same
-//! cluster-side indexing idea appears in the short-text-stream literature
-//! (Rakib et al. 2021; Karkali et al. 2014).
+//! sweep, where every document is dotted against every representative. The
+//! [`ClusterIndex`] turns the sweep inside out: one row of K weights per
+//! term, `TermId → [weight(q, t); K]`, so a single pass over φ_d's terms
+//! accumulates `c⃗_q · φ_d` for **all** K clusters at once — a fixed-width
+//! sweep of `⌈K/8⌉` eight-lane blocks per term, with no per-cluster lookup
+//! and no scattered update. Only the terms some representative holds have a
+//! row, so a document's terms outside every cluster cost one array read. The
+//! same cluster-side indexing idea appears in the short-text-stream
+//! literature (Rakib et al. 2021; Karkali et al. 2014).
 //!
 //! # The live vector of a K-means run
 //!
 //! Within a run the index *is* each cluster's vector: a step-1 move folds
-//! `±φ` into the two slots it touches, and the [`ClusterRep`]s are never
+//! `±φ` into the cells it touches, and the [`ClusterRep`]s are never
 //! edited. After any iteration that moved a document the run rebuilds the
 //! touched representatives exactly ([`crate::RepBuilder::exact`]) and the
 //! index from them ([`ClusterIndex::rebuild`]), shedding the moves' drift.
 //! [`ClusterIndex::dot_all`] accumulates `weight(q,t)·φ[t]` in φ's term
-//! order, as [`ClusterRep::dot_doc`] does, so right after a rebuild every
-//! score is bit-identical to `reps[q].dot_doc(φ)` — which preserves the
-//! workspace's thread-count determinism end to end.
+//! order from `+0.0`, as [`ClusterRep::dot_doc`] does. A cell a cluster does
+//! not hold is `+0.0` and adds an exact `±0.0`, which leaves every running
+//! sum unchanged: a sum that starts at `+0.0` is never `−0.0`, because
+//! `x + (−x)` rounds to `+0.0`. So right after a rebuild every score is
+//! bit-identical to `reps[q].dot_doc(φ)`, which preserves the workspace's
+//! thread-count determinism end to end.
 //!
 //! When a cluster's last member leaves, the cancelled weights need not sum
-//! to exactly `0.0`, so its slot may keep floating-point residue until the
+//! to exactly `0.0`, so its cells may keep floating-point residue until the
 //! rebuild. The residue is never scored: an empty cluster's join delta is
 //! exactly `0.0` under both criteria whatever the dot product (see
 //! [`crate::RepStats::g_term_if_added_from_dot`]), and a document moves
@@ -32,23 +35,26 @@
 //!
 //! # Storage
 //!
-//! Every posting lives in one flat arena; a term-indexed run table says
-//! where each term's run starts, how long it is and how much room it has,
-//! and a list records the terms filed since the last rebuild. A rebuild
-//! resets and refiles only those terms, in O(Σ_p nnz(c⃗_p)), so one index
-//! serves every K-means run of a shard: what it holds between runs is the
-//! run table (12 B per term id) and the arena, with no per-term heap
-//! allocation.
+//! The rows of the filed terms lie back to back in one `Vec<f64>`, each K
+//! cells rounded up to a multiple of 8; a term-indexed table (4 B per term
+//! id) gives each term's row, and a list records the terms filed since the
+//! last rebuild. A rebuild unfiles and refiles only those terms, in
+//! O(Σ_p nnz(c⃗_p) + rows·K), so one index serves every K-means run of a
+//! shard with no per-term heap allocation. A row costs K × 8 B and ⌈K/8⌉
+//! blocks per sweep whether the term sits in one cluster or in all of them,
+//! where sparse postings cost per (term, cluster) pair: rows win at the
+//! K ≤ 32 of every workload, but at K in the hundreds sparse postings would
+//! be the better layout again (DESIGN.md §4.2).
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_textproc::{SparseVector, TermId};
 
 use crate::ClusterRep;
 
-/// Postings visited by [`ClusterIndex::dot_all`] — the realised
-/// `Σ_t |postings(t)|` work of the step-1 sweep (compare against
-/// `nidc_kmeans_step1_candidates_total`, the per-cluster K·rows bound,
-/// to see the inverted-index win per run).
+/// Postings visited by [`ClusterIndex::dot_all`] — the nonzero cells of the
+/// rows it reads, i.e. the `Σ_t |postings(t)|` of a sparse index (compare
+/// against `nidc_kmeans_step1_candidates_total`, the per-cluster K·rows
+/// bound, to see how sparse the rows are).
 static POSTINGS_TOUCHED: LazyCounter = LazyCounter::new("nidc_index_postings_touched_total");
 /// Incremental `add(cluster, φ)` maintenance operations.
 static ADD_OPS: LazyCounter = LazyCounter::new("nidc_index_add_ops_total");
@@ -58,56 +64,42 @@ static REMOVE_OPS: LazyCounter = LazyCounter::new("nidc_index_remove_ops_total")
 /// and after each iteration that moved a document).
 static REBUILDS: LazyCounter = LazyCounter::new("nidc_index_rebuilds_total");
 /// Wall time of one full rebuild — filing every representative entry
-/// into the arena. Fine buckets: a rebuild over a window-sized
-/// vocabulary runs in microseconds.
+/// into its row. Fine buckets: a rebuild over a window-sized vocabulary
+/// runs in microseconds.
 static REBUILD_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_index_rebuild_seconds", buckets::FINE_SECONDS);
 
-/// Free slots a rebuild leaves after every run, so that a step-1 move
-/// filing one more cluster under a term usually inserts in place.
-const SLACK: u32 = 2;
+/// Clusters scored per block of [`ClusterIndex::dot_all`]; rows are padded
+/// to a multiple of it.
+const LANES: usize = 8;
 
-/// Where one term's postings sit in the arena: `len` postings from
-/// `start`, with room for `cap`. All zero for a term not filed since the
-/// last rebuild.
-#[derive(Debug, Clone, Copy, Default)]
-struct Run {
-    start: u32,
-    len: u32,
-    cap: u32,
-}
+/// `row_of` entry of a term without a row.
+const NO_ROW: u32 = u32::MAX;
 
-/// An inverted postings map `TermId → [(cluster, weight)]` over the vectors
-/// of K clusters.
+/// A dense map `TermId → [weight(q, t); K]` over the vectors of K clusters.
 ///
-/// The run table is indexed directly by term id — term ids are contiguous
+/// The row table is indexed directly by term id — term ids are contiguous
 /// vocabulary indices, so the per-term lookup in the hot
-/// [`ClusterIndex::dot_all`] loop is a single array access (a `BTreeMap`
-/// spine was measured ~5× slower there; the log-depth pointer chase
-/// swamped the postings savings). The table is O(max term id), held by the
-/// index across rebuilds and runs, like the arrays of a
-/// [`crate::RepBuilder`]; the postings themselves share one arena.
+/// [`ClusterIndex::dot_all`] loop is a single array access. The table is
+/// O(max term id), held by the index across rebuilds and runs, like the
+/// arrays of a [`crate::RepBuilder`]; the rows share one vector.
 ///
-/// Runs are kept sorted by cluster id. After a rebuild the weights are the
-/// representatives' stored entries, bit for bit; a weight that a move
-/// cancels to exactly `0.0` is pruned, as [`crate::RepBuilder::exact`]
-/// drops exact zeros. A move that files a posting into a full run moves
-/// the run to the end of the arena with room to grow; the next rebuild
-/// compacts the arena again.
+/// After a rebuild the cells are the representatives' stored entries, bit
+/// for bit, and `+0.0` elsewhere. A move adds `±φ[t]` to a cell; a weight
+/// it cancels to exactly `0.0` counts as absent, as
+/// [`crate::RepBuilder::exact`] drops exact zeros.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
     k: usize,
-    /// Term-indexed: term `t`'s run in `arena`.
-    runs: Vec<Run>,
-    /// Every run's `(cluster, weight)` postings, and their free slots.
-    arena: Vec<(u32, f64)>,
-    /// The terms with a run, i.e. filed since the last rebuild.
+    /// Term-indexed: term `t`'s row number, or [`NO_ROW`].
+    row_of: Vec<u32>,
+    /// The rows, [`ClusterIndex::stride`] cells each; cells from `k` on
+    /// stay `+0.0`.
+    cells: Vec<f64>,
+    /// Per row: its nonzero cells, i.e. its postings in a sparse index.
+    nonzero: Vec<u32>,
+    /// The term of each row, i.e. the terms filed since the last rebuild.
     filed: Vec<TermId>,
-}
-
-/// An arena offset as stored in a [`Run`].
-fn offset(at: usize) -> u32 {
-    u32::try_from(at).expect("index arena exceeds u32 offsets")
 }
 
 impl ClusterIndex {
@@ -124,33 +116,29 @@ impl ClusterIndex {
         self.k
     }
 
-    /// Term `t`'s postings, cluster-ascending (empty if none).
-    fn list(&self, t: TermId) -> &[(u32, f64)] {
-        match self.runs.get(t.index()) {
-            Some(run) => {
-                let start = run.start as usize;
-                &self.arena[start..start + run.len as usize]
-            }
-            None => &[],
+    /// Cells per row: `k` rounded up to a multiple of [`LANES`].
+    fn stride(&self) -> usize {
+        self.k.next_multiple_of(LANES)
+    }
+
+    /// Term `t`'s row number, if it has one.
+    fn row(&self, t: TermId) -> Option<usize> {
+        match self.row_of.get(t.index()) {
+            Some(&r) if r != NO_ROW => Some(r as usize),
+            _ => None,
         }
     }
 
     /// Number of terms with at least one posting.
     pub fn term_count(&self) -> usize {
-        self.filed
-            .iter()
-            .filter(|t| self.runs[t.index()].len > 0)
-            .count()
+        self.nonzero.iter().filter(|&&n| n > 0).count()
     }
 
-    /// Total number of `(cluster, weight)` postings across all terms — the
-    /// per-sweep work bound `Σ_t |postings|` when summed over a document's
-    /// terms.
+    /// Total number of nonzero `(term, cluster)` weights — the per-sweep
+    /// work of a sparse index, `Σ_t |postings|`, when summed over a
+    /// document's terms.
     pub fn postings_len(&self) -> usize {
-        self.filed
-            .iter()
-            .map(|t| self.runs[t.index()].len as usize)
-            .sum()
+        self.nonzero.iter().map(|&n| n as usize).sum()
     }
 
     /// Whether no postings are stored.
@@ -160,164 +148,140 @@ impl ClusterIndex {
 
     /// The stored weight of `(term, cluster)` (0.0 if absent).
     pub fn weight(&self, t: TermId, cluster: usize) -> f64 {
-        let list = self.list(t);
-        list.binary_search_by_key(&(cluster as u32), |&(q, _)| q)
-            .map_or(0.0, |i| list[i].1)
+        match self.row(t) {
+            Some(r) if cluster < self.k => self.cells[r * self.stride() + cluster],
+            _ => 0.0,
+        }
+    }
+
+    /// Gives term `t` a row number, growing the row table to reach it; the
+    /// caller sizes the rows.
+    fn file(row_of: &mut Vec<u32>, filed: &mut Vec<TermId>, t: TermId) -> usize {
+        let idx = t.index();
+        if idx >= row_of.len() {
+            row_of.resize(idx + 1, NO_ROW);
+        }
+        if row_of[idx] == NO_ROW {
+            row_of[idx] = u32::try_from(filed.len()).expect("index rows exceed u32");
+            filed.push(t);
+        }
+        row_of[idx] as usize
     }
 
     fn update(&mut self, cluster: usize, phi: &SparseVector, scale: f64) {
-        // a run has room for at most k postings: a larger cluster id would
-        // write into the next run
+        // a larger cluster id would write into a padding cell or the next row
         assert!(
             cluster < self.k,
             "cluster {cluster} out of range {}",
             self.k
         );
-        let q = cluster as u32;
+        let stride = self.stride();
         for (t, w) in phi.iter() {
-            let idx = t.index();
-            if idx >= self.runs.len() {
-                self.runs.resize(idx + 1, Run::default());
+            let r = Self::file(&mut self.row_of, &mut self.filed, t);
+            if r == self.nonzero.len() {
+                self.cells.resize(self.cells.len() + stride, 0.0);
+                self.nonzero.push(0);
             }
-            let run = self.runs[idx];
-            let (from, to) = (run.start as usize, (run.start + run.len) as usize);
-            match self.arena[from..to].binary_search_by_key(&q, |&(c, _)| c) {
-                Ok(i) => {
-                    let weight = &mut self.arena[from + i].1;
-                    *weight += scale * w;
-                    if *weight == 0.0 {
-                        // no stored zeros, as in a built representative
-                        self.arena.copy_within(from + i + 1..to, from + i);
-                        self.runs[idx].len -= 1;
-                    }
-                }
-                Err(i) => {
-                    let scaled = scale * w;
-                    if scaled != 0.0 {
-                        self.insert(t, i, (q, scaled));
-                    }
-                }
+            let cell = &mut self.cells[r * stride + cluster];
+            let was_zero = *cell == 0.0;
+            *cell += scale * w;
+            match (was_zero, *cell == 0.0) {
+                (true, false) => self.nonzero[r] += 1,
+                (false, true) => self.nonzero[r] -= 1,
+                _ => {}
             }
         }
     }
 
-    /// Files `posting` at position `at` of term `t`'s run, moving a full
-    /// run to the end of the arena first. A run never holds more than `k`
-    /// postings, so it grows to at most `k` slots.
-    fn insert(&mut self, t: TermId, at: usize, posting: (u32, f64)) {
-        let mut run = self.runs[t.index()];
-        if run.cap == 0 {
-            self.filed.push(t);
-        }
-        if run.len == run.cap {
-            let (from, new_start) = (run.start as usize, self.arena.len());
-            run.cap = (2 * run.len + SLACK).min(offset(self.k));
-            self.arena.extend_from_within(from..from + run.len as usize);
-            self.arena.resize(new_start + run.cap as usize, (0, 0.0));
-            run.start = offset(new_start);
-        }
-        let (start, end) = (run.start as usize, (run.start + run.len) as usize);
-        self.arena.copy_within(start + at..end, start + at + 1);
-        self.arena[start + at] = posting;
-        run.len += 1;
-        self.runs[t.index()] = run;
-    }
-
-    /// A document joins `cluster`: folds `+φ` into its postings.
+    /// A document joins `cluster`: folds `+φ` into its cells.
     pub fn add(&mut self, cluster: usize, phi: &SparseVector) {
         ADD_OPS.inc();
         self.update(cluster, phi, 1.0);
     }
 
-    /// A document leaves `cluster`: folds `−φ` into its postings. An
-    /// emptied slot may keep residue until the next rebuild (see the
-    /// module docs).
+    /// A document leaves `cluster`: folds `−φ` into its cells. An emptied
+    /// slot may keep residue until the next rebuild (see the module docs).
     pub fn remove(&mut self, cluster: usize, phi: &SparseVector) {
         REMOVE_OPS.inc();
         self.update(cluster, phi, -1.0);
     }
 
-    /// Rebuilds all postings from the representatives' stored entries, which
+    /// Rebuilds every row from the representatives' stored entries, which
     /// replaces whatever the moves since the last rebuild (or an earlier
-    /// run) folded in: the runs of the filed terms are reset, then the
-    /// entries are counted, given contiguous runs with 2 free slots
-    /// each, and filed — O(Σ_p nnz(c⃗_p)), with no walk of the run table
-    /// and no allocation once the arena and table have grown.
+    /// run) folded in: the filed terms are unfiled, the representatives'
+    /// terms are given rows, the rows are zero-filled at once and the
+    /// entries written — O(Σ_p nnz(c⃗_p) + rows·K), with no walk of the row
+    /// table and no allocation once the vectors have grown.
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild");
         let _timer = REBUILD_SECONDS.start_timer();
         self.k = reps.len();
+        let stride = self.stride();
         for t in self.filed.drain(..) {
-            self.runs[t.index()] = Run::default();
+            self.row_of[t.index()] = NO_ROW;
         }
-        let (runs, filed) = (&mut self.runs, &mut self.filed);
+        let (row_of, filed) = (&mut self.row_of, &mut self.filed);
         for rep in reps {
             rep.for_each_entry(|t, _| {
-                let idx = t.index();
-                if idx >= runs.len() {
-                    runs.resize(idx + 1, Run::default());
-                }
-                if runs[idx].len == 0 {
-                    filed.push(t);
-                }
-                runs[idx].len += 1;
+                Self::file(row_of, filed, t);
             });
         }
-        let mut end = 0usize;
-        for t in filed.iter() {
-            let run = &mut runs[t.index()];
-            run.start = offset(end);
-            run.cap = run.len + SLACK;
-            run.len = 0;
-            end += run.cap as usize;
-        }
-        self.arena.clear();
-        self.arena.resize(end, (0, 0.0));
-        let arena = &mut self.arena;
+        self.cells.clear();
+        self.cells.resize(filed.len() * stride, 0.0);
+        self.nonzero.clear();
+        self.nonzero.resize(filed.len(), 0);
+        let (cells, nonzero) = (&mut self.cells, &mut self.nonzero);
         for (q, rep) in reps.iter().enumerate() {
             rep.for_each_entry(|t, w| {
-                // clusters are visited in ascending q, so each run stays
-                // sorted by construction
-                let run = &mut runs[t.index()];
-                arena[(run.start + run.len) as usize] = (q as u32, w);
-                run.len += 1;
+                let r = row_of[t.index()] as usize;
+                cells[r * stride + q] = w;
+                nonzero[r] += u32::from(w != 0.0);
             });
         }
     }
 
-    /// Scores `φ` against **all** K clusters in one pass over its terms:
-    /// `out[q] = c⃗_q · φ`, with `out` (length ≥ k) used as the scratch row.
+    /// Scores `φ` against **all** K clusters in one pass over its terms per
+    /// block of 8 clusters: `out[q] = c⃗_q · φ`, for `out` of length ≥ k.
     ///
-    /// Cost: O(Σ_{t∈φ} |postings(t)|). Per cluster, contributions accumulate
-    /// in φ's term order, so right after [`ClusterIndex::rebuild`] each
-    /// `out[q]` is bit-identical to `reps[q].dot_doc(φ)`.
+    /// Cost: O(nnz(φ)·⌈K/8⌉) fixed-width blocks. Per cluster, products
+    /// accumulate in φ's term order from `+0.0`, so right after
+    /// [`ClusterIndex::rebuild`] each `out[q]` is bit-identical to
+    /// `reps[q].dot_doc(φ)` (see the module docs for the zero cells).
     pub fn dot_all(&self, phi: &SparseVector, out: &mut [f64]) {
         debug_assert!(out.len() >= self.k, "scratch row shorter than k");
-        out[..self.k].fill(0.0);
+        let stride = self.stride();
         // Accumulated locally and published once per call, so the hot
-        // posting loop never touches an atomic.
+        // loop never touches an atomic.
         let mut touched = 0usize;
-        for (t, w) in phi.iter() {
-            let list = self.list(t);
-            touched += list.len();
-            for &(q, cw) in list {
-                out[q as usize] += cw * w;
+        for (block, scores) in out[..self.k].chunks_mut(LANES).enumerate() {
+            let mut acc = [0.0f64; LANES];
+            for &(t, w) in phi.entries() {
+                let Some(r) = self.row(t) else { continue };
+                if block == 0 {
+                    touched += self.nonzero[r] as usize;
+                }
+                let at = r * stride + block * LANES;
+                for (a, &c) in acc.iter_mut().zip(&self.cells[at..at + LANES]) {
+                    *a += c * w;
+                }
             }
+            scores.copy_from_slice(&acc[..scores.len()]);
         }
         POSTINGS_TOUCHED.add(touched as u64);
     }
 }
 
 impl DeepSize for ClusterIndex {
-    /// Heap footprint from capacities, O(1): the run table, the arena
-    /// (free and dead slots included — they are resident) and the filed
-    /// list.
+    /// Heap footprint from capacities, O(1): the row table, the rows (their
+    /// padding and the dead rows of the last run included — they are
+    /// resident), the nonzero counts and the filed list.
     fn deep_size_bytes(&self) -> u64 {
-        let runs = self.runs.capacity() * std::mem::size_of::<Run>();
-        let arena = self.arena.capacity() * std::mem::size_of::<(u32, f64)>();
+        let row_of = self.row_of.capacity() * std::mem::size_of::<u32>();
+        let cells = self.cells.capacity() * std::mem::size_of::<f64>();
+        let nonzero = self.nonzero.capacity() * std::mem::size_of::<u32>();
         let filed = self.filed.capacity() * std::mem::size_of::<TermId>();
-        (runs + arena + filed) as u64
+        (row_of + cells + nonzero + filed) as u64
     }
 }
 
@@ -444,13 +408,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_size_covers_run_table_and_arena() {
+    fn deep_size_covers_row_table_and_rows() {
         let mut index = ClusterIndex::new(2);
         assert_eq!(index.deep_size_bytes(), 0);
         index.add(0, &phi(&[(3, 1.5)]));
         index.add(1, &phi(&[(3, 2.0), (7, 0.5)]));
-        // the run table reaches term 7 → ≥8 runs × 12B, plus ≥3 postings × 16B
-        assert!(index.deep_size_bytes() >= (8 * 12 + 3 * 16) as u64);
+        // the row table reaches term 7 → ≥8 × 4B, plus 2 rows × 8 cells × 8B
+        assert!(index.deep_size_bytes() >= (8 * 4 + 2 * 8 * 8) as u64);
     }
 
     /// Every stored weight of `a` and `b` over terms `0..dim` and clusters
@@ -464,48 +428,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "term {t} cluster {q}");
             }
         }
-    }
-
-    #[test]
-    fn a_move_into_a_full_run_relocates_it_and_a_rebuild_compacts_it() {
-        // term 0 is on clusters 1 and 3 only: its run has 2 postings and
-        // SLACK free slots after the rebuild
-        let k = 6;
-        let mut reps = vec![ClusterRep::new(); k];
-        let mut builder = RepBuilder::new();
-        reps[1] = builder.exact([&phi(&[(0, 1.0), (1, 2.0)])]);
-        reps[3] = builder.exact([&phi(&[(0, 0.5), (2, 1.0)])]);
-        let mut index = ClusterIndex::new(k);
-        index.rebuild(&reps);
-        let compact = index.arena.len();
-        let run = index.runs[0];
-        assert_eq!((run.len, run.cap), (2, 2 + SLACK));
-        // two moves fill the slack in place; the third relocates the run
-        for (q, w) in [(0, 0.25), (5, 0.75)] {
-            index.add(q, &phi(&[(0, w)]));
-        }
-        assert_eq!(index.runs[0].start, run.start, "room left: no move");
-        index.add(2, &phi(&[(0, 0.125)]));
-        let moved = index.runs[0];
-        assert_eq!(moved.len, 5);
-        assert!(moved.start as usize >= compact, "relocated past the end");
-        assert!(moved.cap <= k as u32, "never more room than k postings");
-        let list: Vec<u32> = index.list(TermId(0)).iter().map(|&(q, _)| q).collect();
-        assert_eq!(list, vec![0, 1, 2, 3, 5], "still cluster-ascending");
-        // a new term files a fresh run
-        index.add(4, &phi(&[(9, 3.0)]));
-        assert_eq!(index.weight(TermId(9), 4), 3.0);
-        // the same members built exactly, into a rebuilt and a fresh index
-        reps[0] = builder.exact([&phi(&[(0, 0.25)])]);
-        reps[2] = builder.exact([&phi(&[(0, 0.125)])]);
-        reps[4] = builder.exact([&phi(&[(9, 3.0)])]);
-        reps[5] = builder.exact([&phi(&[(0, 0.75)])]);
-        let mut fresh = ClusterIndex::new(k);
-        fresh.rebuild(&reps);
-        assert_same_postings(&index, &fresh, 10, k);
-        index.rebuild(&reps);
-        assert_eq!(index.arena.len(), fresh.arena.len(), "compacted");
-        assert_same_postings(&index, &fresh, 10, k);
     }
 
     #[test]
@@ -530,7 +452,7 @@ mod tests {
     #[test]
     fn a_reused_index_holds_no_stale_term() {
         // a larger earlier problem: more clusters, terms up to 40, and a
-        // move that relocated a run and filed a term of its own
+        // move that filed a term of its own
         let big: Vec<SparseVector> = (0..12u32)
             .map(|i| phi(&[(i, 1.0), (20 + i, 0.5), (40, 0.25)]))
             .collect();
