@@ -46,6 +46,9 @@ pub enum Error {
     /// with every `sim`, so it would merge every window into one cluster;
     /// +∞ is valid and never merges.
     InvalidStitchThreshold(f64),
+    /// A persisted configuration names an assignment criterion other than
+    /// `"g_term"` or `"avg_sim"`.
+    UnknownCriterion(String),
 }
 
 impl std::fmt::Display for Error {
@@ -80,6 +83,9 @@ impl std::fmt::Display for Error {
                     f,
                     "stitch threshold must be a non-negative number, got {tau}"
                 )
+            }
+            Error::UnknownCriterion(name) => {
+                write!(f, "unknown assignment criterion {name:?}")
             }
         }
     }

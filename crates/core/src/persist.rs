@@ -57,24 +57,29 @@ impl From<&ClusteringConfig> for ConfigState {
     }
 }
 
-impl From<&ConfigState> for ClusteringConfig {
-    fn from(s: &ConfigState) -> Self {
-        Self {
+impl TryFrom<&ConfigState> for ClusteringConfig {
+    type Error = Error;
+
+    /// # Errors
+    /// [`Error::UnknownCriterion`] unless the criterion is `"g_term"` or
+    /// `"avg_sim"`.
+    fn try_from(s: &ConfigState) -> Result<Self> {
+        Ok(Self {
             k: s.k,
             delta: s.delta,
             max_iters: s.max_iters,
             seed: s.seed,
             keep_last_member: s.keep_last_member,
-            criterion: if s.criterion == "avg_sim" {
-                Criterion::AvgSim
-            } else {
-                Criterion::GTerm
+            criterion: match s.criterion.as_str() {
+                "g_term" => Criterion::GTerm,
+                "avg_sim" => Criterion::AvgSim,
+                other => return Err(Error::UnknownCriterion(other.to_owned())),
             },
             // threads is a property of the host, not of the clustering
             // (results are bit-identical for any value), so it is not
             // persisted; restored pipelines use the default.
             threads: ClusteringConfig::default().threads,
-        }
+        })
     }
 }
 
@@ -179,7 +184,8 @@ impl ShardedPipeline {
     /// declared topology disagrees with the per-shard states carried,
     /// [`Error::MalformedLineageSlot`] for a lineage slot out of order,
     /// [`Error::MalformedLineageUniverse`] for a lineage universe out of
-    /// order, plus any repository-restore failure.
+    /// order, [`Error::UnknownCriterion`] for an assignment rule this build
+    /// does not know, plus any repository-restore failure.
     pub fn from_state(state: &ShardedPipelineState) -> Result<ShardedPipeline> {
         if state.version != SHARDED_STATE_VERSION {
             return Err(Error::StateVersionMismatch {
@@ -193,7 +199,7 @@ impl ShardedPipeline {
                 found: state.shard_states.len(),
             });
         }
-        let config = ClusteringConfig::from(&state.config);
+        let config = ClusteringConfig::try_from(&state.config)?;
         let pipelines = state
             .shard_states
             .iter()
@@ -223,13 +229,17 @@ impl ShardedPipeline {
     /// Accepts both the sharded format (written by
     /// [`ShardedPipeline::save_json`]) and the legacy single-pipeline
     /// [`PipelineState`], which loads as a one-shard pipeline — the
-    /// migration path for checkpoints that predate sharding.
-    pub fn load_json<R: std::io::Read>(reader: R) -> std::io::Result<ShardedPipeline> {
-        let value: serde_json::Value = serde_json::from_reader(reader)?;
-        let state: ShardedPipelineState = if value.get("shard_states").is_some() {
-            serde_json::from_value(value)?
-        } else {
-            serde_json::from_value::<PipelineState>(value)?.into()
+    /// migration path for checkpoints that predate sharding. The text is
+    /// read as the sharded format first, and as the legacy one only if that
+    /// fails; if both fail, the sharded format's error is returned.
+    pub fn load_json<R: std::io::Read>(mut reader: R) -> std::io::Result<ShardedPipeline> {
+        let mut text = String::new();
+        reader.read_to_string(&mut text)?;
+        let state = match serde_json::from_str::<ShardedPipelineState>(&text) {
+            Ok(state) => state,
+            Err(e) => serde_json::from_str::<PipelineState>(&text)
+                .map_err(|_| e)?
+                .into(),
         };
         ShardedPipeline::from_state(&state)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
@@ -259,7 +269,7 @@ mod tests {
                 criterion,
                 threads: 3,
             };
-            let back = ClusteringConfig::from(&ConfigState::from(&config));
+            let back = ClusteringConfig::try_from(&ConfigState::from(&config)).unwrap();
             assert_eq!(back.k, 5);
             assert_eq!(back.delta, 0.01);
             assert_eq!(back.max_iters, 9);
@@ -268,6 +278,32 @@ mod tests {
             assert_eq!(back.criterion, criterion);
             // threads is a host property, deliberately not persisted
             assert_eq!(back.threads, ClusteringConfig::default().threads);
+        }
+    }
+
+    /// A criterion name this build does not know is refused, on load too,
+    /// rather than read as another assignment rule.
+    #[test]
+    fn unknown_criterion_is_refused() {
+        for name in ["g_term", "avg_sim"] {
+            let mut state = ConfigState::from(&ClusteringConfig::default());
+            state.criterion = name.to_owned();
+            let config = ClusteringConfig::try_from(&state).unwrap();
+            assert_eq!(ConfigState::from(&config).criterion, name);
+        }
+        let p = running_sharded(2);
+        for name in ["avgsim", ""] {
+            let mut state = ConfigState::from(p.config());
+            state.criterion = name.to_owned();
+            assert_eq!(
+                ClusteringConfig::try_from(&state).unwrap_err(),
+                Error::UnknownCriterion(name.to_owned())
+            );
+            let mut sharded = p.to_state();
+            sharded.config = state;
+            let json = serde_json::to_string(&sharded).unwrap();
+            let err = ShardedPipeline::load_json(json.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name:?}");
         }
     }
 
@@ -451,6 +487,20 @@ mod tests {
             let cut = (frac * buf.len() as f64) as usize;
             proptest::prop_assert!(ShardedPipeline::load_json(&buf[..cut]).is_err());
         }
+
+        /// A checkpoint with any one byte replaced by any printable ASCII
+        /// byte loads or fails with an error, and never panics.
+        #[test]
+        fn corrupted_checkpoint_loads_or_errs_without_panicking(
+            frac in 0.0f64..1.0,
+            byte in 0x20u8..0x7f,
+        ) {
+            let mut buf = Vec::new();
+            running_sharded(3).save_json(&mut buf).unwrap();
+            let at = (frac * buf.len() as f64) as usize;
+            buf[at] = byte;
+            let _ = ShardedPipeline::load_json(buf.as_slice());
+        }
     }
 
     /// A pipeline over `docs` (each a list of `(term, count)` pairs, one
@@ -476,10 +526,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `save_json` prints straight from the typed state; its bytes
-        /// equal printing the state's `Value` tree, the path it replaced.
+        /// A saved checkpoint loads into a pipeline that saves the same
+        /// bytes again, and parsed as a `Value` it prints them unchanged.
         #[test]
-        fn save_json_bytes_equal_the_value_tree_path(
+        fn save_load_save_is_byte_identical(
             shards in proptest::prop_oneof![proptest::strategy::Just(1usize), proptest::strategy::Just(3)],
             docs in proptest::collection::vec(
                 proptest::collection::vec((0u32..40, 1u32..6), 1..8),
@@ -490,10 +540,13 @@ mod tests {
             let p = random_sharded(shards, &docs, recluster);
             let mut saved = Vec::new();
             p.save_json(&mut saved).unwrap();
-            let tree = serde_json::to_value(&p.to_state()).unwrap();
-            let oracle = serde_json::to_string(&tree).unwrap();
+            let restored = ShardedPipeline::load_json(saved.as_slice()).unwrap();
+            let mut resaved = Vec::new();
+            restored.save_json(&mut resaved).unwrap();
+            let tree: serde_json::Value = serde_json::from_slice(&saved).unwrap();
             proptest::prop_assert_eq!(p.to_state().lineage.is_some(), recluster);
-            proptest::prop_assert!(saved == oracle.as_bytes());
+            proptest::prop_assert!(saved == resaved);
+            proptest::prop_assert!(saved == serde_json::to_string(&tree).unwrap().into_bytes());
         }
     }
 
