@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
 use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder, RepStats};
-use nidc_textproc::DocId;
+use nidc_textproc::{DocId, SparseVector};
 
 use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
 
@@ -93,23 +93,17 @@ fn assignment_delta_from_dot(
     }
 }
 
-/// Each cluster's members in ascending `DocId` order.
-fn member_lists(assign: &BTreeMap<DocId, usize>, k: usize) -> Vec<Vec<DocId>> {
-    let mut members: Vec<Vec<DocId>> = vec![Vec::new(); k];
-    for (&d, &p) in assign {
-        members[p].push(d);
+/// Refills `members` with each cluster's window slots in ascending order
+/// — ascending `DocId` order, as slots follow the ids.
+fn fill_members(assign: &[Option<usize>], members: &mut [Vec<usize>]) {
+    for m in members.iter_mut() {
+        m.clear();
     }
-    members
-}
-
-/// The φ vectors of `members`, in order.
-fn member_phis<'a>(
-    vecs: &'a DocVectors,
-    members: &'a [DocId],
-) -> impl Iterator<Item = &'a nidc_textproc::SparseVector> {
-    members
-        .iter()
-        .map(|d| vecs.phi(*d).expect("member has a vector"))
+    for (s, p) in assign.iter().enumerate() {
+        if let Some(p) = *p {
+            members[p].push(s);
+        }
+    }
 }
 
 /// Runs the extended K-means from an explicit [`InitialState`], on a
@@ -130,14 +124,21 @@ pub fn cluster_with_initial(
 /// ([`RepBuilder`]), the term→cluster index that is each cluster's live
 /// vector during step 1 ([`ClusterIndex`]) and the K-wide score row.
 ///
+/// Within a run the index is rebuilt once, at the start; after an
+/// iteration that moved a document only the columns of the clusters a
+/// document joined or left are refreshed ([`ClusterIndex::refresh`]). A
+/// term no cluster holds any more keeps a dead row of `+0.0` cells until
+/// the next run's rebuild drops it; it scores an exact `±0.0`.
+///
 /// A run leaves nothing behind that the next one reads: the builder resets
-/// every slot it touches and an index rebuild refiles every term, so a run
-/// on a reused workspace is bit-identical to one on a fresh workspace, and
-/// costs O(window) instead of first-touching arrays over the whole term
-/// space. The workspace holds the builder's and the index's term-indexed
-/// arrays (13 B per term id) and the index's K-wide term rows
-/// ([`DeepSize`](nidc_obs::DeepSize) reports it in O(1)). It is never
-/// persisted: a clone starts empty, as does a restored pipeline.
+/// every slot it touches and the rebuild at the start of a run refiles
+/// every term, dead rows included, so a run on a reused workspace is
+/// bit-identical to one on a fresh workspace, and costs O(window) instead
+/// of first-touching arrays over the whole term space. The workspace holds
+/// the builder's and the index's term-indexed arrays (13 B per term id)
+/// and the index's K-wide term rows ([`DeepSize`](nidc_obs::DeepSize)
+/// reports it in O(1)). It is never persisted: a clone starts empty, as
+/// does a restored pipeline.
 #[derive(Debug, Default)]
 pub struct KMeansWorkspace {
     builder: RepBuilder,
@@ -179,7 +180,8 @@ pub fn cluster_with_workspace(
     if config.k == 0 {
         return Err(Error::ZeroClusters);
     }
-    let ids = vecs.ids();
+    // Slot `s` is the `s`-th document id in ascending order.
+    let (ids, phis): (Vec<DocId>, Vec<&SparseVector>) = vecs.iter().unzip();
     if ids.is_empty() {
         return Ok(Clustering::new(Vec::new(), Vec::new(), 0.0, 0));
     }
@@ -187,47 +189,59 @@ pub fn cluster_with_workspace(
     RUNS.inc();
     let _run_span = nidc_obs::span!("kmeans.run");
 
-    // --- Initial process -------------------------------------------------
-    let mut assign: BTreeMap<DocId, usize> = BTreeMap::new();
+    // --- Window slots ----------------------------------------------------
+    // The sweep reads φ, ‖φ‖² (the `self_sim` that `DocVectors` computed
+    // with the same `norm_sq`) and the assignment by slot, with no tree
+    // lookup.
+    let norms: Vec<f64> = ids
+        .iter()
+        .map(|&d| vecs.self_sim(d).expect("id comes from vecs"))
+        .collect();
+    let mut assign: Vec<Option<usize>> = vec![None; ids.len()];
 
+    // --- Initial process -------------------------------------------------
     match initial {
         InitialState::Random => {
             COLD_STARTS.inc();
             WARM_STARTS.add(0); // register the sibling so snapshots list both
             let mut rng = StdRng::seed_from_u64(config.seed);
-            let mut pool = ids.to_vec();
+            // the shuffle's swaps depend on the length only, so shuffling
+            // slots picks the seeds shuffling the ids would
+            let mut pool: Vec<usize> = (0..ids.len()).collect();
             pool.shuffle(&mut rng);
-            for (p, &seed_doc) in pool.iter().take(k).enumerate() {
-                assign.insert(seed_doc, p);
+            for (p, &seed_slot) in pool.iter().take(k).enumerate() {
+                assign[seed_slot] = Some(p);
             }
         }
         InitialState::Assignment(prev) => {
             WARM_STARTS.inc();
             COLD_STARTS.add(0);
+            // both sides ascend by id: one merge pass maps each live
+            // document of the previous assignment to its slot
+            let mut slots = ids.iter().enumerate().peekable();
             for (&d, &p) in &prev {
                 if p >= k {
                     return Err(Error::InvalidInitialAssignment { cluster: p, k });
                 }
-                if vecs.phi(d).is_some() {
-                    assign.insert(d, p);
+                while slots.next_if(|&(_, &id)| id < d).is_some() {}
+                if let Some((s, _)) = slots.next_if(|&(_, &id)| id == d) {
+                    assign[s] = Some(p);
                 }
             }
             // reseed empty slots with the newest unassigned documents (new
             // documents are the likeliest nuclei of new topics)
             let mut used = vec![false; k];
-            for &p in assign.values() {
+            for &p in assign.iter().flatten() {
                 used[p] = true;
             }
-            let fresh: Vec<DocId> = ids
-                .iter()
+            let fresh: Vec<usize> = (0..ids.len())
                 .rev()
-                .filter(|d| !assign.contains_key(d))
-                .copied()
+                .filter(|&s| assign[s].is_none())
                 .collect();
             let mut fresh = fresh.into_iter();
             for (p, _) in used.iter().enumerate().filter(|(_, &u)| !u) {
-                if let Some(d) = fresh.next() {
-                    assign.insert(d, p);
+                if let Some(s) = fresh.next() {
+                    assign[s] = Some(p);
                 }
             }
         }
@@ -240,9 +254,11 @@ pub fn cluster_with_workspace(
         index,
         dots,
     } = workspace;
-    let mut reps: Vec<ClusterRep> = member_lists(&assign, k)
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+    fill_members(&assign, &mut members);
+    let mut reps: Vec<ClusterRep> = members
         .iter()
-        .map(|m| builder.exact(member_phis(vecs, m)))
+        .map(|m| builder.exact(m.iter().map(|&s| phis[s])))
         .collect();
 
     // Step 1 reads and moves only the clusters' statistics and their live
@@ -250,8 +266,11 @@ pub fn cluster_with_workspace(
     // end of the iteration.
     let mut stats: Vec<RepStats> = reps.iter().map(ClusterRep::stats).collect();
     index.rebuild(&reps);
-    // Clusters a document joined or left since their last build.
+    // Clusters a document joined or left since their last build, and the
+    // representatives the end of an iteration replaced, for the index
+    // refresh.
     let mut dirty = vec![false; k];
+    let mut stale: Vec<(usize, ClusterRep)> = Vec::new();
 
     let mut g_old: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
@@ -277,9 +296,8 @@ pub fn cluster_with_workspace(
         // updated, so there is nothing to fan out.
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
-        for &d in &ids {
-            let phi = vecs.phi(d).expect("id comes from vecs");
-            let current = assign.get(&d).copied();
+        for (s, (&phi, &norm_sq)) in phis.iter().zip(&norms).enumerate() {
+            let current = assign[s];
             if let Some(p) = current {
                 if config.keep_last_member && stats[p].size() == 1 {
                     continue; // keep the cluster alive; d stays its nucleus
@@ -298,7 +316,6 @@ pub fn cluster_with_workspace(
             // warm restarts (§5.2) fast.
             STEP1_CANDIDATES.add(k as u64);
             index.dot_all(phi, dots);
-            let norm_sq = phi.norm_sq();
             let mut best: Option<(usize, f64)> = None;
             for (q, (s, &dot)) in stats.iter().zip(dots.iter()).enumerate() {
                 let delta = assignment_delta_from_dot(
@@ -326,7 +343,7 @@ pub fn cluster_with_workspace(
                         stats[q].join(dots[q], norm_sq);
                         index.add(q, phi);
                         dirty[q] = true;
-                        assign.insert(d, q);
+                        assign[s] = Some(q);
                         moved += 1;
                     }
                 }
@@ -335,10 +352,10 @@ pub fn cluster_with_workspace(
                         stats[p].leave(dots[p], norm_sq);
                         index.remove(p, phi);
                         dirty[p] = true;
-                        assign.remove(&d);
+                        assign[s] = None;
                         demoted += 1;
                     }
-                    outliers.push(d);
+                    outliers.push(ids[s]);
                 }
             }
         }
@@ -346,15 +363,16 @@ pub fn cluster_with_workspace(
         drop(step1_span);
 
         // steps 2–3: rebuild exactly the representatives whose member list
-        // changed, then the index from them, shedding the drift the moves
-        // folded into stats and postings; then recompute G. An exact
-        // representative is a pure function of its member list, so
+        // changed, then refresh their columns of the index, shedding the
+        // drift the moves folded into stats and cells; then recompute G. An
+        // exact representative is a pure function of its member list, so
         // skipping an unchanged list is bit-identical, and so is keeping
-        // its stats, which no move touched.
-        let members = member_lists(&assign, k);
+        // its stats and its column, which no move touched.
+        fill_members(&assign, &mut members);
         for (p, rep) in reps.iter_mut().enumerate() {
             if std::mem::take(&mut dirty[p]) {
-                *rep = builder.exact(member_phis(vecs, &members[p]));
+                let exact = builder.exact(members[p].iter().map(|&s| phis[s]));
+                let old = std::mem::replace(rep, exact);
                 // the moves kept the stats within fp drift of the rebuild
                 debug_assert_eq!(stats[p].size(), rep.size());
                 debug_assert!(
@@ -364,10 +382,12 @@ pub fn cluster_with_workspace(
                     rep.cr_self()
                 );
                 stats[p] = rep.stats();
+                stale.push((p, old));
             }
         }
-        if moved + demoted > 0 {
-            index.rebuild(&reps);
+        if !stale.is_empty() {
+            index.refresh(&reps, stale.iter().map(|(p, old)| (*p, old)));
+            stale.clear();
         }
         let g_new: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
@@ -399,9 +419,9 @@ pub fn cluster_with_workspace(
         if converged || iterations >= config.max_iters {
             ITERATIONS_HIST.observe(iterations as f64);
             let clusters = members
-                .into_iter()
+                .iter()
                 .zip(reps)
-                .map(|(m, rep)| Cluster::new(m, rep))
+                .map(|(m, rep)| Cluster::new(m.iter().map(|&s| ids[s]).collect(), rep))
                 .collect();
             return Ok(Clustering::new(clusters, outliers, g_new, iterations));
         }
@@ -627,7 +647,7 @@ mod tests {
     }
 
     /// An emptied cluster's index slot may keep floating-point residue until
-    /// the next rebuild; it is never scored, because an empty cluster's
+    /// the next refresh; it is never scored, because an empty cluster's
     /// join delta is exactly `0.0` under both criteria whatever the dot,
     /// and a document moves only on a delta strictly above `0.0`.
     #[test]
@@ -725,7 +745,8 @@ mod tests {
                     cluster_with_initial(&vecs, &config, InitialState::Assignment(perturbed))
                         .unwrap();
                 for c in cold.clusters().iter().chain(warm.clusters()) {
-                    let exact = builder.exact(member_phis(&vecs, c.members()));
+                    let phis = c.members().iter().map(|d| vecs.phi(*d).unwrap());
+                    let exact = builder.exact(phis);
                     let (got, want) = (c.rep(), &exact);
                     prop_assert_eq!(got.size(), want.size());
                     prop_assert_eq!(got.cr_self().to_bits(), want.cr_self().to_bits());

@@ -16,19 +16,24 @@
 //! Within a run the index *is* each cluster's vector: a step-1 move folds
 //! `±φ` into the cells it touches, and the [`ClusterRep`]s are never
 //! edited. After any iteration that moved a document the run rebuilds the
-//! touched representatives exactly ([`crate::RepBuilder::exact`]) and the
-//! index from them ([`ClusterIndex::rebuild`]), shedding the moves' drift.
-//! [`ClusterIndex::dot_all`] accumulates `weight(q,t)·φ[t]` in φ's term
-//! order from `+0.0`, as [`ClusterRep::dot_doc`] does. A cell a cluster does
-//! not hold is `+0.0` and adds an exact `±0.0`, which leaves every running
-//! sum unchanged: a sum that starts at `+0.0` is never `−0.0`, because
-//! `x + (−x)` rounds to `+0.0`. So right after a rebuild every score is
+//! touched representatives exactly ([`crate::RepBuilder::exact`]) and
+//! refreshes only their columns ([`ClusterIndex::refresh`]), shedding the
+//! moves' drift: the cells a move raised from zero are zeroed, then the
+//! old entries each touched cluster's new representative drops, and the
+//! new entries are written over the rest. A full
+//! [`ClusterIndex::rebuild`] runs only at the start of a run, where every
+//! representative is new. [`ClusterIndex::dot_all`] accumulates
+//! `weight(q,t)·φ[t]` in φ's term order from `+0.0`, as
+//! [`ClusterRep::dot_doc`] does. A cell a cluster does not hold is `+0.0`
+//! and adds an exact `±0.0`, which leaves every running sum unchanged: a
+//! sum that starts at `+0.0` is never `−0.0`, because `x + (−x)` rounds to
+//! `+0.0`. So right after a rebuild or a refresh every score is
 //! bit-identical to `reps[q].dot_doc(φ)`, which preserves the workspace's
 //! thread-count determinism end to end.
 //!
 //! When a cluster's last member leaves, the cancelled weights need not sum
 //! to exactly `0.0`, so its cells may keep floating-point residue until the
-//! rebuild. The residue is never scored: an empty cluster's join delta is
+//! refresh. The residue is never scored: an empty cluster's join delta is
 //! exactly `0.0` under both criteria whatever the dot product (see
 //! [`crate::RepStats::g_term_if_added_from_dot`]), and a document moves
 //! only on a delta strictly above `0.0`.
@@ -40,11 +45,16 @@
 //! id) gives each term's row, and a list records the terms filed since the
 //! last rebuild. A rebuild unfiles and refiles only those terms, in
 //! O(Σ_p nnz(c⃗_p) + rows·K), so one index serves every K-means run of a
-//! shard with no per-term heap allocation. A row costs K × 8 B and ⌈K/8⌉
-//! blocks per sweep whether the term sits in one cluster or in all of them,
-//! where sparse postings cost per (term, cluster) pair: rows win at the
-//! K ≤ 32 of every workload, but at K in the hundreds sparse postings would
-//! be the better layout again (DESIGN.md §4.2).
+//! shard with no per-term heap allocation. A refresh unfiles nothing: it
+//! costs O(raised cells + Σ_{p touched} (nnz(old c⃗_p) + nnz(new c⃗_p))),
+//! and a term that no cluster holds any more keeps a *dead row* of `+0.0`
+//! cells, which scores an exact `±0.0` like any absent cell and counts no
+//! posting. The next rebuild, at the start of the next run, drops the dead
+//! rows. A row costs K × 8 B and ⌈K/8⌉ blocks per sweep whether the term
+//! sits in one cluster or in all of them, where sparse postings cost per
+//! (term, cluster) pair: rows win at the K ≤ 32 of every workload, but at K
+//! in the hundreds sparse postings would be the better layout again
+//! (DESIGN.md §4.2).
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
 use nidc_textproc::{SparseVector, TermId};
@@ -60,12 +70,13 @@ static POSTINGS_TOUCHED: LazyCounter = LazyCounter::new("nidc_index_postings_tou
 static ADD_OPS: LazyCounter = LazyCounter::new("nidc_index_add_ops_total");
 /// Incremental `remove(cluster, φ)` maintenance operations.
 static REMOVE_OPS: LazyCounter = LazyCounter::new("nidc_index_remove_ops_total");
-/// Full rebuilds from the representatives (at the start of a K-means run
-/// and after each iteration that moved a document).
+/// Full rebuilds from the representatives, at the start of each K-means
+/// run (an iteration that moved a document refreshes the touched columns
+/// instead).
 static REBUILDS: LazyCounter = LazyCounter::new("nidc_index_rebuilds_total");
-/// Wall time of one full rebuild — filing every representative entry
-/// into its row. Fine buckets: a rebuild over a window-sized vocabulary
-/// runs in microseconds.
+/// Wall time of one full rebuild, at the start of each K-means run —
+/// filing every representative entry into its row. Fine buckets: a
+/// rebuild over a window-sized vocabulary runs in microseconds.
 static REBUILD_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_index_rebuild_seconds", buckets::FINE_SECONDS);
 
@@ -84,9 +95,9 @@ const NO_ROW: u32 = u32::MAX;
 /// O(max term id), held by the index across rebuilds and runs, like the
 /// arrays of a [`crate::RepBuilder`]; the rows share one vector.
 ///
-/// After a rebuild the cells are the representatives' stored entries, bit
-/// for bit, and `+0.0` elsewhere. A move adds `±φ[t]` to a cell; a weight
-/// it cancels to exactly `0.0` counts as absent, as
+/// After a rebuild or a refresh the cells are the representatives' stored
+/// entries, bit for bit, and `+0.0` elsewhere. A move adds `±φ[t]` to a
+/// cell; a weight it cancels to exactly `0.0` counts as absent, as
 /// [`crate::RepBuilder::exact`] drops exact zeros.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
@@ -100,6 +111,13 @@ pub struct ClusterIndex {
     nonzero: Vec<u32>,
     /// The term of each row, i.e. the terms filed since the last rebuild.
     filed: Vec<TermId>,
+    /// The cells a move raised from zero to nonzero since the last rebuild
+    /// or refresh, by index into `cells` (a cell raised twice is listed
+    /// twice).
+    raised: Vec<u32>,
+    /// Scratch of [`ClusterIndex::refresh`]: the terms of the old
+    /// representative being replaced.
+    old_terms: Vec<TermId>,
 }
 
 impl ClusterIndex {
@@ -168,6 +186,34 @@ impl ClusterIndex {
         row_of[idx] as usize
     }
 
+    /// Term `t`'s row, filing the term and appending a row of `+0.0`
+    /// cells if it has none.
+    fn row_or_file(&mut self, t: TermId) -> usize {
+        let r = Self::file(&mut self.row_of, &mut self.filed, t);
+        if r == self.nonzero.len() {
+            self.cells.resize(self.cells.len() + self.stride(), 0.0);
+            self.nonzero.push(0);
+        }
+        r
+    }
+
+    /// Sets cell `at` of row `r` to `w`, keeping the row's count.
+    fn set_cell(&mut self, r: usize, at: usize, w: f64) {
+        let cell = &mut self.cells[at];
+        match (*cell == 0.0, w == 0.0) {
+            (true, false) => self.nonzero[r] += 1,
+            (false, true) => self.nonzero[r] -= 1,
+            _ => {}
+        }
+        *cell = w;
+    }
+
+    /// Zeroes `cluster`'s cell of term `t`, which has a row.
+    fn zero_filed(&mut self, t: TermId, cluster: usize) {
+        let r = self.row(t).expect("an old entry's term has a row");
+        self.set_cell(r, r * self.stride() + cluster, 0.0);
+    }
+
     fn update(&mut self, cluster: usize, phi: &SparseVector, scale: f64) {
         // a larger cluster id would write into a padding cell or the next row
         assert!(
@@ -177,16 +223,17 @@ impl ClusterIndex {
         );
         let stride = self.stride();
         for (t, w) in phi.iter() {
-            let r = Self::file(&mut self.row_of, &mut self.filed, t);
-            if r == self.nonzero.len() {
-                self.cells.resize(self.cells.len() + stride, 0.0);
-                self.nonzero.push(0);
-            }
-            let cell = &mut self.cells[r * stride + cluster];
+            let r = self.row_or_file(t);
+            let at = r * stride + cluster;
+            let cell = &mut self.cells[at];
             let was_zero = *cell == 0.0;
             *cell += scale * w;
             match (was_zero, *cell == 0.0) {
-                (true, false) => self.nonzero[r] += 1,
+                (true, false) => {
+                    self.nonzero[r] += 1;
+                    self.raised
+                        .push(u32::try_from(at).expect("index cells exceed u32"));
+                }
                 (false, true) => self.nonzero[r] -= 1,
                 _ => {}
             }
@@ -200,7 +247,7 @@ impl ClusterIndex {
     }
 
     /// A document leaves `cluster`: folds `−φ` into its cells. An emptied
-    /// slot may keep residue until the next rebuild (see the module docs).
+    /// slot may keep residue until the next refresh (see the module docs).
     pub fn remove(&mut self, cluster: usize, phi: &SparseVector) {
         REMOVE_OPS.inc();
         self.update(cluster, phi, -1.0);
@@ -208,16 +255,18 @@ impl ClusterIndex {
 
     /// Rebuilds every row from the representatives' stored entries, which
     /// replaces whatever the moves since the last rebuild (or an earlier
-    /// run) folded in: the filed terms are unfiled, the representatives'
-    /// terms are given rows, the rows are zero-filled at once and the
-    /// entries written — O(Σ_p nnz(c⃗_p) + rows·K), with no walk of the row
-    /// table and no allocation once the vectors have grown.
+    /// run) folded in: the filed terms are unfiled, the dead rows with
+    /// them, the representatives' terms are given rows, the rows are
+    /// zero-filled at once and the entries written — O(Σ_p nnz(c⃗_p) +
+    /// rows·K), with no walk of the row table and no allocation once the
+    /// vectors have grown.
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild");
         let _timer = REBUILD_SECONDS.start_timer();
         self.k = reps.len();
         let stride = self.stride();
+        self.raised.clear();
         for t in self.filed.drain(..) {
             self.row_of[t.index()] = NO_ROW;
         }
@@ -241,13 +290,66 @@ impl ClusterIndex {
         }
     }
 
+    /// Brings the columns of the clusters the moves touched up to date with
+    /// `reps`, leaving the index equal to [`ClusterIndex::rebuild`]`(reps)`
+    /// cell for cell, apart from dead rows (see the module docs).
+    ///
+    /// `stale` must name every cluster an [`ClusterIndex::add`] or
+    /// [`ClusterIndex::remove`] touched since the last rebuild or refresh,
+    /// each with its representative as of then; the clusters it does not
+    /// name must hold their entries of `reps` already. The cells the moves
+    /// raised from zero are zeroed; then one merge pass over each stale
+    /// cluster's old and new terms zeroes the old entries the new
+    /// representative drops and writes its entries from `reps` — O(raised
+    /// cells + Σ_stale (nnz(old) + nnz(new))), one cell visit per term of
+    /// either, with no zero-fill and no unfiling.
+    pub fn refresh<'a>(
+        &mut self,
+        reps: &[ClusterRep],
+        stale: impl IntoIterator<Item = (usize, &'a ClusterRep)>,
+    ) {
+        assert_eq!(reps.len(), self.k, "refresh must keep k");
+        let _span = nidc_obs::span!("index.refresh");
+        let stride = self.stride();
+        // Every nonzero cell of a stale column is a raised cell or an old
+        // entry: zeroing the raised cells, then the old entries the new
+        // representative drops, and writing its entries over the rest
+        // leaves exactly the new column.
+        for i in 0..self.raised.len() {
+            let at = self.raised[i] as usize;
+            self.set_cell(at / stride, at, 0.0);
+        }
+        self.raised.clear();
+        let mut old_terms = std::mem::take(&mut self.old_terms);
+        for (q, old) in stale {
+            old_terms.clear();
+            old.for_each_entry(|t, _| old_terms.push(t));
+            // both term lists ascend: an old term below the next new one is
+            // one the new representative dropped
+            let mut olds = old_terms.iter().copied().peekable();
+            reps[q].for_each_entry(|t, w| {
+                while let Some(o) = olds.next_if(|&o| o < t) {
+                    self.zero_filed(o, q);
+                }
+                olds.next_if_eq(&t);
+                let r = self.row_or_file(t);
+                self.set_cell(r, r * stride + q, w);
+            });
+            for o in olds {
+                self.zero_filed(o, q);
+            }
+        }
+        self.old_terms = old_terms;
+    }
+
     /// Scores `φ` against **all** K clusters in one pass over its terms per
     /// block of 8 clusters: `out[q] = c⃗_q · φ`, for `out` of length ≥ k.
     ///
     /// Cost: O(nnz(φ)·⌈K/8⌉) fixed-width blocks. Per cluster, products
     /// accumulate in φ's term order from `+0.0`, so right after
-    /// [`ClusterIndex::rebuild`] each `out[q]` is bit-identical to
-    /// `reps[q].dot_doc(φ)` (see the module docs for the zero cells).
+    /// [`ClusterIndex::rebuild`] or [`ClusterIndex::refresh`] each `out[q]`
+    /// is bit-identical to `reps[q].dot_doc(φ)` (see the module docs for
+    /// the zero cells).
     pub fn dot_all(&self, phi: &SparseVector, out: &mut [f64]) {
         debug_assert!(out.len() >= self.k, "scratch row shorter than k");
         let stride = self.stride();
@@ -274,14 +376,17 @@ impl ClusterIndex {
 
 impl DeepSize for ClusterIndex {
     /// Heap footprint from capacities, O(1): the row table, the rows (their
-    /// padding and the dead rows of the last run included — they are
-    /// resident), the nonzero counts and the filed list.
+    /// padding and the dead rows included — they are resident), the
+    /// nonzero counts, the filed list, the raised-cell list and the
+    /// refresh's scratch.
     fn deep_size_bytes(&self) -> u64 {
         let row_of = self.row_of.capacity() * std::mem::size_of::<u32>();
         let cells = self.cells.capacity() * std::mem::size_of::<f64>();
         let nonzero = self.nonzero.capacity() * std::mem::size_of::<u32>();
         let filed = self.filed.capacity() * std::mem::size_of::<TermId>();
-        (row_of + cells + nonzero + filed) as u64
+        let raised = self.raised.capacity() * std::mem::size_of::<u32>();
+        let old_terms = self.old_terms.capacity() * std::mem::size_of::<TermId>();
+        (row_of + cells + nonzero + filed + raised + old_terms) as u64
     }
 }
 

@@ -1,7 +1,14 @@
 //! Oracle property test for the term→cluster index: under random
-//! `add`/`remove`/`rebuild` sequences, [`ClusterIndex`] must score, store
-//! and count exactly as a reference map of sparse postings
+//! `add`/`remove`/`rebuild`/`refresh` sequences, [`ClusterIndex`] must
+//! score, store and count exactly as a reference map of sparse postings
 //! `(term, cluster) → weight` that files a weight only while it is nonzero.
+//!
+//! A refresh must also leave the index equal, bit for bit, to an index
+//! rebuilt from scratch on the same representatives: every weight, the
+//! posting and term counts, and every `dot_all` score with its count of
+//! postings touched. The ops empty clusters that keep residue (removals of
+//! documents never added, negative weights) and drop terms from every
+//! cluster, so refreshes clear residue and leave dead rows behind.
 //!
 //! The index keeps a dense row of cells per term, so a cluster absent from
 //! a term is a `+0.0` cell that the reference never visits; the scores must
@@ -41,6 +48,12 @@ enum Op {
     /// Rebuilds from exact representatives of these member lists; K becomes
     /// their number.
     Rebuild(Vec<Vec<SparseVector>>),
+    /// Removes every document added to (or rebuilt in) `cluster % k` since
+    /// the last rebuild, emptying it.
+    EmptyCluster(usize),
+    /// Refreshes the touched clusters to exact representatives of the
+    /// documents added to (or rebuilt in) them and not taken back.
+    Refresh,
 }
 
 fn add_op() -> impl Strategy<Value = Op> {
@@ -51,10 +64,15 @@ fn remove_added_op() -> impl Strategy<Value = Op> {
     (0..usize::MAX).prop_map(Op::RemoveAdded)
 }
 
-/// Adds 4 : removals of earlier additions 3 : other removals 1 : rebuilds 1.
+/// Adds 4 : removals of earlier additions 3 : other removals 1 : rebuilds 1
+/// : emptied clusters 1 : refreshes 3.
 fn op_strategy() -> impl Strategy<Value = Op> {
     let members = prop::collection::vec(doc_strategy(), 0..4);
     prop_oneof![
+        Just(Op::Refresh),
+        Just(Op::Refresh),
+        Just(Op::Refresh),
+        (0..MAX_K).prop_map(Op::EmptyCluster),
         add_op(),
         add_op(),
         add_op(),
@@ -175,6 +193,40 @@ fn check(
     Ok(())
 }
 
+/// Every weight, count and probe score of `a` equals `b`'s bit for bit,
+/// with the same postings touched per probe.
+fn check_same(
+    a: &ClusterIndex,
+    b: &ClusterIndex,
+    probes: &[SparseVector],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.k(), b.k());
+    prop_assert_eq!(a.postings_len(), b.postings_len());
+    prop_assert_eq!(a.term_count(), b.term_count());
+    for t in 0..DIM {
+        for q in 0..a.k() {
+            prop_assert_eq!(
+                a.weight(TermId(t), q).to_bits(),
+                b.weight(TermId(t), q).to_bits(),
+                "term {} cluster {}",
+                t,
+                q
+            );
+        }
+    }
+    let (mut row_a, mut row_b) = (vec![0.0; a.k()], vec![0.0; b.k()]);
+    for probe in probes {
+        let before = postings_touched();
+        a.dot_all(probe, &mut row_a);
+        let mid = postings_touched();
+        b.dot_all(probe, &mut row_b);
+        prop_assert_eq!(mid - before, postings_touched() - mid);
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&row_a), bits(&row_b));
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn dense_rows_match_sparse_postings(
@@ -186,38 +238,70 @@ proptest! {
         let mut index = ClusterIndex::new(k);
         let mut reference = Reference { k, ..Reference::default() };
         let mut builder = RepBuilder::new();
-        // (cluster, document) pairs that `RemoveAdded` may take back
+        // (cluster, document) pairs that `RemoveAdded` may take back: the
+        // member lists the next refresh builds from
         let mut added: Vec<(usize, SparseVector)> = Vec::new();
+        // the representatives as of the last rebuild or refresh, and the
+        // clusters an add or remove touched since
+        let mut reps: Vec<ClusterRep> = vec![ClusterRep::new(); k];
+        let mut touched = vec![false; k];
         for op in ops {
             match op {
                 Op::Add(q, d) => {
                     let q = q % reference.k;
                     index.add(q, &d);
                     reference.update(q, &d, 1.0);
+                    touched[q] = true;
                     added.push((q, d));
                 }
                 Op::Remove(q, d) => {
                     let q = q % reference.k;
                     index.remove(q, &d);
                     reference.update(q, &d, -1.0);
+                    touched[q] = true;
                 }
                 Op::RemoveAdded(pick) => {
                     if !added.is_empty() {
                         let (q, d) = added.remove(pick % added.len());
                         index.remove(q, &d);
                         reference.update(q, &d, -1.0);
+                        touched[q] = true;
                     }
                 }
+                Op::EmptyCluster(q) => {
+                    let q = q % reference.k;
+                    for (_, d) in added.iter().filter(|(p, _)| *p == q) {
+                        index.remove(q, d);
+                        reference.update(q, d, -1.0);
+                    }
+                    added.retain(|(p, _)| *p != q);
+                    touched[q] = true;
+                }
                 Op::Rebuild(clusters) => {
-                    let reps: Vec<ClusterRep> =
-                        clusters.iter().map(|m| builder.exact(m)).collect();
+                    reps = clusters.iter().map(|m| builder.exact(m)).collect();
                     index.rebuild(&reps);
                     reference.rebuild(&reps);
+                    touched = vec![false; reps.len()];
                     added = clusters
                         .into_iter()
                         .enumerate()
                         .flat_map(|(q, m)| m.into_iter().map(move |d| (q, d)))
                         .collect();
+                }
+                Op::Refresh => {
+                    let mut stale = Vec::new();
+                    for (q, rep) in reps.iter_mut().enumerate() {
+                        if std::mem::take(&mut touched[q]) {
+                            let members = added.iter().filter(|(p, _)| *p == q);
+                            let exact = builder.exact(members.map(|(_, d)| d));
+                            stale.push((q, std::mem::replace(rep, exact)));
+                        }
+                    }
+                    index.refresh(&reps, stale.iter().map(|(q, old)| (*q, old)));
+                    reference.rebuild(&reps);
+                    let mut rebuilt = ClusterIndex::new(reps.len());
+                    rebuilt.rebuild(&reps);
+                    check_same(&index, &rebuilt, &probes)?;
                 }
             }
             check(&index, &reference, &probes)?;

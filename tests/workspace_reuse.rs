@@ -1,9 +1,9 @@
 //! Workspace reuse is invisible: one `KMeansWorkspace` lent to run after
 //! run — as every pipeline shard lends its own to each window's K-means —
 //! gives the clustering a fresh workspace gives, bit for bit. Nothing a run
-//! leaves in the sparse accumulator, the postings arena or the score row
-//! may reach the next run, whatever K, the term ids, the start or the
-//! criterion of either.
+//! leaves in the sparse accumulator, the cluster index (its dead rows
+//! included) or the score row may reach the next run, whatever K, the term
+//! ids, the start or the criterion of either.
 
 use khy2006::core::{cluster_with_workspace, KMeansWorkspace};
 use khy2006::prelude::*;
@@ -228,4 +228,63 @@ fn three_shard_stream_with_kept_workspaces_matches_fresh_ones() {
     for (w, (a, b)) in kept.iter().zip(&fresh).enumerate() {
         assert_eq!(a, b, "window {w}");
     }
+}
+
+/// Window `w` of a stream whose vocabulary shifts: eight documents a day
+/// over days `2w..2w + 4`, in three topics that keep a few core terms and
+/// pick up terms of the day, and every seventh document a stray whose two
+/// terms no other document holds.
+fn shifting_window(w: u64) -> DocVectors {
+    let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
+    for i in 16 * w..16 * w + 32 {
+        let (day, topic) = ((i / 8) as u32, (i % 3) as u32);
+        let pairs: Vec<(u32, f64)> = if i % 7 == 0 {
+            vec![(5000 + i as u32, 2.0), (9000 + i as u32, 1.0)]
+        } else {
+            let mut pairs: Vec<(u32, f64)> = (0..3)
+                .map(|j| (topic * 10 + j, 1.0 + f64::from((i as u32 + j) % 3)))
+                .collect();
+            pairs.extend((0..3).map(|j| (100 + 30 * day + topic * 5 + (i as u32 + j) % 5, 1.0)));
+            pairs.sort_by_key(|&(t, _)| t);
+            pairs.dedup_by_key(|&mut (t, _)| t);
+            pairs
+        };
+        repo.insert(DocId(i), Timestamp(f64::from(day)), tf(&pairs))
+            .unwrap();
+    }
+    DocVectors::build(&repo)
+}
+
+/// Window after window on one workspace, warm-started with every document
+/// assigned — survivors keep their cluster modulo the new K, new documents
+/// and strays are dealt round robin — so strays are demoted and their terms
+/// leave every cluster: each run's refreshes leave dead rows in the index
+/// for the next run, while K shrinks and grows and the vocabulary shifts.
+#[test]
+fn dead_rows_of_earlier_runs_never_reach_a_later_one() {
+    let mut workspace = KMeansWorkspace::new();
+    let mut previous: std::collections::BTreeMap<DocId, usize> = Default::default();
+    let mut demoted = 0;
+    for (w, k) in [6usize, 3, 8, 2, 5, 7, 4].into_iter().enumerate() {
+        let vecs = shifting_window(w as u64);
+        let config = ClusteringConfig {
+            k,
+            seed: w as u64,
+            ..ClusteringConfig::default()
+        };
+        let k = k.min(vecs.len());
+        let start: std::collections::BTreeMap<DocId, usize> = vecs
+            .ids()
+            .into_iter()
+            .map(|d| (d, previous.get(&d).copied().unwrap_or(d.0 as usize) % k))
+            .collect();
+        let initial = || InitialState::Assignment(start.clone());
+        let fresh = cluster_with_initial(&vecs, &config, initial()).unwrap();
+        let reused = cluster_with_workspace(&mut workspace, &vecs, &config, initial()).unwrap();
+        assert_eq!(fingerprint(&reused), fingerprint(&fresh), "window {w}");
+        // every document started assigned: an outlier left its cluster
+        demoted += fresh.outliers().len();
+        previous = fresh.assignment();
+    }
+    assert!(demoted > 0, "no document was demoted, so no row died");
 }
