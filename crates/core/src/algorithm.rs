@@ -282,10 +282,7 @@ pub fn cluster_with_workspace(
     }
     loop {
         iterations += 1;
-        // Span first, timer second: drop order closes the span *after* the
-        // timer has observed, so the span fully covers the measured work.
-        let _iter_span = nidc_obs::span!("kmeans.iteration");
-        let _iter_timer = ITERATION_SECONDS.start_timer();
+        let _iter_span = nidc_obs::span!("kmeans.iteration", ITERATION_SECONDS);
         outliers.clear();
         // Per-iteration tallies, published once at the bottom of the loop so
         // the sweep itself never touches an atomic.
@@ -294,8 +291,7 @@ pub fn cluster_with_workspace(
         // Step 1 is sequential by definition (§4.4): each document is scored
         // against the clusters every earlier move of this sweep has already
         // updated, so there is nothing to fan out.
-        let step1_span = nidc_obs::span!("kmeans.step1");
-        let step1_timer = STEP1_SECONDS.start_timer();
+        let step1_span = nidc_obs::span!("kmeans.step1", STEP1_SECONDS);
         for (s, (&phi, &norm_sq)) in phis.iter().zip(&norms).enumerate() {
             let current = assign[s];
             if let Some(p) = current {
@@ -359,7 +355,6 @@ pub fn cluster_with_workspace(
                 }
             }
         }
-        step1_timer.stop();
         drop(step1_span);
 
         // steps 2–3: rebuild exactly the representatives whose member list

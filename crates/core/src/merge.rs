@@ -461,11 +461,9 @@ impl DeepSize for MergedClustering {
 /// The stitching pass itself. Kept free so [`MergedClustering::stitch`] can
 /// borrow `self.shards` while the caller holds `&mut self`.
 fn stitch_shards(shards: &[Clustering], threshold: f64) -> StitchedClustering {
-    // Span first, timer second: drop order closes the span after the timer
-    // has observed. The span opens while `sharded.merge` is current on the
-    // re-clustering path, so it nests under the merge span in the trace.
-    let _span = nidc_obs::span!("sharded.stitch");
-    let _timer = STITCH_SECONDS.start_timer();
+    // The span opens while `sharded.merge` is current on the re-clustering
+    // path, so it nests under the merge span in the trace.
+    let _span = nidc_obs::span!("sharded.stitch", STITCH_SECONDS);
     STITCH_RUNS.inc();
 
     // every input K-slot, shard-major; fragments are read in place, and

@@ -108,8 +108,7 @@ impl NoveltyPipeline {
     /// Ingests one document acquired at `t` (statistics update is
     /// incremental, §5.1).
     pub fn ingest(&mut self, id: DocId, t: Timestamp, tf: SparseVector) -> Result<()> {
-        let _span = nidc_obs::span!("pipeline.ingest");
-        let _timer = INGEST_SECONDS.start_timer();
+        let _span = nidc_obs::span!("pipeline.ingest", INGEST_SECONDS);
         self.repo.insert(id, t, tf)?;
         Ok(())
     }
@@ -123,16 +122,14 @@ impl NoveltyPipeline {
     where
         I: IntoIterator<Item = (DocId, SparseVector)>,
     {
-        let _span = nidc_obs::span!("pipeline.ingest_batch");
-        let _timer = INGEST_SECONDS.start_timer();
+        let _span = nidc_obs::span!("pipeline.ingest_batch", INGEST_SECONDS);
         self.repo.insert_batch(t, docs)?;
         Ok(())
     }
 
     /// Advances the clock without ingesting (pure decay).
     pub fn advance_to(&mut self, t: Timestamp) -> Result<()> {
-        let _span = nidc_obs::span!("pipeline.advance");
-        let _timer = ADVANCE_SECONDS.start_timer();
+        let _span = nidc_obs::span!("pipeline.advance", ADVANCE_SECONDS);
         self.repo.advance_to(t)?;
         Ok(())
     }
@@ -149,8 +146,7 @@ impl NoveltyPipeline {
     /// (checkpoint diffs, cross-shard merges, logs) see a stable order even
     /// if the repository's document storage changes.
     pub fn expire(&mut self) -> Vec<DocId> {
-        let _span = nidc_obs::span!("pipeline.expire");
-        let _timer = EXPIRE_SECONDS.start_timer();
+        let _span = nidc_obs::span!("pipeline.expire", EXPIRE_SECONDS);
         let previous = &mut self.previous;
         let mut dead = Vec::new();
         self.repo.expire_with(|id| {
@@ -181,8 +177,7 @@ impl NoveltyPipeline {
     /// statistics,) build φ, run K-means, keep the result for the next
     /// warm start.
     fn recluster(&mut self, from_scratch: bool) -> Result<Clustering> {
-        let span = nidc_obs::span!("pipeline.recluster");
-        let timer = RECLUSTER_SECONDS.start_timer();
+        let span = nidc_obs::span!("pipeline.recluster", RECLUSTER_SECONDS);
         RECLUSTERS.inc();
         self.expire();
         if from_scratch {
@@ -200,7 +195,6 @@ impl NoveltyPipeline {
         let clustering = cluster_with_workspace(&mut self.workspace, &vecs, &self.config, initial)?;
         self.previous = Some(clustering.assignment());
         self.last = Some(clustering.clone());
-        timer.stop();
         drop(span);
         let mode = if from_scratch {
             "from_scratch"

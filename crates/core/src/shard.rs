@@ -459,9 +459,8 @@ impl ShardedPipeline {
         // the previous window's view goes first: a failed window leaves no
         // stale view behind
         self.merged = None;
-        let span = nidc_obs::span!("sharded.recluster");
+        let span = nidc_obs::span!("sharded.recluster", RECLUSTER_SECONDS);
         label_shard_tracks(self.shards.len());
-        let timer = RECLUSTER_SECONDS.start_timer();
         RECLUSTERS.inc();
         let threads = self.config.threads;
         let results = nidc_parallel::par_map_mut(&mut self.shards, threads, |s| {
@@ -476,11 +475,9 @@ impl ShardedPipeline {
         for r in results {
             clusterings.push(r?);
         }
-        timer.stop();
         drop(span);
         let merged = {
-            let _merge_span = nidc_obs::span!("sharded.merge");
-            let _merge_timer = MERGE_SECONDS.start_timer();
+            let _merge_span = nidc_obs::span!("sharded.merge", MERGE_SECONDS);
             let mut merged = MergedClustering::new(clusterings);
             // inside the merge span, so `sharded.stitch` nests under it
             merged.restitch(self.effective_stitch());

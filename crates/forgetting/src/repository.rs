@@ -214,8 +214,7 @@ impl Repository {
         }
         // Span after the zero-delta early return: only real decay passes
         // show up in a trace.
-        let _span = nidc_obs::span!("repo.advance");
-        let _timer = ADVANCE_SECONDS.start_timer();
+        let _span = nidc_obs::span!("repo.advance", ADVANCE_SECONDS);
         let factor = self.params.decay_over(delta);
         for entry in self.docs.values_mut() {
             entry.weight *= factor; // eq. 27
@@ -360,8 +359,7 @@ impl Repository {
     /// Cost: O(total tokens). Also removes accumulated floating-point drift
     /// from long chains of incremental updates.
     pub fn recompute_from_scratch(&mut self) {
-        let _span = nidc_obs::span!("repo.recompute");
-        let _timer = RECOMPUTE_SECONDS.start_timer();
+        let _span = nidc_obs::span!("repo.recompute", RECOMPUTE_SECONDS);
         let mut tdw = 0.0;
         for s in &mut self.term_num {
             *s = 0.0;

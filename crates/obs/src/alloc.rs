@@ -19,6 +19,10 @@
 //!   `allocs`/`bytes` attribution; `par_chunks`/`par_map_mut` fold worker
 //!   deltas back into the capturing span via [`add_external`].
 //!
+//! Both sets count in one unit — an `alloc`, `alloc_zeroed` or `realloc`
+//! call is one event, and bytes are requested sizes plus realloc growth —
+//! so spans never count more than the global totals over the same scope.
+//!
 //! Counting is a pure observer: no allocation decision ever depends on the
 //! tallies, so enabling tracking cannot change clustering results (pinned by
 //! `tests/obs_determinism.rs`).
@@ -72,11 +76,12 @@ pub fn set_tracking(on: bool) {
 /// A frozen copy of the process-wide allocation tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocStats {
-    /// Allocation events (`alloc` + `alloc_zeroed`).
+    /// Allocation events: `alloc`, `alloc_zeroed` and `realloc` calls — the
+    /// same unit as a span's `allocs`, so span counts sum to at most this.
     pub allocs: u64,
     /// Deallocation events.
     pub deallocs: u64,
-    /// Reallocation events (counted separately, not as alloc+dealloc).
+    /// The `realloc` calls among `allocs`.
     pub reallocs: u64,
     /// Total bytes ever allocated (allocs plus realloc growth).
     pub bytes_allocated: u64,
@@ -163,6 +168,7 @@ fn on_dealloc(size: u64) {
 
 #[inline]
 fn on_realloc(old: u64, new: u64) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     REALLOCS.fetch_add(1, Ordering::Relaxed);
     if new > old {
         let grow = new - old;
@@ -367,6 +373,44 @@ mod tests {
             "growing past capacity must surface as a realloc or alloc"
         );
         assert!(after.bytes_allocated > before.bytes_allocated);
+    }
+
+    #[test]
+    fn a_span_never_counts_more_than_the_global_totals() {
+        let _guard = global_lock();
+        crate::trace::clear();
+        set_tracking(true);
+        crate::trace::set_trace_enabled(true);
+        let before = stats();
+        {
+            let _s = crate::span!("alloc_test_growth");
+            for _ in 0..64 {
+                // one alloc, then a realloc at every doubling
+                let mut v: Vec<u64> = Vec::new();
+                for i in 0..1024 {
+                    v.push(i);
+                }
+                std::hint::black_box(&v);
+            }
+        }
+        let after = stats();
+        crate::trace::set_trace_enabled(false);
+        set_tracking(false);
+        let events = crate::trace::drain();
+        let [begin, end] = &events[..] else {
+            panic!("one Begin/End pair expected, got {events:?}")
+        };
+        assert!(
+            after.reallocs - before.reallocs >= 64 * 8,
+            "the pushes realloc"
+        );
+        assert!(
+            end.allocs - begin.allocs <= after.allocs - before.allocs,
+            "span allocs {} exceed the global delta {}",
+            end.allocs - begin.allocs,
+            after.allocs - before.allocs
+        );
+        assert!(end.bytes - begin.bytes <= after.bytes_allocated - before.bytes_allocated);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Static site handles: cheap, cache the registry lookup once per site.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use crate::metrics::{Counter, Histogram};
+use crate::trace::Span;
 
 /// A named counter site, declared as a `static` next to the code it counts.
 ///
@@ -61,7 +61,7 @@ impl LazyCounter {
 /// use nidc_obs::{buckets, LazyHistogram};
 /// static PHASE: LazyHistogram = LazyHistogram::new("demo_seconds", buckets::LATENCY_SECONDS);
 /// PHASE.observe(0.032);
-/// let _timer = PHASE.start_timer(); // or time a scope via RAII
+/// let _span = nidc_obs::span!("demo", PHASE); // or time a scope via a span
 /// ```
 #[derive(Debug)]
 pub struct LazyHistogram {
@@ -104,42 +104,13 @@ impl LazyHistogram {
         }
     }
 
-    /// Starts a phase timer that records elapsed seconds into this
-    /// histogram when dropped. Returns an inert timer while disabled.
+    /// Starts a phase timer: an untraced [`Span`] that observes its
+    /// elapsed seconds into this histogram when dropped, inert while
+    /// recording is disabled. A scope a trace span covers is timed by that
+    /// span instead (`span!(name, HIST)`).
     #[inline]
-    pub fn start_timer(&'static self) -> PhaseTimer {
-        PhaseTimer {
-            site: crate::enabled().then(|| (self, Instant::now())),
-        }
-    }
-}
-
-/// RAII phase timer: measures wall-clock seconds from construction to drop
-/// and records them into its [`LazyHistogram`].
-///
-/// Obtained from [`LazyHistogram::start_timer`]. While recording is
-/// disabled the timer is inert (no clock read at all).
-#[derive(Debug)]
-#[must_use = "a phase timer records on drop; binding it to `_` drops it immediately"]
-pub struct PhaseTimer {
-    site: Option<(&'static LazyHistogram, Instant)>,
-}
-
-impl PhaseTimer {
-    /// An inert timer (records nothing). Useful as a default.
-    pub fn disabled() -> Self {
-        Self { site: None }
-    }
-
-    /// Stops the timer now and records, instead of waiting for scope end.
-    pub fn stop(self) {}
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        if let Some((site, started)) = self.site.take() {
-            site.observe(started.elapsed().as_secs_f64());
-        }
+    pub fn start_timer(&'static self) -> Span {
+        crate::trace::open(None, Some(self))
     }
 }
 
@@ -197,9 +168,15 @@ mod tests {
         assert_eq!(h.count, 1);
         assert!(h.sum >= 0.002, "sum={}", h.sum);
         crate::set_enabled(false);
-        // Disabled timers are inert.
-        let t = H.start_timer();
-        assert!(t.site.is_none());
-        t.stop();
+        // Disabled timers observe nothing (that they hold nothing and read
+        // no clock is pinned next to the span's fields, in `trace`).
+        drop(H.start_timer());
+        crate::set_enabled(true);
+        let count = crate::snapshot()
+            .histogram("handles_timer_seconds")
+            .unwrap()
+            .count;
+        crate::set_enabled(false);
+        assert_eq!(count, 1);
     }
 }

@@ -1,11 +1,12 @@
 //! Zero-dependency observability for the NIDC pipeline.
 //!
-//! Three primitives — atomic [`Counter`]s, fixed-bucket [`Histogram`]s and
-//! RAII [`PhaseTimer`]s — feed one process-global [`Registry`], which can be
-//! frozen into a [`Snapshot`] and exported as a JSON-lines record or a
-//! Prometheus text-format exposition ([`MetricsExporter`]). A leveled
-//! structured logger ([`Level`], [`info`], [`debug`]) replaces ad-hoc
-//! `println!` debugging in the pipeline crates.
+//! Atomic [`Counter`]s and fixed-bucket [`Histogram`]s feed one
+//! process-global [`Registry`]; a phase is timed by the trace span that
+//! covers it (`span!(name, HIST)` observes the span's seconds into `HIST`).
+//! The registry can be frozen into a [`Snapshot`] and exported as a
+//! JSON-lines record or a Prometheus text-format exposition
+//! ([`MetricsExporter`]). A leveled structured logger ([`Level`], [`info`],
+//! [`debug`]) replaces ad-hoc `println!` debugging in the pipeline crates.
 //!
 //! # Determinism contract
 //!
@@ -38,7 +39,7 @@
 //!
 //! obs::set_enabled(true);
 //! {
-//!     let _t = PHASE.start_timer(); // observes elapsed seconds on drop
+//!     let _span = obs::span!("demo.phase", PHASE); // observes its seconds on drop
 //!     DOCS.add(3);
 //! }
 //! let snap = obs::snapshot();
@@ -71,7 +72,7 @@ pub use gauge::{
     btree_map_size_bytes, DeepSize, FloatGauge, Gauge, LazyFloatGauge, LazyGauge,
     BTREE_ENTRY_OVERHEAD,
 };
-pub use handles::{LazyCounter, LazyHistogram, PhaseTimer};
+pub use handles::{LazyCounter, LazyHistogram};
 pub use log::{debug, info, log, log_level, log_on, set_log_level, Level};
 pub use metrics::{buckets, Counter, Histogram};
 pub use profile::{Profile, ProfileNode};

@@ -34,7 +34,8 @@
 //! # Contract (same as the metrics layer)
 //!
 //! Tracing is off by default; a disabled [`span`] site pays one relaxed
-//! atomic load plus a branch and constructs nothing. Recording never
+//! atomic load plus a branch (a timed one a second, for the metrics flag)
+//! and records nothing. Recording never
 //! influences results — clusterings are bit-identical with tracing on or
 //! off (enforced by `tests/obs_determinism.rs` in the workspace root).
 
@@ -44,6 +45,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::LazyHistogram;
 
 /// Whether an event opens or closes a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,89 +183,101 @@ thread_local! {
 /// An open span; recording its end event on drop (including during panic
 /// unwinding, so traces stay balanced across worker panics).
 ///
+/// A span given a histogram also observes its duration, in seconds, into
+/// it while metric recording is on, from the same two clock reads that
+/// stamp its Begin/End events. [`LazyHistogram::start_timer`] returns an
+/// untraced span of this kind.
+///
 /// Not `Send`: a span must close on the thread that opened it.
 #[must_use = "a span records its duration when dropped"]
 #[derive(Debug)]
 pub struct Span {
-    state: Option<SpanState>,
+    /// Open time in ns since the trace origin (0 while both recorders are off).
+    begin_ns: u64,
+    /// The recorded Begin event, while tracing.
+    begin: Option<TraceEvent>,
+    hist: Option<&'static LazyHistogram>,
     _not_send: PhantomData<*const ()>,
 }
 
-#[derive(Debug)]
-struct SpanState {
-    name: &'static str,
-    id: u64,
-    parent: u64,
-    track: u32,
-    thread: u64,
+/// Opens a span named `name` under the thread's current span, timed into
+/// `hist` if one is given.
+///
+/// Inert (no id allocated, no clock read) while tracing and, for a timed
+/// span, metric recording are disabled.
+#[inline]
+pub fn span(name: &'static str, hist: Option<&'static LazyHistogram>) -> Span {
+    open(Some(name), hist)
 }
 
-/// Opens a span named `name` under the thread's current span.
-///
-/// Inert (no id allocated, nothing recorded) while tracing is disabled.
+/// Opens a span; with no `name` it records no trace events, whatever the
+/// tracing flag (the phase timer of [`LazyHistogram::start_timer`]).
 #[inline]
-pub fn span(name: &'static str) -> Span {
-    if !trace_enabled() {
-        return Span {
-            state: None,
-            _not_send: PhantomData,
-        };
+pub(crate) fn open(name: Option<&'static str>, hist: Option<&'static LazyHistogram>) -> Span {
+    let hist = hist.filter(|_| crate::enabled());
+    let name = name.filter(|_| trace_enabled());
+    let on = name.is_some() || hist.is_some();
+    let begin_ns = if on { now_ns() } else { 0 };
+    Span {
+        begin_ns,
+        begin: name.and_then(|name| begin_event(name, begin_ns)),
+        hist,
+        _not_send: PhantomData,
     }
+}
+
+/// Records a Begin event at `ts_ns` and makes the new span current.
+fn begin_event(name: &'static str, ts_ns: u64) -> Option<TraceEvent> {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let ts_ns = now_ns();
     let (allocs, bytes) = crate::alloc::thread_tallies();
-    let state = LOCAL
+    LOCAL
         .try_with(|l| {
             let mut l = l.borrow_mut();
-            let st = SpanState {
+            let ev = TraceEvent {
                 name,
                 id,
                 parent: l.parent,
                 track: l.track,
                 thread: l.ordinal,
-            };
-            l.parent = id;
-            l.push(TraceEvent {
-                name,
-                id,
-                parent: st.parent,
-                track: st.track,
-                thread: st.thread,
                 phase: TracePhase::Begin,
                 ts_ns,
                 allocs,
                 bytes,
-            });
-            st
+            };
+            l.parent = id;
+            l.push(ev.clone());
+            ev
         })
-        .ok();
-    Span {
-        state,
-        _not_send: PhantomData,
-    }
+        .ok()
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(st) = self.state.take() else { return };
+        if self.begin.is_none() && self.hist.is_none() {
+            return;
+        }
         let ts_ns = now_ns();
+        // Observed before the tallies are read, so the span's allocations
+        // include the histogram's one-time registration.
+        if let Some(hist) = self.hist {
+            hist.observe((ts_ns - self.begin_ns) as f64 / 1e9);
+        }
+        let Some(begin) = self.begin.take() else {
+            return;
+        };
         // Spans close on their opening thread (the type is !Send), so this
         // reads the same thread's tally the begin event snapshotted.
         let (allocs, bytes) = crate::alloc::thread_tallies();
         let ev = TraceEvent {
-            name: st.name,
-            id: st.id,
-            parent: st.parent,
-            track: st.track,
-            thread: st.thread,
             phase: TracePhase::End,
             ts_ns,
             allocs,
             bytes,
+            ..begin
         };
         let pushed = LOCAL.try_with(|l| {
             let mut l = l.borrow_mut();
-            l.parent = st.parent;
+            l.parent = ev.parent;
             l.push(ev.clone());
         });
         if pushed.is_err() {
@@ -573,13 +588,17 @@ pub fn validate_events(events: &[TraceEvent]) -> Result<TraceStats, String> {
     })
 }
 
-/// Opens a [`trace::Span`](crate::trace::Span) named by the argument;
-/// bind it (`let _span = nidc_obs::span!("phase");`) so it closes at scope
-/// exit. One relaxed load when tracing is disabled.
+/// Opens a [`trace::Span`](crate::trace::Span) named by the first
+/// argument and, given a `static` [`LazyHistogram`](crate::LazyHistogram)
+/// as the second, timed into it: `let _span = nidc_obs::span!("phase",
+/// PHASE_SECONDS);` closes (and observes) at scope exit.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::trace::span($name)
+        $crate::trace::span($name, None)
+    };
+    ($name:expr, $hist:expr) => {
+        $crate::trace::span($name, Some(&$hist))
     };
 }
 
@@ -594,7 +613,7 @@ mod tests {
         set_trace_enabled(false);
         clear();
         {
-            let _s = span("trace_test_disabled");
+            let _s = span("trace_test_disabled", None);
         }
         assert!(drain().is_empty());
     }
@@ -605,11 +624,11 @@ mod tests {
         clear();
         set_trace_enabled(true);
         {
-            let _outer = span("trace_test_outer");
+            let _outer = span("trace_test_outer", None);
             {
-                let _inner = span("trace_test_inner");
+                let _inner = span("trace_test_inner", None);
             }
-            let _sibling = span("trace_test_sibling");
+            let _sibling = span("trace_test_sibling", None);
         }
         set_trace_enabled(false);
         let events = drain();
@@ -639,13 +658,13 @@ mod tests {
         let _guard = global_lock();
         clear();
         set_trace_enabled(true);
-        let root = span("trace_test_root");
+        let root = span("trace_test_root", None);
         let ctx = current_context();
         std::thread::scope(|s| {
             s.spawn(move || {
                 let _flush = flush_on_exit();
                 let _attach = ctx.attach();
-                let _child = span("trace_test_worker");
+                let _child = span("trace_test_worker", None);
             });
         });
         drop(root);
@@ -679,10 +698,10 @@ mod tests {
         set_track_label(7, "shard 6");
         {
             let _t = with_track(7);
-            let _s = span("trace_test_on_shard");
+            let _s = span("trace_test_on_shard", None);
         }
         {
-            let _s = span("trace_test_on_main");
+            let _s = span("trace_test_on_main", None);
         }
         set_trace_enabled(false);
         let events = drain();
@@ -707,7 +726,7 @@ mod tests {
         clear();
         set_trace_enabled(true);
         let caught = std::panic::catch_unwind(|| {
-            let _s = span("trace_test_panicking");
+            let _s = span("trace_test_panicking", None);
             panic!("boom");
         });
         assert!(caught.is_err());
@@ -724,7 +743,7 @@ mod tests {
         crate::alloc::set_tracking(true);
         set_trace_enabled(true);
         {
-            let _s = span("trace_test_allocating");
+            let _s = span("trace_test_allocating", None);
             let v: Vec<u64> = Vec::with_capacity(256);
             drop(v);
         }
@@ -744,6 +763,78 @@ mod tests {
             "the Vec alloc must be attributed"
         );
         assert!(end.bytes - begin.bytes >= 2048, "256 × 8 bytes expected");
+    }
+
+    #[test]
+    fn timed_span_feeds_whichever_recorders_are_on() {
+        static H: LazyHistogram =
+            LazyHistogram::new("trace_test_timed_seconds", crate::buckets::LATENCY_SECONDS);
+        static T: LazyHistogram =
+            LazyHistogram::new("trace_test_timer_seconds", crate::buckets::LATENCY_SECONDS);
+        let _guard = global_lock();
+        let run = |recording: bool, tracing: bool| {
+            crate::reset();
+            clear();
+            crate::set_enabled(recording);
+            set_trace_enabled(tracing);
+            // Each recorder arms only its own half of the guard, and a
+            // guard neither arms reads no clock.
+            let timer = T.start_timer();
+            assert_eq!(timer.hist.is_some(), recording);
+            assert!(timer.begin.is_none(), "a timer never traces");
+            assert_eq!(timer.begin_ns != 0, recording);
+            drop(timer);
+            let timed = crate::snapshot()
+                .histogram("trace_test_timer_seconds")
+                .map_or(0, |h| h.count);
+            assert_eq!(timed, u64::from(recording), "a timer observes once");
+            {
+                let s = crate::span!("trace_test_timed", H);
+                assert_eq!(s.hist.is_some(), recording);
+                assert_eq!(s.begin.is_some(), tracing);
+                assert_eq!(s.begin_ns != 0, recording || tracing);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            set_trace_enabled(false);
+            crate::set_enabled(false);
+            let hist = crate::snapshot()
+                .histogram("trace_test_timed_seconds")
+                .map(|h| (h.count, h.sum));
+            (hist, drain())
+        };
+
+        // The clock's origin is set, so an armed guard's begin_ns is nonzero.
+        let _ = now_ns();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+
+        let (hist, events) = run(true, false);
+        assert_eq!(hist.map(|h| h.0), Some(1), "one observation");
+        assert!(events.is_empty(), "recording alone traces nothing");
+
+        let (hist, events) = run(false, true);
+        assert_eq!(hist.map_or(0, |h| h.0), 0, "tracing alone observes nothing");
+        assert_eq!(validate_events(&events).expect("balanced").spans, 1);
+
+        let (hist, events) = run(true, true);
+        let (count, sum) = hist.expect("registered");
+        assert_eq!(count, 1);
+        let [begin, end] = &events[..] else {
+            panic!("one Begin/End pair expected, got {events:?}")
+        };
+        assert_eq!(
+            (begin.phase, end.phase),
+            (TracePhase::Begin, TracePhase::End)
+        );
+        assert!(sum >= 0.001, "sum={sum}");
+        assert_eq!(
+            sum,
+            (end.ts_ns - begin.ts_ns) as f64 / 1e9,
+            "the histogram and the trace share their clock reads"
+        );
+
+        let (hist, events) = run(false, false);
+        assert_eq!(hist.map_or(0, |h| h.0), 0);
+        assert!(events.is_empty());
     }
 
     #[test]

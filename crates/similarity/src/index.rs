@@ -262,8 +262,7 @@ impl ClusterIndex {
     /// vectors have grown.
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
-        let _span = nidc_obs::span!("index.rebuild");
-        let _timer = REBUILD_SECONDS.start_timer();
+        let _span = nidc_obs::span!("index.rebuild", REBUILD_SECONDS);
         self.k = reps.len();
         let stride = self.stride();
         self.raised.clear();

@@ -26,10 +26,10 @@
 //!   and topic tracking over an inverted-index search substrate;
 //! * [`eval`] — contingency tables, micro/macro F1, topic marking, purity,
 //!   NMI, ARI;
-//! * [`obs`] — zero-dependency metrics (counters, histograms, phase timers),
-//!   structured logging, and per-window snapshot exporters (JSON lines /
-//!   Prometheus text); recording is off by default and never changes
-//!   clustering results.
+//! * [`obs`] — zero-dependency metrics (counters, and histograms timed by
+//!   trace spans), structured logging, and per-window snapshot exporters
+//!   (JSON lines / Prometheus text); recording is off by default and never
+//!   changes clustering results.
 //!
 //! # Quickstart
 //!

@@ -174,11 +174,19 @@ fn enabled_run_covers_all_instrumented_layers() {
             "metric {metric} missing from an enabled run"
         );
     }
+    // every `*_seconds` histogram here is fed by a timed span
+    // (`span!(name, HIST)`); a count of zero means a site lost its timing
     for histogram in [
         "nidc_pipeline_ingest_seconds",
+        "nidc_pipeline_advance_seconds",
         "nidc_pipeline_expire_seconds",
         "nidc_pipeline_recluster_seconds",
         "nidc_forgetting_advance_seconds",
+        "nidc_kmeans_iteration_seconds",
+        "nidc_kmeans_step1_seconds",
+        "nidc_index_rebuild_seconds",
+        "nidc_sharded_recluster_seconds",
+        "nidc_sharded_merge_seconds",
         "nidc_kmeans_iterations",
         "nidc_kmeans_objective_g",
     ] {
@@ -570,6 +578,69 @@ fn cohesion_gauge_is_scale_free() {
         );
     }
     assert!((0.0..=1.0).contains(&base) && base > 0.0, "cohesion {base}");
+}
+
+/// Spans and the process-wide totals count allocations in one unit (a
+/// `realloc` is an allocation event in both), so over a traced,
+/// allocation-tracked 3-shard run the top-level spans — which never overlap
+/// — account for no more allocations, and no more bytes, than the process
+/// counted over the same scope.
+#[test]
+fn top_level_span_allocations_fit_in_the_global_totals() {
+    let _guard = flag_lock();
+    let config = ClusteringConfig {
+        k: 3,
+        seed: 7,
+        ..ClusteringConfig::default()
+    };
+    let mut pipeline =
+        ShardedPipeline::new(DecayParams::from_spans(4.0, 8.0).unwrap(), config, 3).unwrap();
+    let docs = stream();
+    khy2006::obs::trace::clear();
+    khy2006::obs::alloc::set_tracking(true);
+    khy2006::obs::trace::set_trace_enabled(true);
+    let before = khy2006::obs::alloc::stats();
+    let mut next = 3.0f64;
+    for (id, day, tf) in docs {
+        while day >= next {
+            pipeline.advance_to(Timestamp(next)).unwrap();
+            pipeline.recluster_incremental().unwrap();
+            next += 3.0;
+        }
+        pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+    }
+    pipeline.recluster_incremental().unwrap();
+    let after = khy2006::obs::alloc::stats();
+    khy2006::obs::trace::set_trace_enabled(false);
+    khy2006::obs::alloc::set_tracking(false);
+    let events = khy2006::obs::trace::drain();
+    khy2006::obs::trace::validate_events(&events).expect("well-formed");
+
+    let mut open = BTreeMap::new();
+    let (mut allocs, mut bytes) = (0u64, 0u64);
+    for ev in events.iter().filter(|e| e.parent == 0) {
+        match ev.phase {
+            khy2006::obs::trace::TracePhase::Begin => {
+                open.insert(ev.id, (ev.allocs, ev.bytes));
+            }
+            khy2006::obs::trace::TracePhase::End => {
+                let (a, b) = open.remove(&ev.id).expect("begun");
+                allocs += ev.allocs - a;
+                bytes += ev.bytes - b;
+            }
+        }
+    }
+    assert!(allocs > 0, "the spans saw the run allocate");
+    assert!(
+        allocs <= after.allocs - before.allocs,
+        "top-level spans count {allocs} allocations, the process {}",
+        after.allocs - before.allocs
+    );
+    assert!(
+        bytes <= after.bytes_allocated - before.bytes_allocated,
+        "top-level spans count {bytes} bytes, the process {}",
+        after.bytes_allocated - before.bytes_allocated
+    );
 }
 
 /// `par_map_mut` attributes worker-thread allocations back to the caller:
