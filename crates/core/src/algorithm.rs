@@ -7,8 +7,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder, RepStats};
-use nidc_textproc::{DocId, SparseVector};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBuilder, RepStats, TermRank};
+use nidc_textproc::{DocId, TermId};
 
 use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
 
@@ -120,34 +120,42 @@ pub fn cluster_with_initial(
 }
 
 /// The scratch of extended K-means runs, reused from one run to the next:
-/// the sparse accumulator that builds every representative
-/// ([`RepBuilder`]), the term→cluster index that is each cluster's live
-/// vector during step 1 ([`ClusterIndex`]) and the K-wide score row.
+/// the ranking of the window's terms ([`TermRank`]), the sparse
+/// accumulator that builds every representative ([`RepBuilder`]), the
+/// term→cluster index that is each cluster's live vector during step 1
+/// ([`ClusterIndex`]) and the K-wide score row.
 ///
-/// Within a run the index is rebuilt once, at the start; after an
-/// iteration that moved a document only the columns of the clusters a
-/// document joined or left are refreshed ([`ClusterIndex::refresh`]). A
-/// term no cluster holds any more keeps a dead row of `+0.0` cells until
-/// the next run's rebuild drops it; it scores an exact `±0.0`.
+/// A run starts by ranking the window's φ terms and copying every φ into
+/// one run-local buffer over their ranks `0..n`; the whole run then works
+/// on those ids, so the builder's arrays and the index's rows are n long,
+/// and the representatives leave the run mapped back to global term ids.
+/// The rank is strictly increasing, so every ascending-term walk visits the
+/// same entries in the same order and every sum keeps its bits. Within a
+/// run the index is rebuilt once, at the start; after an iteration that
+/// moved a document only the columns of the clusters a document joined or
+/// left are refreshed ([`ClusterIndex::refresh`]).
 ///
-/// A run leaves nothing behind that the next one reads: the builder resets
-/// every slot it touches and the rebuild at the start of a run refiles
-/// every term, dead rows included, so a run on a reused workspace is
-/// bit-identical to one on a fresh workspace, and costs O(window) instead
-/// of first-touching arrays over the whole term space. The workspace holds
-/// the builder's and the index's term-indexed arrays (13 B per term id)
-/// and the index's K-wide term rows ([`DeepSize`](nidc_obs::DeepSize)
-/// reports it in O(1)). It is never persisted: a clone starts empty, as
-/// does a restored pipeline.
+/// A run leaves nothing behind that the next one reads: the ranking is
+/// refilled, the builder resets every slot it touches and the rebuild at
+/// the start of a run rewrites every row, so a run on a reused workspace
+/// is bit-identical to one on a fresh workspace, and costs O(window +
+/// vocabulary / 64) instead of first-touching arrays over the whole term
+/// space. Only the ranking is indexed by global term id, at ≈ 1.5 bits per
+/// id ([`DeepSize`](nidc_obs::DeepSize) reports the workspace in O(1)). It
+/// is never persisted: a clone starts empty, as does a restored pipeline.
 #[derive(Debug, Default)]
 pub struct KMeansWorkspace {
+    /// The window's φ terms; a term's rank is its run-local id.
+    terms: TermRank,
+    /// Run-local id → global term id.
+    globals: Vec<TermId>,
     builder: RepBuilder,
     index: ClusterIndex,
     dots: Vec<f64>,
 }
 
 impl KMeansWorkspace {
-    /// An empty workspace; its arrays grow to the largest term id and K
+    /// An empty workspace; its arrays grow to the largest window and K
     /// they meet.
     pub fn new() -> Self {
         Self::default()
@@ -163,8 +171,12 @@ impl Clone for KMeansWorkspace {
 
 impl nidc_obs::DeepSize for KMeansWorkspace {
     fn deep_size_bytes(&self) -> u64 {
+        let globals = self.globals.capacity() * std::mem::size_of::<TermId>();
         let dots = self.dots.capacity() * std::mem::size_of::<f64>();
-        self.builder.deep_size_bytes() + self.index.deep_size_bytes() + dots as u64
+        self.terms.deep_size_bytes()
+            + self.builder.deep_size_bytes()
+            + self.index.deep_size_bytes()
+            + (globals + dots) as u64
     }
 }
 
@@ -181,7 +193,7 @@ pub fn cluster_with_workspace(
         return Err(Error::ZeroClusters);
     }
     // Slot `s` is the `s`-th document id in ascending order.
-    let (ids, phis): (Vec<DocId>, Vec<&SparseVector>) = vecs.iter().unzip();
+    let ids = vecs.ids();
     if ids.is_empty() {
         return Ok(Clustering::new(Vec::new(), Vec::new(), 0.0, 0));
     }
@@ -246,26 +258,56 @@ pub fn cluster_with_workspace(
             }
         }
     }
-    // One sparse accumulator builds every representative of the run, each
-    // exactly from its member list: the initial ones here, and the ones a
-    // document joined or left at the end of each iteration.
+    // --- Run-local term ids ----------------------------------------------
+    // The window's φ terms ranked `0..n`, and every φ copied over its ranks
+    // into one buffer, freed with the run: from here on the run never sees
+    // a global term id.
     let KMeansWorkspace {
+        terms,
+        globals,
         builder,
         index,
         dots,
     } = workspace;
+    terms.clear();
+    let mut nnz = 0;
+    for (_, phi) in vecs.iter() {
+        nnz += phi.nnz();
+        for &(t, _) in phi.entries() {
+            terms.insert(t);
+        }
+    }
+    let n = terms.seal();
+    globals.clear();
+    globals.reserve_exact(n);
+    globals.extend(terms.iter());
+    let mut entries: Vec<(TermId, f64)> = Vec::with_capacity(nnz);
+    let mut starts = Vec::with_capacity(ids.len() + 1);
+    starts.push(0);
+    for (_, phi) in vecs.iter() {
+        entries.extend(phi.iter().map(|(t, w)| {
+            let local = terms.rank(t).expect("every φ term is ranked");
+            (TermId(local as u32), w)
+        }));
+        starts.push(entries.len());
+    }
+    let phis: Vec<&[(TermId, f64)]> = starts.windows(2).map(|w| &entries[w[0]..w[1]]).collect();
+
+    // One sparse accumulator builds every representative of the run, each
+    // exactly from its member list: the initial ones here, and the ones a
+    // document joined or left at the end of each iteration.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
     fill_members(&assign, &mut members);
     let mut reps: Vec<ClusterRep> = members
         .iter()
-        .map(|m| builder.exact(m.iter().map(|&s| phis[s])))
+        .map(|m| builder.exact_with_norms(m.iter().map(|&s| (phis[s], norms[s]))))
         .collect();
 
     // Step 1 reads and moves only the clusters' statistics and their live
     // vectors in the term→cluster index; `reps` stays as built until the
     // end of the iteration.
     let mut stats: Vec<RepStats> = reps.iter().map(ClusterRep::stats).collect();
-    index.rebuild(&reps);
+    index.rebuild(&reps, n);
     // Clusters a document joined or left since their last build, and the
     // representatives the end of an iteration replaced, for the index
     // refresh.
@@ -366,7 +408,8 @@ pub fn cluster_with_workspace(
         fill_members(&assign, &mut members);
         for (p, rep) in reps.iter_mut().enumerate() {
             if std::mem::take(&mut dirty[p]) {
-                let exact = builder.exact(members[p].iter().map(|&s| phis[s]));
+                let member_phis = members[p].iter().map(|&s| (phis[s], norms[s]));
+                let exact = builder.exact_with_norms(member_phis);
                 let old = std::mem::replace(rep, exact);
                 // the moves kept the stats within fp drift of the rebuild
                 debug_assert_eq!(stats[p].size(), rep.size());
@@ -416,7 +459,10 @@ pub fn cluster_with_workspace(
             let clusters = members
                 .iter()
                 .zip(reps)
-                .map(|(m, rep)| Cluster::new(m.iter().map(|&s| ids[s]).collect(), rep))
+                .map(|(m, mut rep)| {
+                    rep.relabel(|t| globals[t.index()]);
+                    Cluster::new(m.iter().map(|&s| ids[s]).collect(), rep)
+                })
                 .collect();
             return Ok(Clustering::new(clusters, outliers, g_new, iterations));
         }
@@ -698,6 +744,138 @@ mod tests {
             }
             DocVectors::build(&repo)
         })
+    }
+
+    /// Windows of 8–30 documents over the terms `0..40`, shaped like
+    /// [`topic_docs`], as raw `(term, tf)` lists.
+    fn window_terms() -> impl Strategy<Value = Vec<Vec<(u32, f64)>>> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(1.0f64..4.0, 3..4),
+                proptest::collection::vec((20u32..40, 1.0f64..3.0), 0..5),
+            ),
+            8..30,
+        )
+        .prop_map(|docs| {
+            docs.into_iter()
+                .enumerate()
+                .map(|(i, (core, noise))| {
+                    let topic = (i % 2) as u32 * 10;
+                    let mut pairs: Vec<(u32, f64)> =
+                        (0..3).map(|j| (topic + j, core[j as usize])).collect();
+                    pairs.extend(noise);
+                    pairs
+                })
+                .collect()
+        })
+    }
+
+    /// The φ vectors of `docs` with every term renamed through `map`; ten
+    /// documents a day, so the window decays.
+    fn relabelled_vectors(docs: &[Vec<(u32, f64)>], map: &[u32]) -> DocVectors {
+        let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
+        for (i, d) in docs.iter().enumerate() {
+            let pairs = d
+                .iter()
+                .map(|&(t, w)| (TermId(map[t as usize]), w))
+                .collect();
+            let day = Timestamp((i / 10) as f64);
+            repo.insert(DocId(i as u64), day, SparseVector::from_entries(pairs))
+                .unwrap();
+        }
+        DocVectors::build(&repo)
+    }
+
+    /// A representative's size, `cr_self` and `ss` bits and its entries,
+    /// each term renamed through `map`.
+    fn rep_bits(
+        rep: &ClusterRep,
+        map: impl Fn(TermId) -> TermId,
+    ) -> (usize, u64, u64, Vec<(TermId, u64)>) {
+        let mut entries = Vec::new();
+        rep.for_each_entry(|t, w| entries.push((map(t), w.to_bits())));
+        (
+            rep.size(),
+            rep.cr_self().to_bits(),
+            rep.ss().to_bits(),
+            entries,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A run works on the ranks of the window's terms, so it cannot see
+        /// how the terms are numbered, only their order: spreading the term
+        /// ids through a random strictly increasing map into `[0, 2²⁰)`
+        /// leaves the assignment, the outliers, the iteration count and the
+        /// bits of G as they were, and every representative equals the
+        /// original one with its terms mapped, bit for bit — cold and warm,
+        /// under both criteria, on fresh and on reused workspaces. Each
+        /// original representative also equals an exact build over its
+        /// members' φ, which no ranking touches.
+        #[test]
+        fn a_strictly_increasing_relabelling_changes_nothing(
+            docs in window_terms(),
+            // 40 gaps below 2²⁰ / 40: their running sums ascend strictly
+            // and stay below 2²⁰
+            gaps in proptest::collection::vec(1u32..(1 << 20) / 40, 40..41),
+            k in 2usize..6,
+            seed in 0u64..100,
+        ) {
+            let map: Vec<u32> = gaps
+                .iter()
+                .scan(0, |at, &gap| {
+                    *at += gap;
+                    Some(*at - 1)
+                })
+                .collect();
+            let identity: Vec<u32> = (0..40).collect();
+            let (plain, spread) = (
+                relabelled_vectors(&docs, &identity),
+                relabelled_vectors(&docs, &map),
+            );
+            let to_spread = |t: TermId| TermId(map[t.index()]);
+            for (id, phi) in plain.iter() {
+                let mut renamed = phi.clone();
+                renamed.relabel(to_spread);
+                prop_assert_eq!(Some(&renamed), spread.phi(id), "φ of {}", id);
+            }
+            let mut builder = RepBuilder::new();
+            let mut reused = KMeansWorkspace::new();
+            for criterion in [crate::Criterion::GTerm, crate::Criterion::AvgSim] {
+                let config = ClusteringConfig { k, seed, criterion, ..ClusteringConfig::default() };
+                let cold = cluster_batch(&plain, &config).unwrap();
+                // a warm start with work left: every third document moves on
+                let perturbed: BTreeMap<DocId, usize> = cold
+                    .assignment()
+                    .into_iter()
+                    .map(|(d, p)| (d, if d.0 % 3 == 0 { (p + 1) % k } else { p }))
+                    .collect();
+                for initial in [InitialState::Random, InitialState::Assignment(perturbed)] {
+                    let want = cluster_with_initial(&plain, &config, initial.clone()).unwrap();
+                    for c in want.clusters() {
+                        let exact = builder.exact(c.members().iter().map(|d| plain.phi(*d).unwrap()));
+                        prop_assert_eq!(rep_bits(c.rep(), |t| t), rep_bits(&exact, |t| t));
+                    }
+                    let runs = [
+                        cluster_with_initial(&spread, &config, initial.clone()).unwrap(),
+                        cluster_with_workspace(&mut reused, &spread, &config, initial.clone()).unwrap(),
+                        cluster_with_workspace(&mut reused, &plain, &config, initial).unwrap(),
+                    ];
+                    for (i, got) in runs.iter().enumerate() {
+                        prop_assert_eq!(got.member_lists(), want.member_lists(), "run {}", i);
+                        prop_assert_eq!(got.outliers(), want.outliers(), "run {}", i);
+                        prop_assert_eq!(got.iterations(), want.iterations(), "run {}", i);
+                        prop_assert_eq!(got.g().to_bits(), want.g().to_bits(), "run {}", i);
+                        let renamed = |t: TermId| if i < 2 { to_spread(t) } else { t };
+                        for (g, w) in got.clusters().iter().zip(want.clusters()) {
+                            prop_assert_eq!(rep_bits(g.rep(), |t| t), rep_bits(w.rep(), renamed), "run {}", i);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -243,7 +243,7 @@ impl NoveltyPipeline {
     }
 
     /// Heap bytes the K-means workspace holds between re-clusterings (its
-    /// term-indexed arrays and term rows), from capacities in O(1).
+    /// term ranking, builder arrays and term rows), from capacities in O(1).
     /// Not part of [`NoveltyPipeline::mem_sample`], which counts state.
     pub(crate) fn workspace_bytes(&self) -> u64 {
         self.workspace.deep_size_bytes()

@@ -4,12 +4,14 @@
 //! over many pairs of representatives. [`RepPostings`] files the column
 //! representatives' entries under their terms once, so a product touches
 //! only the terms the two share, instead of one O(nnz_a + nnz_b)
-//! [`ClusterRep::dot_rep`] merge-join per pair. Every entry is summed from
-//! `0.0` over the shared terms in ascending term order, as
+//! [`ClusterRep::dot_rep`] merge-join per pair. The terms are ranked first
+//! ([`TermRank`]), so the postings' offset array is as long as the columns'
+//! distinct terms, not the vocabulary. Every entry is summed from `0.0`
+//! over the shared terms in ascending term order, as
 //! [`nidc_textproc::SparseVector::dot`] sums its merge-join, so both
 //! products equal the pairwise `dot_rep` ones bit for bit.
 
-use nidc_similarity::ClusterRep;
+use nidc_similarity::{ClusterRep, TermRank};
 use nidc_textproc::TermId;
 
 /// Term postings over a fixed list of column representatives; `None`
@@ -17,63 +19,57 @@ use nidc_textproc::TermId;
 pub(crate) struct RepPostings {
     /// Column count, `None` slots included.
     cols: usize,
-    /// Term `t`'s postings are `postings[start[t]..start[t + 1]]`.
+    /// The columns' terms; a term's postings are filed under its rank.
+    terms: TermRank,
+    /// The postings of the term of rank `r` are
+    /// `postings[start[r]..start[r + 1]]`.
     start: Vec<u32>,
     /// `(column, weight)`, column-ascending within each term.
     postings: Vec<(usize, f64)>,
-    /// The terms with at least one posting, ascending.
-    terms: Vec<TermId>,
 }
 
 impl RepPostings {
-    /// Files every stored entry of `cols` under its term by a counting
-    /// sort: O(Σ nnz + max term id).
+    /// Files every stored entry of `cols` under its term's rank by a
+    /// counting sort: O(Σ nnz + max term id / 64).
     pub(crate) fn new(cols: &[Option<&ClusterRep>]) -> Self {
-        let mut start: Vec<u32> = Vec::new();
-        let mut distinct = 0;
+        let mut terms = TermRank::new();
         for rep in cols.iter().flatten() {
-            rep.for_each_entry(|t, _| {
-                if t.index() >= start.len() {
-                    start.resize(t.index() + 1, 0);
-                }
-                distinct += usize::from(start[t.index()] == 0);
-                start[t.index()] += 1;
-            });
+            rep.for_each_entry(|t, _| terms.insert(t));
+        }
+        let distinct = terms.seal();
+        let rank = |t: TermId| terms.rank(t).expect("a column term is ranked");
+        let mut start = vec![0u32; distinct + 1];
+        for rep in cols.iter().flatten() {
+            rep.for_each_entry(|t, _| start[rank(t)] += 1);
         }
         // counts → each term's run end; filling back to front then leaves
         // every run at its start, column-ascending
-        let mut terms = Vec::with_capacity(distinct);
         let mut total = 0u32;
-        for (t, slot) in start.iter_mut().enumerate() {
-            if *slot > 0 {
-                terms.push(TermId(t as u32));
-            }
+        for slot in &mut start {
             total += *slot;
             *slot = total;
         }
-        start.push(total);
         let mut postings = vec![(0usize, 0.0f64); total as usize];
         for (col, rep) in cols.iter().enumerate().rev() {
             if let Some(rep) = rep {
                 rep.for_each_entry(|t, w| {
-                    start[t.index()] -= 1;
-                    postings[start[t.index()] as usize] = (col, w);
+                    let r = rank(t);
+                    start[r] -= 1;
+                    postings[start[r] as usize] = (col, w);
                 });
             }
         }
         Self {
             cols: cols.len(),
+            terms,
             start,
             postings,
-            terms,
         }
     }
 
-    fn list(&self, t: TermId) -> &[(usize, f64)] {
-        match self.start.get(t.index()..t.index() + 2) {
-            Some(&[from, to]) => &self.postings[from as usize..to as usize],
-            _ => &[],
-        }
+    /// The postings of the term of rank `r`.
+    fn run(&self, r: usize) -> &[(usize, f64)] {
+        &self.postings[self.start[r] as usize..self.start[r + 1] as usize]
     }
 
     /// The `rows.len() × cols` product, row-major: `dot[i·cols + j] =
@@ -88,7 +84,8 @@ impl RepPostings {
             if let Some(rep) = rep {
                 let row = &mut dot[i * n..(i + 1) * n];
                 rep.for_each_entry(|t, wi| {
-                    for &(j, wj) in self.list(t) {
+                    let Some(r) = self.terms.rank(t) else { return };
+                    for &(j, wj) in self.run(r) {
                         row[j] += wi * wj;
                     }
                 });
@@ -105,8 +102,8 @@ impl RepPostings {
     pub(crate) fn dot_pairs(&self) -> Vec<f64> {
         let n = self.cols;
         let mut dot = vec![0.0f64; n * n];
-        for &t in &self.terms {
-            let list = self.list(t);
+        for r in 0..self.terms.len() {
+            let list = self.run(r);
             for (a, &(i, wi)) in list.iter().enumerate() {
                 let row = &mut dot[i * n..(i + 1) * n];
                 for &(j, wj) in &list[a + 1..] {
@@ -236,6 +233,49 @@ mod tests {
             let rows: Vec<Option<&ClusterRep>> = rows.iter().map(Option::as_ref).collect();
             let cols: Vec<Option<&ClusterRep>> = cols.iter().map(Option::as_ref).collect();
             check(&rows, &cols);
+        }
+
+        /// Postings are filed by the rank of each term, so spreading the
+        /// twelve term ids through a strictly increasing map into `[0, 2²⁰)`
+        /// leaves both products as they were, bit for bit — and still equal
+        /// to the pairwise merge-joins, which no ranking touches.
+        #[test]
+        fn a_strictly_increasing_relabelling_keeps_every_product(
+            rows in prop::collection::vec(slot_strategy(), 0..8),
+            cols in prop::collection::vec(slot_strategy(), 0..8),
+            // running sums of 12 gaps below 2²⁰ / 12 ascend strictly
+            gaps in prop::collection::vec(1u32..(1 << 20) / 12, 12..13),
+        ) {
+            let map: Vec<u32> = gaps
+                .iter()
+                .scan(0, |at, &gap| {
+                    *at += gap;
+                    Some(*at - 1)
+                })
+                .collect();
+            let build = |slots: &[Option<Vec<(u32, f64)>>], spread: bool| -> Vec<Option<ClusterRep>> {
+                slots
+                    .iter()
+                    .map(|s| {
+                        s.as_deref().map(|entries| {
+                            let mut r = rep(entries);
+                            if spread {
+                                r.relabel(|t| TermId(map[t.index()]));
+                            }
+                            r
+                        })
+                    })
+                    .collect()
+            };
+            let products = |spread: bool| {
+                let (rows, cols) = (build(&rows, spread), build(&cols, spread));
+                let rows: Vec<Option<&ClusterRep>> = rows.iter().map(Option::as_ref).collect();
+                let cols: Vec<Option<&ClusterRep>> = cols.iter().map(Option::as_ref).collect();
+                check(&rows, &cols);
+                let postings = RepPostings::new(&cols);
+                (bits(&postings.dot_rows(&rows)), bits(&postings.dot_pairs()))
+            };
+            prop_assert_eq!(products(true), products(false));
         }
     }
 }

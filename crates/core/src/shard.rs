@@ -64,7 +64,8 @@ static MEM_REPS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_reps_bytes");
 /// between incremental re-clusterings.
 static MEM_WARMSTART_BYTES: LazyGauge = LazyGauge::new("nidc_mem_warmstart_bytes");
 /// Heap bytes held between windows by the shards' K-means workspaces: each
-/// one's term-indexed row table and builder arrays plus its term rows.
+/// one's term ranking (≈ 1.5 bits per term id) plus its builder arrays and
+/// term rows over the last window's ranked terms.
 static MEM_INDEX_POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes");
 
 /// Registers every sharded metric at zero so per-window snapshots carry the
@@ -99,7 +100,7 @@ fn label_shard_tracks(n: usize) {
         return;
     }
     for s in 0..n {
-        nidc_obs::trace::set_track_label(shard_track(s), &format!("shard {s}"));
+        nidc_obs::trace::set_track_label(shard_track(s), format_args!("shard {s}"));
     }
 }
 

@@ -22,6 +22,8 @@
 //! Both sets count in one unit — an `alloc`, `alloc_zeroed` or `realloc`
 //! call is one event, and bytes are requested sizes plus realloc growth —
 //! so spans never count more than the global totals over the same scope.
+//! Neither counts the trace recorder's own event buffers, so a traced run
+//! reports the allocations an untraced one does.
 //!
 //! Counting is a pure observer: no allocation decision ever depends on the
 //! tallies, so enabling tracking cannot change clustering results (pinned by
@@ -57,6 +59,9 @@ thread_local! {
     // first touch — safe to bump from inside the allocator itself.
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static TL_BYTES: Cell<u64> = const { Cell::new(0) };
+    // Set while the trace recorder allocates its own buffers, which are no
+    // part of the pipeline's work: see [`recorder_allocating`].
+    static TL_RECORDER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether allocation tracking is currently enabled.
@@ -150,6 +155,34 @@ pub fn add_external(allocs: u64, bytes: u64) {
     let _ = TL_BYTES.try_with(|c| c.set(c.get().wrapping_add(bytes)));
 }
 
+/// Leaves this thread's allocations and frees out of every tally, global
+/// and per-thread, until the returned guard drops: the trace recorder holds
+/// one while it grows its own event buffers, so a traced run counts what an
+/// untraced run counts.
+pub(crate) fn recorder_allocating() -> RecorderAllocating {
+    RecorderAllocating {
+        was: TL_RECORDER.try_with(|c| c.replace(true)).unwrap_or(false),
+    }
+}
+
+/// The guard of [`recorder_allocating`]; restores the mark it found.
+pub(crate) struct RecorderAllocating {
+    was: bool,
+}
+
+impl Drop for RecorderAllocating {
+    fn drop(&mut self) {
+        let _ = TL_RECORDER.try_with(|c| c.set(self.was));
+    }
+}
+
+/// Whether this thread's allocations count: not while the recorder holds
+/// its mark.
+#[inline]
+fn counted() -> bool {
+    !TL_RECORDER.try_with(Cell::get).unwrap_or(false)
+}
+
 #[inline]
 fn on_alloc(size: u64) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -195,7 +228,7 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
-        if tracking_enabled() && !p.is_null() {
+        if tracking_enabled() && !p.is_null() && counted() {
             on_alloc(layout.size() as u64);
         }
         p
@@ -203,14 +236,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
-        if tracking_enabled() && !p.is_null() {
+        if tracking_enabled() && !p.is_null() && counted() {
             on_alloc(layout.size() as u64);
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if tracking_enabled() {
+        if tracking_enabled() && counted() {
             on_dealloc(layout.size() as u64);
         }
         System.dealloc(ptr, layout);
@@ -218,7 +251,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
-        if tracking_enabled() && !p.is_null() {
+        if tracking_enabled() && !p.is_null() && counted() {
             on_realloc(layout.size() as u64, new_size as u64);
         }
         p

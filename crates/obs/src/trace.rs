@@ -153,6 +153,7 @@ impl ThreadState {
         if self.buf.capacity() == 0 {
             // One allocation per thread; `drain` in `flush` keeps the
             // capacity, so steady-state recording allocates nothing.
+            let _own = crate::alloc::recorder_allocating();
             self.buf.reserve(FLUSH_EVERY);
         }
         self.buf.push(ev);
@@ -165,6 +166,7 @@ impl ThreadState {
         if self.buf.is_empty() {
             return;
         }
+        let _own = crate::alloc::recorder_allocating();
         let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
         sink.extend(self.buf.drain(..));
     }
@@ -173,6 +175,9 @@ impl ThreadState {
 impl Drop for ThreadState {
     fn drop(&mut self) {
         self.flush();
+        // freed here, under the mark its allocation was made under
+        let _own = crate::alloc::recorder_allocating();
+        drop(std::mem::take(&mut self.buf));
     }
 }
 
@@ -283,6 +288,7 @@ impl Drop for Span {
         if pushed.is_err() {
             // Thread-local already destroyed (span dropped during thread
             // teardown): keep the trace balanced via the sink directly.
+            let _own = crate::alloc::recorder_allocating();
             let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
             sink.push(ev);
         }
@@ -407,8 +413,11 @@ impl Drop for TrackGuard {
 }
 
 /// Names a display lane (idempotent; later labels win). Call sites should
-/// gate on [`trace_enabled`] — this takes a lock, it is not a hot path.
-pub fn set_track_label(track: u32, label: &str) {
+/// gate on [`trace_enabled`] — this takes a lock, it is not a hot path. The
+/// label is formatted here, as the recorder's own allocation (pass
+/// `format_args!`), so it is not counted as the caller's.
+pub fn set_track_label(track: u32, label: impl std::fmt::Display) {
+    let _own = crate::alloc::recorder_allocating();
     let mut labels = TRACK_LABELS.lock().unwrap_or_else(|e| e.into_inner());
     labels.insert(track, label.to_string());
 }

@@ -46,14 +46,14 @@ impl DocVectors {
                 continue;
             };
             let scale = pr / len;
-            let v = SparseVector::from_sorted(
-                tf.iter()
-                    .filter_map(|(t, f)| {
-                        let idf = snapshot.idf(t);
-                        (idf > 0.0).then_some((t, scale * f * idf))
-                    })
-                    .collect(),
-            );
+            // sized up front: the filter drops few terms, and a collect
+            // would regrow the vector from empty
+            let mut entries = Vec::with_capacity(tf.nnz());
+            entries.extend(tf.iter().filter_map(|(t, f)| {
+                let idf = snapshot.idf(t);
+                (idf > 0.0).then_some((t, scale * f * idf))
+            }));
+            let v = SparseVector::from_sorted(entries);
             self_sim.insert(id, v.norm_sq());
             phi.insert(id, v);
         }

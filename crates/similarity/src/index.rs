@@ -6,10 +6,9 @@
 //! term, `TermId → [weight(q, t); K]`, so a single pass over φ_d's terms
 //! accumulates `c⃗_q · φ_d` for **all** K clusters at once — a fixed-width
 //! sweep of `⌈K/8⌉` eight-lane blocks per term, with no per-cluster lookup
-//! and no scattered update. Only the terms some representative holds have a
-//! row, so a document's terms outside every cluster cost one array read. The
-//! same cluster-side indexing idea appears in the short-text-stream
-//! literature (Rakib et al. 2021; Karkali et al. 2014).
+//! and no scattered update. The same cluster-side indexing idea appears in
+//! the short-text-stream literature (Rakib et al. 2021; Karkali et al.
+//! 2014).
 //!
 //! # The live vector of a K-means run
 //!
@@ -40,24 +39,23 @@
 //!
 //! # Storage
 //!
-//! The rows of the filed terms lie back to back in one `Vec<f64>`, each K
-//! cells rounded up to a multiple of 8; a term-indexed table (4 B per term
-//! id) gives each term's row, and a list records the terms filed since the
-//! last rebuild. A rebuild unfiles and refiles only those terms, in
-//! O(Σ_p nnz(c⃗_p) + rows·K), so one index serves every K-means run of a
-//! shard with no per-term heap allocation. A refresh unfiles nothing: it
-//! costs O(raised cells + Σ_{p touched} (nnz(old c⃗_p) + nnz(new c⃗_p))),
-//! and a term that no cluster holds any more keeps a *dead row* of `+0.0`
-//! cells, which scores an exact `±0.0` like any absent cell and counts no
-//! posting. The next rebuild, at the start of the next run, drops the dead
-//! rows. A row costs K × 8 B and ⌈K/8⌉ blocks per sweep whether the term
-//! sits in one cluster or in all of them, where sparse postings cost per
-//! (term, cluster) pair: rows win at the K ≤ 32 of every workload, but at K
-//! in the hundreds sparse postings would be the better layout again
-//! (DESIGN.md §4.2).
+//! A term id is its row number: the rows lie back to back in one
+//! `Vec<f64>`, each K cells rounded up to a multiple of 8. The index is
+//! meant for the ranked ids `0..n` of a K-means run ([`crate::TermRank`]),
+//! where every id is a term of the window, so it needs no row table. A
+//! rebuild lays out the n rows zero-filled and writes the entries,
+//! O(Σ_p nnz(c⃗_p) + n·K), with no per-term heap allocation once the
+//! vectors have grown; a refresh costs
+//! O(raised cells + Σ_{p touched} (nnz(old c⃗_p) + nnz(new c⃗_p))). A term
+//! no cluster holds is a row of `+0.0` cells, which scores an exact `±0.0`
+//! like any absent cell and counts no posting. A row costs K × 8 B and
+//! ⌈K/8⌉ blocks per sweep whether the term sits in one cluster or in all
+//! of them, where sparse postings cost per (term, cluster) pair: rows win
+//! at the K ≤ 32 of every workload, but at K in the hundreds sparse
+//! postings would be the better layout again (DESIGN.md §4.2).
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyHistogram};
-use nidc_textproc::{SparseVector, TermId};
+use nidc_textproc::TermId;
 
 use crate::ClusterRep;
 
@@ -75,7 +73,7 @@ static REMOVE_OPS: LazyCounter = LazyCounter::new("nidc_index_remove_ops_total")
 /// instead).
 static REBUILDS: LazyCounter = LazyCounter::new("nidc_index_rebuilds_total");
 /// Wall time of one full rebuild, at the start of each K-means run —
-/// filing every representative entry into its row. Fine buckets: a
+/// writing every representative entry into its row. Fine buckets: a
 /// rebuild over a window-sized vocabulary runs in microseconds.
 static REBUILD_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_index_rebuild_seconds", buckets::FINE_SECONDS);
@@ -84,16 +82,12 @@ static REBUILD_SECONDS: LazyHistogram =
 /// to a multiple of it.
 const LANES: usize = 8;
 
-/// `row_of` entry of a term without a row.
-const NO_ROW: u32 = u32::MAX;
-
 /// A dense map `TermId → [weight(q, t); K]` over the vectors of K clusters.
 ///
-/// The row table is indexed directly by term id — term ids are contiguous
-/// vocabulary indices, so the per-term lookup in the hot
-/// [`ClusterIndex::dot_all`] loop is a single array access. The table is
-/// O(max term id), held by the index across rebuilds and runs, like the
-/// arrays of a [`crate::RepBuilder`]; the rows share one vector.
+/// Row `t` is term `t`'s, so the per-term lookup in the hot
+/// [`ClusterIndex::dot_all`] loop is a single array access; there is a row
+/// for every id up to the largest met, so the ids must be dense — a K-means
+/// run's ranked ids.
 ///
 /// After a rebuild or a refresh the cells are the representatives' stored
 /// entries, bit for bit, and `+0.0` elsewhere. A move adds `±φ[t]` to a
@@ -102,15 +96,11 @@ const NO_ROW: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
     k: usize,
-    /// Term-indexed: term `t`'s row number, or [`NO_ROW`].
-    row_of: Vec<u32>,
     /// The rows, [`ClusterIndex::stride`] cells each; cells from `k` on
     /// stay `+0.0`.
     cells: Vec<f64>,
     /// Per row: its nonzero cells, i.e. its postings in a sparse index.
     nonzero: Vec<u32>,
-    /// The term of each row, i.e. the terms filed since the last rebuild.
-    filed: Vec<TermId>,
     /// The cells a move raised from zero to nonzero since the last rebuild
     /// or refresh, by index into `cells` (a cell raised twice is listed
     /// twice).
@@ -139,14 +129,6 @@ impl ClusterIndex {
         self.k.next_multiple_of(LANES)
     }
 
-    /// Term `t`'s row number, if it has one.
-    fn row(&self, t: TermId) -> Option<usize> {
-        match self.row_of.get(t.index()) {
-            Some(&r) if r != NO_ROW => Some(r as usize),
-            _ => None,
-        }
-    }
-
     /// Number of terms with at least one posting.
     pub fn term_count(&self) -> usize {
         self.nonzero.iter().filter(|&&n| n > 0).count()
@@ -166,33 +148,19 @@ impl ClusterIndex {
 
     /// The stored weight of `(term, cluster)` (0.0 if absent).
     pub fn weight(&self, t: TermId, cluster: usize) -> f64 {
-        match self.row(t) {
-            Some(r) if cluster < self.k => self.cells[r * self.stride() + cluster],
-            _ => 0.0,
+        if cluster < self.k && t.index() < self.nonzero.len() {
+            self.cells[t.index() * self.stride() + cluster]
+        } else {
+            0.0
         }
     }
 
-    /// Gives term `t` a row number, growing the row table to reach it; the
-    /// caller sizes the rows.
-    fn file(row_of: &mut Vec<u32>, filed: &mut Vec<TermId>, t: TermId) -> usize {
-        let idx = t.index();
-        if idx >= row_of.len() {
-            row_of.resize(idx + 1, NO_ROW);
-        }
-        if row_of[idx] == NO_ROW {
-            row_of[idx] = u32::try_from(filed.len()).expect("index rows exceed u32");
-            filed.push(t);
-        }
-        row_of[idx] as usize
-    }
-
-    /// Term `t`'s row, filing the term and appending a row of `+0.0`
-    /// cells if it has none.
-    fn row_or_file(&mut self, t: TermId) -> usize {
-        let r = Self::file(&mut self.row_of, &mut self.filed, t);
-        if r == self.nonzero.len() {
-            self.cells.resize(self.cells.len() + self.stride(), 0.0);
-            self.nonzero.push(0);
+    /// Term `t`'s row, appending rows of `+0.0` cells up to it.
+    fn row_or_grow(&mut self, t: TermId) -> usize {
+        let r = t.index();
+        if r >= self.nonzero.len() {
+            self.cells.resize((r + 1) * self.stride(), 0.0);
+            self.nonzero.resize(r + 1, 0);
         }
         r
     }
@@ -208,13 +176,7 @@ impl ClusterIndex {
         *cell = w;
     }
 
-    /// Zeroes `cluster`'s cell of term `t`, which has a row.
-    fn zero_filed(&mut self, t: TermId, cluster: usize) {
-        let r = self.row(t).expect("an old entry's term has a row");
-        self.set_cell(r, r * self.stride() + cluster, 0.0);
-    }
-
-    fn update(&mut self, cluster: usize, phi: &SparseVector, scale: f64) {
+    fn update(&mut self, cluster: usize, phi: &[(TermId, f64)], scale: f64) {
         // a larger cluster id would write into a padding cell or the next row
         assert!(
             cluster < self.k,
@@ -222,8 +184,8 @@ impl ClusterIndex {
             self.k
         );
         let stride = self.stride();
-        for (t, w) in phi.iter() {
-            let r = self.row_or_file(t);
+        for &(t, w) in phi {
+            let r = self.row_or_grow(t);
             let at = r * stride + cluster;
             let cell = &mut self.cells[at];
             let was_zero = *cell == 0.0;
@@ -241,57 +203,50 @@ impl ClusterIndex {
     }
 
     /// A document joins `cluster`: folds `+φ` into its cells.
-    pub fn add(&mut self, cluster: usize, phi: &SparseVector) {
+    pub fn add(&mut self, cluster: usize, phi: &(impl AsRef<[(TermId, f64)]> + ?Sized)) {
         ADD_OPS.inc();
-        self.update(cluster, phi, 1.0);
+        self.update(cluster, phi.as_ref(), 1.0);
     }
 
     /// A document leaves `cluster`: folds `−φ` into its cells. An emptied
     /// slot may keep residue until the next refresh (see the module docs).
-    pub fn remove(&mut self, cluster: usize, phi: &SparseVector) {
+    pub fn remove(&mut self, cluster: usize, phi: &(impl AsRef<[(TermId, f64)]> + ?Sized)) {
         REMOVE_OPS.inc();
-        self.update(cluster, phi, -1.0);
+        self.update(cluster, phi.as_ref(), -1.0);
     }
 
     /// Rebuilds every row from the representatives' stored entries, which
     /// replaces whatever the moves since the last rebuild (or an earlier
-    /// run) folded in: the filed terms are unfiled, the dead rows with
-    /// them, the representatives' terms are given rows, the rows are
-    /// zero-filled at once and the entries written — O(Σ_p nnz(c⃗_p) +
-    /// rows·K), with no walk of the row table and no allocation once the
-    /// vectors have grown.
-    pub fn rebuild(&mut self, reps: &[ClusterRep]) {
+    /// run) folded in: K becomes `reps.len()`, rows `0..terms` are laid out
+    /// zero-filled at once, and the entries are written — O(Σ_p nnz(c⃗_p) +
+    /// terms·K), with no allocation once the vectors have grown. A K-means
+    /// run passes its n ranked terms, so no move grows the rows and they
+    /// hold no spare capacity; a term at or past `terms` still gets its
+    /// row, appended on demand.
+    pub fn rebuild(&mut self, reps: &[ClusterRep], terms: usize) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild", REBUILD_SECONDS);
         self.k = reps.len();
         let stride = self.stride();
         self.raised.clear();
-        for t in self.filed.drain(..) {
-            self.row_of[t.index()] = NO_ROW;
-        }
-        let (row_of, filed) = (&mut self.row_of, &mut self.filed);
-        for rep in reps {
-            rep.for_each_entry(|t, _| {
-                Self::file(row_of, filed, t);
-            });
-        }
         self.cells.clear();
-        self.cells.resize(filed.len() * stride, 0.0);
+        self.cells.reserve_exact(terms * stride);
+        self.cells.resize(terms * stride, 0.0);
         self.nonzero.clear();
-        self.nonzero.resize(filed.len(), 0);
-        let (cells, nonzero) = (&mut self.cells, &mut self.nonzero);
+        self.nonzero.reserve_exact(terms);
+        self.nonzero.resize(terms, 0);
         for (q, rep) in reps.iter().enumerate() {
             rep.for_each_entry(|t, w| {
-                let r = row_of[t.index()] as usize;
-                cells[r * stride + q] = w;
-                nonzero[r] += u32::from(w != 0.0);
+                let r = self.row_or_grow(t);
+                self.cells[r * stride + q] = w;
+                self.nonzero[r] += u32::from(w != 0.0);
             });
         }
     }
 
     /// Brings the columns of the clusters the moves touched up to date with
     /// `reps`, leaving the index equal to [`ClusterIndex::rebuild`]`(reps)`
-    /// cell for cell, apart from dead rows (see the module docs).
+    /// cell for cell (it may hold more rows of `+0.0` cells).
     ///
     /// `stale` must name every cluster an [`ClusterIndex::add`] or
     /// [`ClusterIndex::remove`] touched since the last rebuild or refresh,
@@ -301,7 +256,7 @@ impl ClusterIndex {
     /// cluster's old and new terms zeroes the old entries the new
     /// representative drops and writes its entries from `reps` — O(raised
     /// cells + Σ_stale (nnz(old) + nnz(new))), one cell visit per term of
-    /// either, with no zero-fill and no unfiling.
+    /// either, with no zero-fill.
     pub fn refresh<'a>(
         &mut self,
         reps: &[ClusterRep],
@@ -324,18 +279,18 @@ impl ClusterIndex {
             old_terms.clear();
             old.for_each_entry(|t, _| old_terms.push(t));
             // both term lists ascend: an old term below the next new one is
-            // one the new representative dropped
+            // one the new representative dropped (an old entry has a row)
             let mut olds = old_terms.iter().copied().peekable();
             reps[q].for_each_entry(|t, w| {
                 while let Some(o) = olds.next_if(|&o| o < t) {
-                    self.zero_filed(o, q);
+                    self.set_cell(o.index(), o.index() * stride + q, 0.0);
                 }
                 olds.next_if_eq(&t);
-                let r = self.row_or_file(t);
+                let r = self.row_or_grow(t);
                 self.set_cell(r, r * stride + q, w);
             });
             for o in olds {
-                self.zero_filed(o, q);
+                self.set_cell(o.index(), o.index() * stride + q, 0.0);
             }
         }
         self.old_terms = old_terms;
@@ -349,7 +304,7 @@ impl ClusterIndex {
     /// [`ClusterIndex::rebuild`] or [`ClusterIndex::refresh`] each `out[q]`
     /// is bit-identical to `reps[q].dot_doc(φ)` (see the module docs for
     /// the zero cells).
-    pub fn dot_all(&self, phi: &SparseVector, out: &mut [f64]) {
+    pub fn dot_all(&self, phi: &(impl AsRef<[(TermId, f64)]> + ?Sized), out: &mut [f64]) {
         debug_assert!(out.len() >= self.k, "scratch row shorter than k");
         let stride = self.stride();
         // Accumulated locally and published once per call, so the hot
@@ -357,12 +312,14 @@ impl ClusterIndex {
         let mut touched = 0usize;
         for (block, scores) in out[..self.k].chunks_mut(LANES).enumerate() {
             let mut acc = [0.0f64; LANES];
-            for &(t, w) in phi.entries() {
-                let Some(r) = self.row(t) else { continue };
+            for &(t, w) in phi.as_ref() {
+                let Some(&nonzero) = self.nonzero.get(t.index()) else {
+                    continue;
+                };
                 if block == 0 {
-                    touched += self.nonzero[r] as usize;
+                    touched += nonzero as usize;
                 }
-                let at = r * stride + block * LANES;
+                let at = t.index() * stride + block * LANES;
                 for (a, &c) in acc.iter_mut().zip(&self.cells[at..at + LANES]) {
                     *a += c * w;
                 }
@@ -374,18 +331,15 @@ impl ClusterIndex {
 }
 
 impl DeepSize for ClusterIndex {
-    /// Heap footprint from capacities, O(1): the row table, the rows (their
-    /// padding and the dead rows included — they are resident), the
-    /// nonzero counts, the filed list, the raised-cell list and the
-    /// refresh's scratch.
+    /// Heap footprint from capacities, O(1): the rows (their padding
+    /// included — it is resident), the nonzero counts, the raised-cell list
+    /// and the refresh's scratch.
     fn deep_size_bytes(&self) -> u64 {
-        let row_of = self.row_of.capacity() * std::mem::size_of::<u32>();
         let cells = self.cells.capacity() * std::mem::size_of::<f64>();
         let nonzero = self.nonzero.capacity() * std::mem::size_of::<u32>();
-        let filed = self.filed.capacity() * std::mem::size_of::<TermId>();
         let raised = self.raised.capacity() * std::mem::size_of::<u32>();
         let old_terms = self.old_terms.capacity() * std::mem::size_of::<TermId>();
-        (row_of + cells + nonzero + filed + raised + old_terms) as u64
+        (cells + nonzero + raised + old_terms) as u64
     }
 }
 
@@ -393,6 +347,7 @@ impl DeepSize for ClusterIndex {
 mod tests {
     use super::*;
     use crate::RepBuilder;
+    use nidc_textproc::SparseVector;
 
     fn phi(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -437,7 +392,7 @@ mod tests {
         let ds = docs();
         let reps = exact_reps(&ds, 3, None);
         let mut index = ClusterIndex::new(3);
-        index.rebuild(&reps);
+        index.rebuild(&reps, 0);
         let mut row = vec![0.0; 3];
         for d in &ds {
             index.dot_all(d, &mut row);
@@ -485,7 +440,7 @@ mod tests {
         let ds = docs();
         let index = folded(&ds, 3);
         let mut rebuilt = ClusterIndex::new(3);
-        rebuilt.rebuild(&exact_reps(&ds, 3, None));
+        rebuilt.rebuild(&exact_reps(&ds, 3, None), 0);
         assert_eq!(rebuilt.postings_len(), index.postings_len());
         assert_eq!(rebuilt.term_count(), index.term_count());
         let mut a = vec![0.0; 3];
@@ -512,13 +467,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_size_covers_row_table_and_rows() {
+    fn deep_size_covers_the_rows() {
         let mut index = ClusterIndex::new(2);
         assert_eq!(index.deep_size_bytes(), 0);
         index.add(0, &phi(&[(3, 1.5)]));
         index.add(1, &phi(&[(3, 2.0), (7, 0.5)]));
-        // the row table reaches term 7 → ≥8 × 4B, plus 2 rows × 8 cells × 8B
-        assert!(index.deep_size_bytes() >= (8 * 4 + 2 * 8 * 8) as u64);
+        // the rows reach term 7: 8 rows × 8 cells × 8 B, plus 8 counts × 4 B
+        assert!(index.deep_size_bytes() >= (8 * 8 * 8 + 8 * 4) as u64);
     }
 
     /// Every stored weight of `a` and `b` over terms `0..dim` and clusters
@@ -539,7 +494,7 @@ mod tests {
         // one document per cluster: each weight leaves exactly as it came
         let ds = docs();
         let mut index = ClusterIndex::new(ds.len());
-        index.rebuild(&exact_reps(&ds, ds.len(), None));
+        index.rebuild(&exact_reps(&ds, ds.len(), None), 0);
         assert_eq!(index.postings_len(), 10);
         for (q, d) in ds.iter().enumerate() {
             index.remove(q, d);
@@ -561,15 +516,15 @@ mod tests {
             .map(|i| phi(&[(i, 1.0), (20 + i, 0.5), (40, 0.25)]))
             .collect();
         let mut index = ClusterIndex::new(5);
-        index.rebuild(&exact_reps(&big, 5, None));
+        index.rebuild(&exact_reps(&big, 5, None), 42);
         index.add(0, &phi(&[(33, 2.0), (40, 1.0)]));
         index.add(3, &phi(&[(41, 2.0)]));
         // a smaller one reuses it
         let small = docs();
         let reps = exact_reps(&small, 2, None);
-        index.rebuild(&reps);
+        index.rebuild(&reps, 0);
         let mut fresh = ClusterIndex::new(2);
-        fresh.rebuild(&reps);
+        fresh.rebuild(&reps, 0);
         assert_same_postings(&index, &fresh, 45, 5);
         assert_eq!(index.k(), 2);
         let mut row = vec![0.0; 5];

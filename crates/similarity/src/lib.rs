@@ -31,7 +31,9 @@
 //! the "what if d joined/left" queries the extended K-means needs from one
 //! dot product; [`RepBuilder`] builds a whole [`ClusterRep`] (`c⃗_p` plus
 //! its statistics) exactly in one O(Σ nnz(φ)) pass, and [`ClusterIndex`]
-//! dots a document against all K representatives at once.
+//! dots a document against all K representatives at once. [`TermRank`]
+//! numbers a window's terms `0..n`, so both work over arrays as long as the
+//! window's distinct terms rather than the vocabulary.
 //!
 //! ```
 //! use nidc_forgetting::{DecayParams, Repository, Timestamp};
@@ -59,10 +61,12 @@
 
 mod docvec;
 mod index;
+mod rank;
 mod rep;
 
 pub use docvec::DocVectors;
 pub use index::ClusterIndex;
+pub use rank::TermRank;
 pub use rep::{ClusterRep, RepBuilder, RepStats};
 
 use nidc_forgetting::Repository;

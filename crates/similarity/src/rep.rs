@@ -308,6 +308,14 @@ impl ClusterRep {
         self.stats.size += other.stats.size;
     }
 
+    /// Renames every stored term through `map`, which must be strictly
+    /// increasing over them; weights and statistics stay as they are. A
+    /// K-means run builds over ranked term ids and hands its
+    /// representatives back through this.
+    pub fn relabel(&mut self, map: impl FnMut(TermId) -> TermId) {
+        self.vector.relabel(map);
+    }
+
     /// `avg_sim(C_p)` (eq. 24; see [`RepStats::avg_sim`]).
     pub fn avg_sim(&self) -> f64 {
         self.stats.avg_sim()
@@ -354,17 +362,20 @@ impl nidc_obs::DeepSize for ClusterRep {
 /// O(Σ nnz(φ)) — where adding members one by one to a sorted vector pays an
 /// O(nnz(c⃗_p)) merge per member.
 ///
-/// It holds one value array over the term space, the list of terms the
-/// current cluster touched and a seen mark per term. A build leaves every
-/// slot it touched at zero again, so one builder serves every cluster of
-/// every run it is lent to — a shard's K-means workspace keeps one across
-/// windows — and holds O(max term id) memory (9 B per term id) once, not
-/// per cluster or per run.
+/// It holds one value array over the term ids it meets and a bit per id
+/// marking the terms the current cluster touched; the drain walks the marked
+/// words in ascending order, so it needs no sort. A build leaves every slot
+/// it touched at zero again, so one builder serves every cluster of every
+/// run it is lent to. A K-means run lends it ranked term ids
+/// ([`crate::TermRank`]), so its arrays are as long as the run's distinct
+/// terms, not the vocabulary.
 #[derive(Debug, Default)]
 pub struct RepBuilder {
     values: Vec<f64>,
-    seen: Vec<bool>,
-    touched: Vec<TermId>,
+    /// Bit `t % 64` of word `t / 64`: the current cluster touched term `t`.
+    seen: Vec<u64>,
+    /// Terms the current cluster touched.
+    touched: usize,
 }
 
 impl RepBuilder {
@@ -382,10 +393,26 @@ impl RepBuilder {
     where
         I: IntoIterator<Item = &'a SparseVector>,
     {
+        self.exact_with_norms(
+            members
+                .into_iter()
+                .map(|phi| (phi.entries(), phi.norm_sq())),
+        )
+    }
+
+    /// [`RepBuilder::exact`] over members given as their sorted entries and
+    /// `|φ|²`, for a caller that holds both already — a K-means run holds
+    /// φ over ranked ids and each `|φ|²` from
+    /// [`crate::DocVectors::self_sim`]. `ss` sums the given norms in member
+    /// order.
+    pub fn exact_with_norms<'a, I>(&mut self, members: I) -> ClusterRep
+    where
+        I: IntoIterator<Item = (&'a [(TermId, f64)], f64)>,
+    {
         let (mut size, mut ss) = (0, 0.0);
-        for phi in members {
+        for (phi, norm_sq) in members {
             self.accumulate(phi);
-            ss += phi.norm_sq();
+            ss += norm_sq;
             size += 1;
         }
         let entries = self.drain();
@@ -393,47 +420,50 @@ impl RepBuilder {
         ClusterRep::from_parts(entries, size, cr_self, ss)
     }
 
-    /// `acc[t] += w` for every term of φ, recording first touches.
-    fn accumulate(&mut self, phi: &SparseVector) {
-        for (t, w) in phi.iter() {
+    /// `acc[t] += w` for every term of φ, marking first touches.
+    fn accumulate(&mut self, phi: &[(TermId, f64)]) {
+        for &(t, w) in phi {
             let idx = t.index();
             if idx >= self.values.len() {
                 self.values.resize(idx + 1, 0.0);
-                self.seen.resize(idx + 1, false);
+                self.seen.resize(idx / 64 + 1, 0);
             }
-            if !self.seen[idx] {
-                self.seen[idx] = true;
-                self.touched.push(t);
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            if self.seen[word] & bit == 0 {
+                self.seen[word] |= bit;
+                self.touched += 1;
             }
             self.values[idx] += w;
         }
     }
 
     /// The accumulated non-zero entries in ascending term order; resets
-    /// every touched slot for the next cluster.
+    /// every touched slot for the next cluster. The vector's capacity is
+    /// the number of terms touched, exact zeros included.
     fn drain(&mut self) -> Vec<(TermId, f64)> {
-        self.touched.sort_unstable();
-        let mut entries = Vec::with_capacity(self.touched.len());
-        for &t in &self.touched {
-            let idx = t.index();
-            let w = std::mem::take(&mut self.values[idx]);
-            self.seen[idx] = false;
-            if w != 0.0 {
-                entries.push((t, w));
+        let mut entries = Vec::with_capacity(std::mem::take(&mut self.touched));
+        for word in 0..self.seen.len() {
+            let mut bits = std::mem::take(&mut self.seen[word]);
+            while bits != 0 {
+                let idx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let w = std::mem::take(&mut self.values[idx]);
+                if w != 0.0 {
+                    entries.push((TermId(idx as u32), w));
+                }
             }
         }
-        self.touched.clear();
         entries
     }
 }
 
 impl nidc_obs::DeepSize for RepBuilder {
-    /// Heap footprint from capacities, O(1): the value and seen arrays over
-    /// the term space and the touched list.
+    /// Heap footprint from capacities, O(1): the value array and the seen
+    /// bits.
     fn deep_size_bytes(&self) -> u64 {
         let values = self.values.capacity() * std::mem::size_of::<f64>();
-        let touched = self.touched.capacity() * std::mem::size_of::<TermId>();
-        (values + self.seen.capacity() + touched) as u64
+        let seen = self.seen.capacity() * std::mem::size_of::<u64>();
+        (values + seen) as u64
     }
 }
 

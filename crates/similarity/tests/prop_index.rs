@@ -8,7 +8,7 @@
 //! posting and term counts, and every `dot_all` score with its count of
 //! postings touched. The ops empty clusters that keep residue (removals of
 //! documents never added, negative weights) and drop terms from every
-//! cluster, so refreshes clear residue and leave dead rows behind.
+//! cluster, so refreshes clear residue and leave rows no cluster holds.
 //!
 //! The index keeps a dense row of cells per term, so a cluster absent from
 //! a term is a `+0.0` cell that the reference never visits; the scores must
@@ -279,7 +279,7 @@ proptest! {
                 }
                 Op::Rebuild(clusters) => {
                     reps = clusters.iter().map(|m| builder.exact(m)).collect();
-                    index.rebuild(&reps);
+                    index.rebuild(&reps, DIM as usize);
                     reference.rebuild(&reps);
                     touched = vec![false; reps.len()];
                     added = clusters
@@ -300,7 +300,7 @@ proptest! {
                     index.refresh(&reps, stale.iter().map(|(q, old)| (*q, old)));
                     reference.rebuild(&reps);
                     let mut rebuilt = ClusterIndex::new(reps.len());
-                    rebuilt.rebuild(&reps);
+                    rebuilt.rebuild(&reps, DIM as usize);
                     check_same(&index, &rebuilt, &probes)?;
                 }
             }

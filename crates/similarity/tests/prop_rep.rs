@@ -146,7 +146,7 @@ proptest! {
         let rep = exact(&initial);
         let mut stats = rep.stats();
         let mut index = ClusterIndex::new(1);
-        index.rebuild(std::slice::from_ref(&rep));
+        index.rebuild(std::slice::from_ref(&rep), 0);
         let mut dot = [0.0];
         // join every churn doc then let them leave again, in reverse
         for d in &churn {
@@ -227,7 +227,7 @@ proptest! {
             prop_assert!((row[0] - rep.dot_doc(d)).abs() < 1e-9,
                 "churned dot: index {} vs exact {}", row[0], rep.dot_doc(d));
         }
-        index.rebuild(std::slice::from_ref(&rep));
+        index.rebuild(std::slice::from_ref(&rep), 0);
         for d in present.iter().chain([&probe]) {
             index.dot_all(d, &mut row);
             prop_assert!(row[0].to_bits() == rep.dot_doc(d).to_bits(),

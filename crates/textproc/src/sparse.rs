@@ -353,6 +353,25 @@ impl SparseVector {
     pub fn iter(&self) -> impl Iterator<Item = (TermId, f64)> + '_ {
         self.entries.iter().copied()
     }
+
+    /// Renames every term through `map` in place, weights untouched. `map`
+    /// must be strictly increasing over the stored terms, so the entries
+    /// stay sorted.
+    pub fn relabel(&mut self, mut map: impl FnMut(TermId) -> TermId) {
+        for (t, _) in &mut self.entries {
+            *t = map(*t);
+        }
+        debug_assert!(
+            self.entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "relabel map must be strictly increasing"
+        );
+    }
+}
+
+impl AsRef<[(TermId, f64)]> for SparseVector {
+    fn as_ref(&self) -> &[(TermId, f64)] {
+        &self.entries
+    }
 }
 
 impl nidc_obs::DeepSize for SparseVector {

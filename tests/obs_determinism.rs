@@ -580,14 +580,18 @@ fn cohesion_gauge_is_scale_free() {
     assert!((0.0..=1.0).contains(&base) && base > 0.0, "cohesion {base}");
 }
 
-/// Spans and the process-wide totals count allocations in one unit (a
-/// `realloc` is an allocation event in both), so over a traced,
-/// allocation-tracked 3-shard run the top-level spans — which never overlap
-/// — account for no more allocations, and no more bytes, than the process
-/// counted over the same scope.
-#[test]
-fn top_level_span_allocations_fit_in_the_global_totals() {
-    let _guard = flag_lock();
+/// One allocation-tracked 3-shard replay of [`stream`], traced or not.
+struct TrackedRun {
+    /// The process-wide `(allocs, bytes)` counted over the replay.
+    global: (u64, u64),
+    /// Per top-level pipeline call, in call order, this thread's
+    /// `(allocs, bytes)` tallies over the call: what a span around it reads.
+    calls: Vec<(u64, u64)>,
+    /// The recorded trace (empty when untraced).
+    events: Vec<khy2006::obs::trace::TraceEvent>,
+}
+
+fn tracked_three_shard_run(traced: bool) -> TrackedRun {
     let config = ClusteringConfig {
         k: 3,
         seed: 7,
@@ -596,26 +600,53 @@ fn top_level_span_allocations_fit_in_the_global_totals() {
     let mut pipeline =
         ShardedPipeline::new(DecayParams::from_spans(4.0, 8.0).unwrap(), config, 3).unwrap();
     let docs = stream();
+    let mut calls = Vec::new();
+    let mut call = |f: &mut dyn FnMut()| {
+        let (a0, b0) = khy2006::obs::alloc::thread_tallies();
+        f();
+        let (a1, b1) = khy2006::obs::alloc::thread_tallies();
+        calls.push((a1 - a0, b1 - b0));
+    };
     khy2006::obs::trace::clear();
     khy2006::obs::alloc::set_tracking(true);
-    khy2006::obs::trace::set_trace_enabled(true);
+    khy2006::obs::trace::set_trace_enabled(traced);
     let before = khy2006::obs::alloc::stats();
     let mut next = 3.0f64;
     for (id, day, tf) in docs {
         while day >= next {
-            pipeline.advance_to(Timestamp(next)).unwrap();
-            pipeline.recluster_incremental().unwrap();
+            call(&mut || pipeline.advance_to(Timestamp(next)).unwrap());
+            call(&mut || {
+                pipeline.recluster_incremental().unwrap();
+            });
             next += 3.0;
         }
-        pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+        let mut tf = Some(tf);
+        call(&mut || {
+            let tf = tf.take().unwrap();
+            pipeline.ingest(DocId(id), Timestamp(day), tf).unwrap();
+        });
     }
-    pipeline.recluster_incremental().unwrap();
+    call(&mut || {
+        pipeline.recluster_incremental().unwrap();
+    });
     let after = khy2006::obs::alloc::stats();
     khy2006::obs::trace::set_trace_enabled(false);
     khy2006::obs::alloc::set_tracking(false);
     let events = khy2006::obs::trace::drain();
     khy2006::obs::trace::validate_events(&events).expect("well-formed");
+    TrackedRun {
+        global: (
+            after.allocs - before.allocs,
+            after.bytes_allocated - before.bytes_allocated,
+        ),
+        calls,
+        events,
+    }
+}
 
+/// The summed `(allocs, bytes)` of the top-level spans, which never
+/// overlap.
+fn top_level_span_tallies(events: &[khy2006::obs::trace::TraceEvent]) -> (u64, u64) {
     let mut open = BTreeMap::new();
     let (mut allocs, mut bytes) = (0u64, 0u64);
     for ev in events.iter().filter(|e| e.parent == 0) {
@@ -630,17 +661,56 @@ fn top_level_span_allocations_fit_in_the_global_totals() {
             }
         }
     }
+    (allocs, bytes)
+}
+
+/// Spans and the process-wide totals count allocations in one unit (a
+/// `realloc` is an allocation event in both), so over a traced,
+/// allocation-tracked 3-shard run the top-level spans — which never overlap
+/// — account for no more allocations, and no more bytes, than the process
+/// counted over the same scope.
+#[test]
+fn top_level_span_allocations_fit_in_the_global_totals() {
+    let _guard = flag_lock();
+    let run = tracked_three_shard_run(true);
+    let (allocs, bytes) = top_level_span_tallies(&run.events);
     assert!(allocs > 0, "the spans saw the run allocate");
     assert!(
-        allocs <= after.allocs - before.allocs,
+        allocs <= run.global.0,
         "top-level spans count {allocs} allocations, the process {}",
-        after.allocs - before.allocs
+        run.global.0
     );
     assert!(
-        bytes <= after.bytes_allocated - before.bytes_allocated,
+        bytes <= run.global.1,
         "top-level spans count {bytes} bytes, the process {}",
-        after.bytes_allocated - before.bytes_allocated
+        run.global.1
     );
+}
+
+/// The trace recorder's own buffers — each thread's event buffer, the
+/// shared sink it flushes into, the lane labels — are not the pipeline's
+/// allocations: the same tracked 3-shard run counts the same global
+/// allocations and bytes, and the same per-call tallies, with tracing on
+/// and off, and its top-level spans read exactly what the untraced calls
+/// allocated.
+#[test]
+fn tracing_leaves_every_allocation_tally_as_it_was() {
+    let _guard = flag_lock();
+    // a first replay takes the process's one-time initialisations (lazy
+    // metric handles and the like) out of the two compared below
+    tracked_three_shard_run(true);
+    let (untraced, traced) = (
+        tracked_three_shard_run(false),
+        tracked_three_shard_run(true),
+    );
+    assert!(untraced.events.is_empty());
+    assert_eq!(traced.global, untraced.global, "global (allocs, bytes)");
+    assert_eq!(traced.calls, untraced.calls, "per-call (allocs, bytes)");
+    let sum = untraced
+        .calls
+        .iter()
+        .fold((0, 0), |(a, b), &(x, y)| (a + x, b + y));
+    assert_eq!(top_level_span_tallies(&traced.events), sum);
 }
 
 /// `par_map_mut` attributes worker-thread allocations back to the caller:

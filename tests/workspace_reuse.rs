@@ -1,9 +1,10 @@
 //! Workspace reuse is invisible: one `KMeansWorkspace` lent to run after
 //! run — as every pipeline shard lends its own to each window's K-means —
 //! gives the clustering a fresh workspace gives, bit for bit. Nothing a run
-//! leaves in the sparse accumulator, the cluster index (its dead rows
-//! included) or the score row may reach the next run, whatever K, the term
-//! ids, the start or the criterion of either.
+//! leaves in the term ranking, the sparse accumulator, the cluster index
+//! (its rows of terms no cluster holds any more included) or the score row
+//! may reach the next run, whatever K, the term ids, the start or the
+//! criterion of either.
 
 use khy2006::core::{cluster_with_workspace, KMeansWorkspace};
 use khy2006::prelude::*;
@@ -258,10 +259,11 @@ fn shifting_window(w: u64) -> DocVectors {
 /// Window after window on one workspace, warm-started with every document
 /// assigned — survivors keep their cluster modulo the new K, new documents
 /// and strays are dealt round robin — so strays are demoted and their terms
-/// leave every cluster: each run's refreshes leave dead rows in the index
-/// for the next run, while K shrinks and grows and the vocabulary shifts.
+/// leave every cluster: each run's refreshes leave rows no cluster holds in
+/// the index for the next run, while K shrinks and grows and the
+/// vocabulary shifts.
 #[test]
-fn dead_rows_of_earlier_runs_never_reach_a_later_one() {
+fn earlier_runs_never_reach_a_later_one() {
     let mut workspace = KMeansWorkspace::new();
     let mut previous: std::collections::BTreeMap<DocId, usize> = Default::default();
     let mut demoted = 0;
@@ -286,5 +288,8 @@ fn dead_rows_of_earlier_runs_never_reach_a_later_one() {
         demoted += fresh.outliers().len();
         previous = fresh.assignment();
     }
-    assert!(demoted > 0, "no document was demoted, so no row died");
+    assert!(
+        demoted > 0,
+        "no document was demoted, so no row was emptied"
+    );
 }
